@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bochner import (
     BochnerOperator,
-    EigenData,
+    EigenSystem,
     NoFiniteOrderOperator,
     Poly,
     deltas_from_operator,
@@ -54,15 +54,14 @@ def main():
     print(f"original operator:      {op}")
 
     system = eigensystem(deltas_from_operator(op, config.degree))
-    data = EigenData(system.lambdas, system.polys)
-    rebuilt = reconstruct(data, config.order)
+    rebuilt = reconstruct(system, config.order)
     print(f"reconstructed operator: {rebuilt}")
     print(f"exact match: {rebuilt == op}")
 
     perturbed_polys = list(system.polys)
     mid = config.degree // 2
     perturbed_polys[mid] = perturbed_polys[mid] + Poly([1])
-    perturbed = EigenData(system.lambdas, perturbed_polys)
+    perturbed = EigenSystem(system.lambdas, perturbed_polys)
     print(f"\nafter bumping one coefficient of P_{mid} by 1:")
     for order in range(1, config.order + 3):
         try:

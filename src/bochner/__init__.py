@@ -20,11 +20,9 @@ from .errors import (
 )
 from .identities import lemma_residual
 from .inverse import (
-    EigenData,
     deltas_from_eigendata_det,
     deltas_from_eigendata_rec,
     finite_order_test,
-    operator_coeffs_from_deltas,
     reconstruct,
 )
 from .operators import (
@@ -43,9 +41,7 @@ from .scalars import (
     GaussianRational,
     I,
     ONE,
-    Rational,
     ZERO,
-    binom,
     format_scalar,
     parse_scalar,
     scalar,
@@ -53,7 +49,6 @@ from .scalars import (
 from .shapiro import (
     ShapiroOperator,
     shapiro_alpha,
-    shapiro_coeff,
     shapiro_delta1,
     to_bochner,
     verify_shapiro_recurrence,
@@ -76,7 +71,6 @@ __all__ = [
     "DegenerateSpectrum",
     "DeltaTable",
     "DomainError",
-    "EigenData",
     "EigenSystem",
     "GaussianRational",
     "I",
@@ -87,7 +81,6 @@ __all__ = [
     "ONE",
     "ParseError",
     "Poly",
-    "Rational",
     "RecurrenceCoeffs",
     "ShapiroOperator",
     "VerificationError",
@@ -95,7 +88,6 @@ __all__ = [
     "ZERO",
     "apply_operator",
     "bandwidth",
-    "binom",
     "delta_extend",
     "deltas_from_eigendata_det",
     "deltas_from_eigendata_rec",
@@ -115,13 +107,11 @@ __all__ = [
     "lambda_via_N2_identity",
     "lemma_residual",
     "normalize",
-    "operator_coeffs_from_deltas",
     "operator_from_deltas",
     "parse_scalar",
     "reconstruct",
     "scalar",
     "shapiro_alpha",
-    "shapiro_coeff",
     "shapiro_delta1",
     "to_bochner",
     "verify_shapiro_recurrence",

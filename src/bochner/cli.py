@@ -83,10 +83,13 @@ def _decimal_rows(rows, digits):
 
 def _emit(payload: dict, args) -> None:
     text = json.dumps(payload, indent=2)
-    print(text)
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc}") from exc
+    print(text)
 
 
 def _load_json(path: str):
@@ -97,13 +100,6 @@ def _load_json(path: str):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
-
-
-def _parse_c_list(text: str) -> ShapiroOperator:
-    items = [piece for piece in text.split(",") if piece.strip()]
-    if not items:
-        raise ParseError("empty coefficient list")
-    return ShapiroOperator([parse_scalar(piece) for piece in items])
 
 
 def _preset_operator(name: str, args):
@@ -120,7 +116,10 @@ def _preset_operator(name: str, args):
     if name == "shapiro":
         if args.shapiro is None:
             raise ParseError("shapiro preset requires --shapiro c1,c2,...,cN")
-        product_op = _parse_c_list(args.shapiro)
+        items = [piece for piece in args.shapiro.split(",") if piece.strip()]
+        if not items:
+            raise ParseError("empty coefficient list")
+        product_op = ShapiroOperator([parse_scalar(piece) for piece in items])
         return to_bochner(product_op), product_op
     raise ParseError(f"unknown preset {name!r}")
 
@@ -132,11 +131,8 @@ def _operator_from_args(args):
             raise ParseError("give exactly one operator source")
         doc = _load_json(args.operator)
         return operator_from_dict(doc), None
-    if args.preset is not None:
-        return _preset_operator(args.preset, args)
-    if args.shapiro is not None:
-        product_op = _parse_c_list(args.shapiro)
-        return to_bochner(product_op), product_op
+    if args.preset is not None or args.shapiro is not None:
+        return _preset_operator(args.preset or "shapiro", args)
     raise ParseError(
         "no operator source: use --operator FILE, --preset NAME or --shapiro LIST"
     )
@@ -154,9 +150,7 @@ def run_direct(args) -> int:
     if args.det:
         polys = []
         for n in range(args.nmax + 1):
-            coeffs = [
-                eigenpoly_coeff_det(table, system.lambdas, n, i) for i in range(n, 0, -1)
-            ]
+            coeffs = [eigenpoly_coeff_det(table, n, i) for i in range(n, 0, -1)]
             polys.append(coeffs + [GaussianRational(1)])
         poly_lists = [[format_scalar(c) for c in row] for row in polys]
     else:
@@ -177,7 +171,7 @@ def run_direct(args) -> int:
             if not is_eigenpair(op, system.polys[n], lambdas[n]):
                 mismatches.append({"n": n, "check": "eigen-equation"})
             for i in range(1, n + 1):
-                det_value = eigenpoly_coeff_det(table, system.lambdas, n, i)
+                det_value = eigenpoly_coeff_det(table, n, i)
                 if det_value != system.polys[n].coeff(n - i):
                     mismatches.append({"n": n, "i": i, "check": "determinant"})
         payload["check"] = "ok" if not mismatches else "failed"
@@ -243,7 +237,7 @@ def run_verify(args) -> int:
         for n in range(nmax + 1)
     )
     checks["determinant_vs_recursion"] = all(
-        eigenpoly_coeff_det(table, system.lambdas, n, i) == system.polys[n].coeff(n - i)
+        eigenpoly_coeff_det(table, n, i) == system.polys[n].coeff(n - i)
         for n in range(1, nmax + 1)
         for i in range(1, n + 1)
     )
@@ -287,6 +281,8 @@ def run_inverse(args) -> int:
         raise ParseError("inverse requires --order N or --search")
     doc = _load_json(args.data)
     data = eigendata_from_dict(doc)
+    if args.search and data.n_max < 2:
+        raise InsufficientData(f"--search needs data at least to degree 2, got {data.n_max}")
     if args.check:
         table = deltas_from_eigendata_rec(data, data.n_max)
         for n in range(data.n_max + 1):

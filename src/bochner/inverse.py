@@ -26,39 +26,13 @@ from .errors import (
     VerificationError,
 )
 from .hessenberg import hessenberg_determinant
-from .operators import BochnerOperator, DeltaTable, coefficient_from_deltas
-from .polynomials import Poly, is_eigenpair
+from .operators import BochnerOperator, DeltaTable, operator_from_deltas
+from .polynomials import is_eigenpair
 from .scalars import GaussianRational, ONE, ZERO
-from .spectral import delta_extend, validate_family
+from .spectral import EigenSystem, delta_extend
 
 
-class EigenData:
-    """Prescribed eigen-data: lambda_0 = 0, lambda_1, ... and monic P_n."""
-
-    __slots__ = ("lambdas", "polys")
-
-    def __init__(self, lambdas, polys):
-        self.lambdas, self.polys = validate_family(lambdas, polys)
-
-    @property
-    def n_max(self) -> int:
-        return len(self.polys) - 1
-
-    def coeff(self, n: int, i: int) -> GaussianRational:
-        if n < 0 or n > self.n_max:
-            raise DomainError(f"polynomial index {n} out of range")
-        return self.polys[n].coeff(i)
-
-    def __eq__(self, other):
-        if not isinstance(other, EigenData):
-            return NotImplemented
-        return self.lambdas == other.lambdas and self.polys == other.polys
-
-    def __repr__(self):
-        return f"EigenData(n_max={self.n_max})"
-
-
-def deltas_from_eigendata_det(data: EigenData, n: int, k: int) -> GaussianRational:
+def deltas_from_eigendata_det(data: EigenSystem, n: int, k: int) -> GaussianRational:
     """delta(n, k) straight from its determinant definition.
 
     The matrix is k x k with unit subdiagonal; column c holds, top to bottom,
@@ -92,7 +66,7 @@ def deltas_from_eigendata_det(data: EigenData, n: int, k: int) -> GaussianRation
     return det if k % 2 == 0 else -det
 
 
-def deltas_from_eigendata_rec(data: EigenData, n_max: int) -> DeltaTable:
+def deltas_from_eigendata_rec(data: EigenSystem, n_max: int) -> DeltaTable:
     """The full delta table of the data up to row n_max, by the recursion."""
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
@@ -113,12 +87,6 @@ def deltas_from_eigendata_rec(data: EigenData, n_max: int) -> DeltaTable:
             row.append(value)
         rows.append(row)
     return DeltaTable(rows)
-
-
-def operator_coeffs_from_deltas(table: DeltaTable, n: int, k: int) -> GaussianRational:
-    """Candidate operator coefficient a(n, n-k) from the table; the inversion
-    formula is shared with the direct problem."""
-    return coefficient_from_deltas(table, n, k)
 
 
 def first_order_violation(table: DeltaTable, order: int, n_max: int):
@@ -153,7 +121,7 @@ def finite_order_test(table: DeltaTable, order: int, n_max: int) -> bool:
     return first_order_violation(table, order, n_max) is None
 
 
-def reconstruct(data: EigenData, order: int) -> BochnerOperator:
+def reconstruct(data: EigenSystem, order: int) -> BochnerOperator:
     """The operator of the given order with the prescribed eigen-data.
 
     Raises NoFiniteOrderOperator when the finite-order criterion fails on the
@@ -171,12 +139,7 @@ def reconstruct(data: EigenData, order: int) -> BochnerOperator:
     violation = first_order_violation(table, order, data.n_max)
     if violation is not None:
         raise NoFiniteOrderOperator(order, violation)
-    polys = []
-    for i in range(order + 1):
-        polys.append(Poly([coefficient_from_deltas(table, i, i - j) for j in range(i + 1)]))
-    while len(polys) > 2 and not polys[-1]:
-        polys.pop()
-    op = BochnerOperator(polys)
+    op = operator_from_deltas(table, order)
     for n in range(data.n_max + 1):
         if not is_eigenpair(op, data.polys[n], data.lambdas[n]):
             raise VerificationError(

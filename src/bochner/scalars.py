@@ -13,9 +13,6 @@ from functools import lru_cache
 
 from .errors import DomainError, ParseError
 
-# Arbitrary-precision rational: always reduced, denominator >= 1, 0 is 0/1.
-Rational = Fraction
-
 _RATIONAL_RE = _re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 
 
@@ -242,8 +239,3 @@ def comb(r: int, s: int) -> int:
     if s < 0 or s > r:
         return 0
     return math.comb(r, s)
-
-
-def binom(r: int, s: int) -> Fraction:
-    """C(r, s) as an integer-valued Rational, zero outside 0 <= s <= r."""
-    return Fraction(comb(r, s))

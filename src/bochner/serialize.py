@@ -11,7 +11,6 @@ polynomial is the empty array, though a lone "0" entry parses too).
 from __future__ import annotations
 
 from .errors import InvalidEigenSystem, InvalidOperator, ParseError
-from .inverse import EigenData
 from .operators import BochnerOperator, DeltaTable
 from .polynomials import Poly
 from .recurrence import RecurrenceCoeffs
@@ -58,22 +57,14 @@ def operator_from_dict(doc) -> BochnerOperator:
         raise ParseError(f"not a valid operator: {exc}") from exc
 
 
-def _family_to_dict(lambdas, polys) -> dict:
+def eigensystem_to_dict(system: EigenSystem) -> dict:
     return {
-        "lambda": [format_scalar(v) for v in lambdas],
-        "P": [poly_to_list(p) for p in polys],
+        "lambda": [format_scalar(v) for v in system.lambdas],
+        "P": [poly_to_list(p) for p in system.polys],
     }
 
 
-def eigensystem_to_dict(system: EigenSystem) -> dict:
-    return _family_to_dict(system.lambdas, system.polys)
-
-
-def eigendata_to_dict(data: EigenData) -> dict:
-    return _family_to_dict(data.lambdas, data.polys)
-
-
-def eigendata_from_dict(doc) -> EigenData:
+def eigendata_from_dict(doc) -> EigenSystem:
     if not isinstance(doc, dict) or "lambda" not in doc or "P" not in doc:
         raise ParseError('eigen-data document needs keys "lambda" and "P"')
     lambdas = doc["lambda"]
@@ -83,7 +74,7 @@ def eigendata_from_dict(doc) -> EigenData:
     values = [_scalar_from_json(v) for v in lambdas]
     family = [poly_from_list(p) for p in polys]
     try:
-        return EigenData(values, family)
+        return EigenSystem(values, family)
     except InvalidEigenSystem as exc:
         raise ParseError(f"not valid eigen-data: {exc}") from exc
 
@@ -92,15 +83,19 @@ def delta_table_to_list(table: DeltaTable) -> list[list[str]]:
     return [[format_scalar(v) for v in row] for row in table.rows]
 
 
-def delta_table_from_list(rows, order=None) -> DeltaTable:
+def _rows_from_list(rows, name: str) -> list[list[GaussianRational]]:
     if not isinstance(rows, list):
-        raise ParseError("delta table must be a JSON array of arrays")
+        raise ParseError(f"{name} table must be a JSON array of arrays")
     parsed = []
     for row in rows:
         if not isinstance(row, list):
-            raise ParseError("delta table rows must be JSON arrays")
+            raise ParseError(f"{name} table rows must be JSON arrays")
         parsed.append([_scalar_from_json(v) for v in row])
-    return DeltaTable(parsed, order=order)
+    return parsed
+
+
+def delta_table_from_list(rows, order=None) -> DeltaTable:
+    return DeltaTable(_rows_from_list(rows, "delta"), order=order)
 
 
 def alpha_table_to_list(coeffs: RecurrenceCoeffs) -> list[list[str]]:
@@ -108,11 +103,4 @@ def alpha_table_to_list(coeffs: RecurrenceCoeffs) -> list[list[str]]:
 
 
 def alpha_table_from_list(rows) -> RecurrenceCoeffs:
-    if not isinstance(rows, list):
-        raise ParseError("alpha table must be a JSON array of arrays")
-    parsed = []
-    for row in rows:
-        if not isinstance(row, list):
-            raise ParseError("alpha table rows must be JSON arrays")
-        parsed.append([_scalar_from_json(v) for v in row])
-    return RecurrenceCoeffs(parsed)
+    return RecurrenceCoeffs(_rows_from_list(rows, "alpha"))

@@ -75,19 +75,6 @@ def shapiro_delta1(op: ShapiroOperator, n: int) -> GaussianRational:
     return total
 
 
-def shapiro_coeff(op: ShapiroOperator, n: int, i: int) -> GaussianRational:
-    """x^(n-i) coefficient of the monic eigenpolynomial of degree n:
-    delta1(n) delta1(n-1) ... delta1(n-i+1) / i!."""
-    if not 0 <= i <= n:
-        raise DomainError(f"need 0 <= i <= n, got i={i}, n={n}")
-    product = ONE
-    for m in range(n, n - i, -1):
-        product = product * shapiro_delta1(op, m)
-        if not product:
-            return ZERO
-    return product * Fraction(1, factorial(i))
-
-
 def shapiro_poly(op: ShapiroOperator, n: int) -> Poly:
     """The degree-n monic eigenpolynomial, built from the coefficient products."""
     if n < 0:

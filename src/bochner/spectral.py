@@ -40,30 +40,6 @@ def check_spectrum(lambdas: Sequence[GaussianRational]) -> None:
         seen[lam] = idx
 
 
-def validate_family(lambdas, polys):
-    """Shared validation for prescribed or computed eigen-families.
-
-    Checks lengths, monicity, degrees, the lambda_0 = 0 normalization and
-    spectrum non-degeneracy; returns the coerced (lambdas, polys) tuples.
-    """
-    lams = tuple(scalar(v) for v in lambdas)
-    ps = tuple(p if isinstance(p, Poly) else Poly(p) for p in polys)
-    if not lams or len(lams) != len(ps):
-        raise InvalidEigenSystem(
-            f"need matching nonempty sequences, got {len(lams)} eigenvalues "
-            f"and {len(ps)} polynomials"
-        )
-    if lams[0] != ZERO:
-        raise InvalidEigenSystem(f"lambda_0 must be 0, got {lams[0]}")
-    for n, p in enumerate(ps):
-        if p.degree != n:
-            raise InvalidEigenSystem(f"polynomial {n} has degree {p.degree}, expected {n}")
-        if not p.is_monic():
-            raise InvalidEigenSystem(f"polynomial {n} is not monic")
-    check_spectrum(lams)
-    return lams, ps
-
-
 class EigenSystem:
     """Eigenvalues lambda_0 = 0, lambda_1, ... with their monic
     eigenpolynomials P_n, deg P_n = n."""
@@ -71,7 +47,24 @@ class EigenSystem:
     __slots__ = ("lambdas", "polys")
 
     def __init__(self, lambdas, polys):
-        self.lambdas, self.polys = validate_family(lambdas, polys)
+        """Coerce and validate: matching lengths, lambda_0 = 0, monic P_n of
+        degree n, and a non-degenerate spectrum."""
+        lams = tuple(scalar(v) for v in lambdas)
+        ps = tuple(p if isinstance(p, Poly) else Poly(p) for p in polys)
+        if not lams or len(lams) != len(ps):
+            raise InvalidEigenSystem(
+                f"need matching nonempty sequences, got {len(lams)} eigenvalues "
+                f"and {len(ps)} polynomials"
+            )
+        if lams[0] != ZERO:
+            raise InvalidEigenSystem(f"lambda_0 must be 0, got {lams[0]}")
+        for n, p in enumerate(ps):
+            if p.degree != n:
+                raise InvalidEigenSystem(f"polynomial {n} has degree {p.degree}, expected {n}")
+            if not p.is_monic():
+                raise InvalidEigenSystem(f"polynomial {n} is not monic")
+        check_spectrum(lams)
+        self.lambdas, self.polys = lams, ps
 
     @property
     def n_max(self) -> int:
@@ -94,12 +87,11 @@ class EigenSystem:
 
 def eigenvalues(table: DeltaTable) -> list[GaussianRational]:
     """The k = 0 column of the table, validated to be a usable spectrum."""
-    lams = [table.value(n, 0) for n in range(table.n_max + 1)]
-    check_spectrum(lams)
-    return lams
+    return _lambda_prefix(table, table.n_max)
 
 
 def _lambda_prefix(table: DeltaTable, n: int) -> list[GaussianRational]:
+    """lambda_0..lambda_n from the k = 0 column, validated as a spectrum."""
     if table.n_max < n:
         raise InsufficientData(f"need delta rows up to {n}, table holds {table.n_max}")
     lams = [table.value(m, 0) for m in range(n + 1)]
@@ -126,9 +118,7 @@ def eigenpoly_recursive(table: DeltaTable, n: int) -> Poly:
     return Poly(b)
 
 
-def eigenpoly_coeff_det(
-    table: DeltaTable, lambdas: Sequence, n: int, i: int
-) -> GaussianRational:
+def eigenpoly_coeff_det(table: DeltaTable, n: int, i: int) -> GaussianRational:
     """b(n, n-i) as an i x i upper Hessenberg determinant.
 
     Entry (j, c) above the diagonal band is delta(n+1-j, c+1-j) divided by
@@ -138,10 +128,7 @@ def eigenpoly_coeff_det(
     """
     if not 1 <= i <= n:
         raise DomainError(f"need 1 <= i <= n, got i={i}, n={n}")
-    lams = [scalar(v) for v in lambdas]
-    if len(lams) < n + 1:
-        raise InsufficientData(f"need eigenvalues up to index {n}, got {len(lams)}")
-    check_spectrum(lams[: n + 1])
+    lams = _lambda_prefix(table, n)
     matrix = []
     for j in range(1, i + 1):
         row = []
@@ -205,9 +192,6 @@ def lambda_via_N2_identity(lambda1, lambda2, n: int) -> GaussianRational:
 def eigensystem(table: DeltaTable, n_max: int | None = None) -> EigenSystem:
     """Eigenvalues and eigenpolynomials up to degree n_max (table depth by default)."""
     top = table.n_max if n_max is None else n_max
-    if top > table.n_max:
-        raise InsufficientData(f"table holds rows up to {table.n_max}, need {top}")
-    lams = [table.value(m, 0) for m in range(top + 1)]
-    check_spectrum(lams)
+    lams = _lambda_prefix(table, top)
     polys = [eigenpoly_recursive(table, m) for m in range(top + 1)]
     return EigenSystem(lams, polys)

@@ -12,7 +12,6 @@ from random import Random
 import pytest
 
 from bochner import (
-    EigenData,
     EigenSystem,
     GaussianRational,
     NoFiniteOrderOperator,
@@ -102,7 +101,7 @@ def test_criterion_3_determinant_cross_check(corpus, tables, shared_systems):
         for n in range(1, 21):
             poly = system.polys[n]
             for i in range(1, n + 1):
-                det_value = eigenpoly_coeff_det(table, system.lambdas, n, i)
+                det_value = eigenpoly_coeff_det(table, n, i)
                 assert det_value == poly.coeff(n - i), (name, n, i)
                 checked += 1
     print(
@@ -162,7 +161,7 @@ def test_criterion_6_inverse_round_trip(corpus, tables, shared_systems):
     systems = systems_for(shared_systems, tables, [name for name, _ in corpus])
     for name, op in corpus:
         system = systems[name]
-        data = EigenData(system.lambdas[:13], system.polys[:13])
+        data = EigenSystem(system.lambdas[:13], system.polys[:13])
         rebuilt = reconstruct(data, op.order)
         assert rebuilt == normalize(op)[0], name
         table = deltas_from_eigendata_rec(data, 12)
@@ -183,7 +182,7 @@ def test_criterion_7_inverse_negative_control():
     n_max = 9
     polys = list(monic_hermite(n_max))
     polys[5] = polys[5] + type(polys[5])([1])  # bump one coefficient by 1
-    data = EigenData([GaussianRational(-2 * n) for n in range(n_max + 1)], polys)
+    data = EigenSystem([GaussianRational(-2 * n) for n in range(n_max + 1)], polys)
     table = deltas_from_eigendata_rec(data, n_max)
     for order in range(1, 7):
         assert not finite_order_test(table, order, n_max), order

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from bochner import EigenData, GaussianRational, hermite_operator, laguerre_operator
+from bochner import EigenSystem, GaussianRational, hermite_operator, laguerre_operator
 from bochner.cli import main
-from bochner.serialize import eigendata_to_dict, operator_from_dict
+from bochner.serialize import eigensystem_to_dict, operator_from_dict
 from conftest import monic_hermite
 
 
@@ -155,7 +155,7 @@ def test_verify_shapiro_source(capsys):
 
 def hermite_data_doc(n_max):
     lambdas = [GaussianRational(-2 * n) for n in range(n_max + 1)]
-    return eigendata_to_dict(EigenData(lambdas, monic_hermite(n_max)))
+    return eigensystem_to_dict(EigenSystem(lambdas, monic_hermite(n_max)))
 
 
 def test_inverse_recovers_hermite(tmp_path, capsys):
@@ -267,3 +267,32 @@ def test_operator_source_is_exclusive(capsys):
         capsys, "direct", "--preset", "hermite", "--operator", "x.json"
     )
     assert code == 2
+
+
+def test_out_to_unwritable_path_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(
+        capsys, "direct", "--preset", "hermite", "--nmax", "2", "--out", str(target)
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_inverse_search_on_too_little_data_exits_2(tmp_path, capsys):
+    path = write_json(tmp_path / "short.json", hermite_data_doc(1))
+    code, out, err = run_cli(capsys, "inverse", "--data", path, "--search")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_negative_scalar_flags_attach_with_equals(capsys):
+    code, payload, _ = run_json(
+        capsys, "direct", "--preset", "jacobi", "--alpha=1/2", "--beta=-2/5", "--nmax", "2"
+    )
+    assert code == 0
+    assert payload["lambda"][1] == "-21/10"  # -(1 + 1 + 1/2 - 2/5)
+    code, payload, _ = run_json(capsys, "recurrence", "--shapiro=-3/4,1", "--nmax", "6")
+    assert code == 0
+    assert payload["terms"] == 3

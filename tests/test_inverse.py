@@ -6,7 +6,7 @@ import pytest
 from bochner import (
     DegenerateSpectrum,
     DomainError,
-    EigenData,
+    EigenSystem,
     GaussianRational,
     InsufficientData,
     NoFiniteOrderOperator,
@@ -21,30 +21,29 @@ from bochner import (
     jacobi_operator,
     laguerre_operator,
     normalize,
-    operator_coeffs_from_deltas,
     reconstruct,
 )
 from bochner.inverse import first_order_violation
+from bochner.operators import coefficient_from_deltas
 from bochner.scalars import ZERO
 from conftest import monic_hermite, monic_laguerre, random_bochner
 
 
 def hermite_data(n_max):
     """Eigen-data built from the independent three-term recurrence."""
-    return EigenData(
+    return EigenSystem(
         [GaussianRational(-2 * n) for n in range(n_max + 1)], monic_hermite(n_max)
     )
 
 
 def laguerre_data(n_max, alpha=Fraction(0)):
-    return EigenData(
+    return EigenSystem(
         [GaussianRational(-n) for n in range(n_max + 1)], monic_laguerre(n_max, alpha)
     )
 
 
 def forward_data(op, n_max):
-    system = eigensystem(deltas_from_operator(op, n_max))
-    return EigenData(system.lambdas, system.polys)
+    return eigensystem(deltas_from_operator(op, n_max))
 
 
 def test_delta_paths_agree_on_classical_data():
@@ -76,7 +75,7 @@ def test_rec_table_matches_forward_table():
 
 def test_first_degree_delta_from_shifted_polynomial():
     c = GaussianRational(3)
-    data = EigenData([ZERO, GaussianRational(-2)], [Poly([1]), Poly([-c, 1])])
+    data = EigenSystem([ZERO, GaussianRational(-2)], [Poly([1]), Poly([-c, 1])])
     table = deltas_from_eigendata_rec(data, 1)
     # delta(1, 1) = lambda_1 b(1, 0)
     assert table.value(1, 1) == GaussianRational(6)
@@ -84,7 +83,7 @@ def test_first_degree_delta_from_shifted_polynomial():
 
 
 def test_degenerate_data_only():
-    data = EigenData([ZERO], [Poly([1])])
+    data = EigenSystem([ZERO], [Poly([1])])
     table = deltas_from_eigendata_rec(data, 0)
     assert table.n_max == 0
     assert table.value(0, 0) == ZERO
@@ -102,11 +101,11 @@ def test_hermite_det_entry():
 
 def test_operator_coeffs_from_deltas():
     hermite_table = deltas_from_eigendata_rec(hermite_data(8), 8)
-    assert operator_coeffs_from_deltas(hermite_table, 2, 2) == GaussianRational(1)
+    assert coefficient_from_deltas(hermite_table, 2, 2) == GaussianRational(1)
     for k in range(4):
-        assert operator_coeffs_from_deltas(hermite_table, 3, k) == ZERO
+        assert coefficient_from_deltas(hermite_table, 3, k) == ZERO
     laguerre_table = deltas_from_eigendata_rec(laguerre_data(8, Fraction(1, 3)), 8)
-    assert operator_coeffs_from_deltas(laguerre_table, 1, 0) == GaussianRational(-1)
+    assert coefficient_from_deltas(laguerre_table, 1, 0) == GaussianRational(-1)
 
 
 def test_finite_order_test_hermite():
@@ -129,7 +128,7 @@ def test_perturbed_family_fails_every_order():
     n_max = 9
     polys = list(monic_hermite(n_max))
     perturbed = polys[5] + Poly([1])
-    data = EigenData(
+    data = EigenSystem(
         [GaussianRational(-2 * n) for n in range(n_max + 1)],
         polys[:5] + [perturbed] + polys[6:],
     )
@@ -184,11 +183,11 @@ def test_random_monic_family_has_no_order_two_operator():
             GaussianRational(1)
         ]
         polys.append(Poly(coeffs))
-    data = EigenData([GaussianRational(-3 * n) for n in range(9)], polys)
+    data = EigenSystem([GaussianRational(-3 * n) for n in range(9)], polys)
     with pytest.raises(NoFiniteOrderOperator):
         reconstruct(data, 2)
 
 
 def test_eigendata_validation():
     with pytest.raises(DegenerateSpectrum):
-        EigenData([ZERO, ZERO], [Poly([1]), X])
+        EigenSystem([ZERO, ZERO], [Poly([1]), X])

@@ -19,7 +19,6 @@ from bochner.serialize import (
     delta_table_from_list,
     delta_table_to_list,
     eigendata_from_dict,
-    eigendata_to_dict,
     eigensystem_to_dict,
     operator_from_dict,
     operator_to_dict,
@@ -79,7 +78,8 @@ def test_eigendata_round_trip():
     data = eigendata_from_dict(doc)
     assert data.lambdas == system.lambdas
     assert data.polys == system.polys
-    assert eigendata_to_dict(data) == doc
+    assert eigensystem_to_dict(data) == doc
+    assert eigendata_from_dict(eigensystem_to_dict(system)) == system
 
 
 def test_eigendata_rejects_bad_documents():

@@ -13,7 +13,6 @@ from bochner import (
     deltas_from_operator,
     eigenpoly_recursive,
     shapiro_alpha,
-    shapiro_coeff,
     shapiro_delta1,
     to_bochner,
     verify_shapiro_recurrence,
@@ -68,13 +67,11 @@ def test_delta1_matches_operator_table():
 
 
 def test_coeff_examples():
-    assert shapiro_coeff(ShapiroOperator([Fraction(3, 7)]), 4, 0) == ONE
+    assert shapiro_poly(ShapiroOperator([Fraction(3, 7)]), 4).coeff(4) == ONE
     unit = ShapiroOperator([1])
-    assert shapiro_coeff(unit, 3, 2) == GaussianRational(3)  # delta1(3) delta1(2) / 2
+    assert shapiro_poly(unit, 3).coeff(1) == GaussianRational(3)  # delta1(3) delta1(2) / 2
     pure2 = ShapiroOperator([0, 1])
-    assert shapiro_coeff(pure2, 2, 1) == GaussianRational(2)
-    with pytest.raises(DomainError):
-        shapiro_coeff(unit, 2, 3)
+    assert shapiro_poly(pure2, 2).coeff(1) == GaussianRational(2)
 
 
 def test_unit_coefficient_family_is_binomial():
@@ -96,7 +93,7 @@ def test_coeff_matches_spectral_recursion():
             poly = eigenpoly_recursive(table, n)
             assert shapiro_poly(op, n) == poly
             for i in range(n + 1):
-                assert shapiro_coeff(op, n, i) == poly.coeff(n - i)
+                assert shapiro_poly(op, n).coeff(n - i) == poly.coeff(n - i)
 
 
 def test_alpha_closed_forms():
