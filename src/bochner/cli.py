@@ -43,7 +43,7 @@ from .operators import (
 )
 from .polynomials import is_eigenpair
 from .recurrence import bandwidth, fit_recurrence, relation_residual
-from .scalars import GaussianRational, format_scalar, parse_scalar
+from .scalars import GaussianRational, format_scalar, parse_int, parse_scalar
 from .serialize import (
     alpha_table_to_list,
     delta_table_to_list,
@@ -95,7 +95,7 @@ def _emit(payload: dict, args) -> None:
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            return json.load(handle, parse_int=parse_int)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -138,6 +138,24 @@ def _operator_from_args(args):
     )
 
 
+def _direct_mismatches(op, table, system, shift):
+    """Eigen-equation and determinant mismatches of `system`, in (n, i) order."""
+    mismatches = []
+    for n, poly in enumerate(system.polys):
+        if not is_eigenpair(op, poly, system.lambdas[n] + shift):
+            mismatches.append({"n": n, "check": "eigen-equation"})
+        for i in range(1, n + 1):
+            if eigenpoly_coeff_det(table, n, i) != poly.coeff(n - i):
+                mismatches.append({"n": n, "i": i, "check": "determinant"})
+    return mismatches
+
+
+def _broken_rows(system, coeffs):
+    """Rows of the fitted alpha table whose relation leaves a residual."""
+    rows = range(coeffs.n_max + 1)
+    return [n for n in rows if relation_residual(system.polys, coeffs.rows[n], n)]
+
+
 # -- verbs ------------------------------------------------------------------
 
 
@@ -166,14 +184,7 @@ def run_direct(args) -> int:
         payload["P_decimal"] = _decimal_rows((p.coeffs for p in system.polys), args.decimal)
     status = 0
     if args.check:
-        mismatches = []
-        for n in range(args.nmax + 1):
-            if not is_eigenpair(op, system.polys[n], lambdas[n]):
-                mismatches.append({"n": n, "check": "eigen-equation"})
-            for i in range(1, n + 1):
-                det_value = eigenpoly_coeff_det(table, n, i)
-                if det_value != system.polys[n].coeff(n - i):
-                    mismatches.append({"n": n, "i": i, "check": "determinant"})
+        mismatches = _direct_mismatches(op, table, system, shift)
         payload["check"] = "ok" if not mismatches else "failed"
         if mismatches:
             payload["mismatches"] = mismatches
@@ -211,11 +222,7 @@ def run_recurrence(args) -> int:
         payload["alpha_decimal"] = _decimal_rows(coeffs.rows, args.decimal)
     status = 0
     if args.check:
-        broken = [
-            n
-            for n in range(coeffs.n_max + 1)
-            if relation_residual(system.polys, coeffs.rows[n], n)
-        ]
+        broken = _broken_rows(system, coeffs)
         payload["check"] = "ok" if not broken else "failed"
         if broken:
             payload["broken_rows"] = broken
@@ -230,17 +237,11 @@ def run_verify(args) -> int:
     nmax = args.nmax
     table = deltas_from_operator(normalized, nmax)
     system = eigensystem(table)
-    checks = {}
-
-    checks["eigen_equation"] = all(
-        is_eigenpair(op, system.polys[n], system.lambdas[n] + shift)
-        for n in range(nmax + 1)
-    )
-    checks["determinant_vs_recursion"] = all(
-        eigenpoly_coeff_det(table, n, i) == system.polys[n].coeff(n - i)
-        for n in range(1, nmax + 1)
-        for i in range(1, n + 1)
-    )
+    failed = {m["check"] for m in _direct_mismatches(op, table, system, shift)}
+    checks = {
+        "eigen_equation": "eigen-equation" not in failed,
+        "determinant_vs_recursion": "determinant" not in failed,
+    }
     order = normalized.order
     checks["delta_extension"] = all(
         delta_extend(table, n, k) == table.value(n, k)
@@ -248,10 +249,7 @@ def run_verify(args) -> int:
         for k in range(order + 1)
     )
     coeffs = fit_recurrence(system)
-    checks["recurrence_reconstruction"] = all(
-        not relation_residual(system.polys, coeffs.rows[n], n)
-        for n in range(coeffs.n_max + 1)
-    )
+    checks["recurrence_reconstruction"] = not _broken_rows(system, coeffs)
     if order == 2:
         checks["order2_eigenvalue_identity"] = all(
             lambda_via_N2_identity(system.lambdas[1], system.lambdas[2], n)
@@ -291,34 +289,31 @@ def run_inverse(args) -> int:
                     raise VerificationError(
                         f"delta determinant and recursion disagree at ({n}, {k})"
                     )  # pragma: no cover
-    orders = range(1, data.n_max) if args.search else [args.order]
-    last_error = None
-    for order in orders:
-        try:
-            op = reconstruct(data, order)
-        except NoFiniteOrderOperator as exc:
-            last_error = exc
-            continue
+    # the criterion holds from the true order upward: one call finds the smallest
+    order = data.n_max - 1 if args.search else args.order
+    try:
+        op = reconstruct(data, order)
+    except NoFiniteOrderOperator as exc:
         payload = {
-            "found": True,
-            "requested_order": order,
-            "N": op.order,
-            "operator": operator_to_dict(op),
-            "verified_degree": data.n_max,
+            "found": False,
+            "orders_tested": list(range(1, data.n_max)) if args.search else [order],
+            "first_failure": list(exc.failure),
         }
-        if args.decimal:
-            payload["operator_decimal"] = _decimal_rows(
-                (a.coeffs for a in op.coeffs), args.decimal
-            )
         _emit(payload, args)
-        return 0
+        return 1
     payload = {
-        "found": False,
-        "orders_tested": list(orders),
-        "first_failure": list(last_error.failure) if last_error else None,
+        "found": True,
+        "requested_order": op.order if args.search else order,
+        "N": op.order,
+        "operator": operator_to_dict(op),
+        "verified_degree": data.n_max,
     }
+    if args.decimal:
+        payload["operator_decimal"] = _decimal_rows(
+            (a.coeffs for a in op.coeffs), args.decimal
+        )
     _emit(payload, args)
-    return 1
+    return 0
 
 
 def _parse_ranges(items):
@@ -446,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument(
         "--search",
         action="store_true",
-        help="try orders 1, 2, ... and report the smallest that works",
+        help="report the smallest order that fits the data",
     )
     p_inv.add_argument(
         "--check",

@@ -5,6 +5,8 @@ Each identity is evaluated as LHS - RHS with both sides computed
 independently, term by term, with no algebraic simplification: a bug cannot
 cancel symmetrically.  On the identity's domain every residual is exactly
 zero, which is what the test suite and the `lemmas` CLI verb check.
+`IDENTITIES` holds one record per id: its parameters, residual, domain test
+and default sweep grid.
 
 Identity ids (parameters, domain):
 
@@ -33,7 +35,8 @@ Identity ids (parameters, domain):
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterator, Mapping
+from itertools import product
+from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import DomainError, ParseError
 from .scalars import GaussianRational, ZERO, comb, factorial, scalar
@@ -149,50 +152,72 @@ def _domain_31tilde(n, big_n, s):
     return not (1 <= s.re <= n - big_n + 1)
 
 
-# id -> (ordered parameter names, names of non-integer parameters)
-PARAMETERS = {
-    "1_lema1": (("m", "k"), ()),
-    "2_lema1": (("m", "k"), ()),
-    "kym": (("k", "m"), ()),
-    "8_tilde": (("n", "q", "r"), ()),
-    "10_tilde": (("n", "m", "r", "k"), ()),
-    "31tilde": (("n", "N", "s"), ("s",)),
+class _Identity(NamedTuple):
+    names: tuple  # ordered parameter names
+    scalar_names: tuple  # names of the non-integer parameters
+    residual: Callable
+    domain: Callable
+    grid: dict  # default sweep range per integer parameter, (low, high) inclusive
+
+
+# Rectangular default sweep grids: combinations falling outside an identity's
+# domain are skipped (and counted as skipped by `sweep`).
+IDENTITIES = {
+    "1_lema1": _Identity(
+        ("m", "k"), (), _alternating_column_sum, _domain_1_lema1,
+        {"m": (0, 14), "k": (0, 14)},
+    ),
+    "2_lema1": _Identity(
+        ("m", "k"), (), _truncated_row_sum, _domain_2_lema1,
+        {"m": (0, 14), "k": (0, 10)},
+    ),
+    "kym": _Identity(
+        ("k", "m"), (), _harmonic_binomial, _domain_kym,
+        {"k": (1, 12), "m": (1, 12)},
+    ),
+    "8_tilde": _Identity(
+        ("n", "q", "r"), (), _shifted_vandermonde, _domain_8_tilde,
+        {"n": (0, 12), "q": (0, 12), "r": (0, 14)},
+    ),
+    "10_tilde": _Identity(
+        ("n", "m", "r", "k"), (), _weighted_vandermonde, _domain_10_tilde,
+        {"n": (0, 12), "m": (0, 12), "r": (0, 12), "k": (0, 12)},
+    ),
+    "31tilde": _Identity(
+        ("n", "N", "s"), ("s",), _falling_product_fractions, _domain_31tilde,
+        {"n": (0, 12), "N": (0, 12)},
+    ),
 }
 
-_EVALUATORS = {
-    "1_lema1": (_alternating_column_sum, _domain_1_lema1),
-    "2_lema1": (_truncated_row_sum, _domain_2_lema1),
-    "kym": (_harmonic_binomial, _domain_kym),
-    "8_tilde": (_shifted_vandermonde, _domain_8_tilde),
-    "10_tilde": (_weighted_vandermonde, _domain_10_tilde),
-    "31tilde": (_falling_product_fractions, _domain_31tilde),
-}
+IDENTITY_IDS = tuple(IDENTITIES)
 
-IDENTITY_IDS = tuple(PARAMETERS)
+
+def _lookup(identity: str) -> _Identity:
+    if identity not in IDENTITIES:
+        raise DomainError(f"unknown identity id {identity!r}")
+    return IDENTITIES[identity]
 
 
 def _collect_args(identity: str, params: Mapping):
-    names, scalar_names = PARAMETERS[identity]
-    unknown = set(params) - set(names)
+    entry = _lookup(identity)
+    unknown = set(params) - set(entry.names)
     if unknown:
         raise DomainError(
             f"identity {identity!r} does not take parameters {sorted(unknown)}"
         )
     args = []
-    for name in names:
-        if name in scalar_names:
+    for name in entry.names:
+        if name in entry.scalar_names:
             args.append(_scalar_param(params, name))
         else:
             args.append(_int_param(params, name))
-    return args
+    return entry, args
 
 
 def in_domain(identity: str, params: Mapping) -> bool:
     """True iff `params` lies in the stated domain of `identity`."""
-    if identity not in _EVALUATORS:
-        raise DomainError(f"unknown identity id {identity!r}")
-    args = _collect_args(identity, params)
-    return _EVALUATORS[identity][1](*args)
+    entry, args = _collect_args(identity, params)
+    return entry.domain(*args)
 
 
 def lemma_residual(identity: str, params: Mapping) -> GaussianRational:
@@ -201,13 +226,10 @@ def lemma_residual(identity: str, params: Mapping) -> GaussianRational:
     Zero everywhere on the identity's domain; parameters outside the domain
     raise DomainError, as do unknown ids.
     """
-    if identity not in _EVALUATORS:
-        raise DomainError(f"unknown identity id {identity!r}")
-    evaluate, domain = _EVALUATORS[identity]
-    args = _collect_args(identity, params)
-    if not domain(*args):
+    entry, args = _collect_args(identity, params)
+    if not entry.domain(*args):
         raise DomainError(f"parameters {dict(params)!r} outside the domain of {identity!r}")
-    return evaluate(*args)
+    return entry.residual(*args)
 
 
 # Rational probe values for the 31tilde sweep: none is an integer in a
@@ -222,18 +244,6 @@ PROBE_VALUES = tuple(
     )
 )
 
-# Rectangular sweep ranges per identity; tuples (low, high) are inclusive.
-# Combinations falling outside an identity's domain are skipped (and counted
-# as skipped by `sweep`).
-DEFAULT_GRIDS = {
-    "1_lema1": {"m": (0, 14), "k": (0, 14)},
-    "2_lema1": {"m": (0, 14), "k": (0, 10)},
-    "kym": {"k": (1, 12), "m": (1, 12)},
-    "8_tilde": {"n": (0, 12), "q": (0, 12), "r": (0, 14)},
-    "10_tilde": {"n": (0, 12), "m": (0, 12), "r": (0, 12), "k": (0, 12)},
-    "31tilde": {"n": (0, 12), "N": (0, 12)},
-}
-
 
 def iter_grid(identity: str, overrides: Mapping | None = None) -> Iterator[dict]:
     """Yield parameter maps over the rectangular sweep grid of `identity`.
@@ -242,31 +252,17 @@ def iter_grid(identity: str, overrides: Mapping | None = None) -> Iterator[dict]
     variables.  The rational probe parameter of 31tilde is swept over
     PROBE_VALUES and cannot be overridden by an integer interval.
     """
-    if identity not in _EVALUATORS:
-        raise DomainError(f"unknown identity id {identity!r}")
-    names, scalar_names = PARAMETERS[identity]
-    grid = dict(DEFAULT_GRIDS[identity])
+    entry = _lookup(identity)
+    grid = dict(entry.grid)
     for name, bounds in (overrides or {}).items():
         if name in grid:
             grid[name] = bounds
-
-    def expand(position, current):
-        if position == len(names):
-            yield dict(current)
-            return
-        name = names[position]
-        if name in scalar_names:
-            for probe in PROBE_VALUES:
-                current[name] = probe
-                yield from expand(position + 1, current)
-        else:
-            low, high = grid[name]
-            for value in range(low, high + 1):
-                current[name] = value
-                yield from expand(position + 1, current)
-        del current[name]
-
-    yield from expand(0, {})
+    axes = [
+        PROBE_VALUES if name in entry.scalar_names else range(grid[name][0], grid[name][1] + 1)
+        for name in entry.names
+    ]
+    for values in product(*axes):
+        yield dict(zip(entry.names, values))
 
 
 def sweep(identities=None, overrides: Mapping | None = None):
@@ -285,10 +281,11 @@ def sweep(identities=None, overrides: Mapping | None = None):
         id_checked = 0
         id_skipped = 0
         for params in iter_grid(identity, overrides):
-            if not in_domain(identity, params):
+            entry, args = _collect_args(identity, params)
+            if not entry.domain(*args):
                 id_skipped += 1
                 continue
-            residual = lemma_residual(identity, params)
+            residual = entry.residual(*args)
             id_checked += 1
             if residual != ZERO:
                 failures.append((identity, params, residual))

@@ -16,6 +16,15 @@ rows 0..N and the columns above N vanish (`finite_order_test`); in that case
 the operator coefficients fall out of the same inversion formula as in the
 direct problem and `reconstruct` returns the operator, re-verified against
 the symbolic eigen-equation.
+
+The criterion is monotone in the order.  If it holds at K, the data's table
+equals the table of the operator reconstructed at K over the whole window.
+The table of an operator of order N meets the criterion at every K >= N,
+because each column delta(., k) lies in the span of the C(n, i) for
+i = k..N.  No order below N fits, because two operators whose tables agree on
+rows 0..n_max are equal.  So one reconstruction at the largest testable order,
+n_max - 1, trims to the smallest order that fits; when it fails, no smaller
+order fits either.
 """
 from __future__ import annotations
 
@@ -127,7 +136,10 @@ def reconstruct(data: EigenSystem, order: int) -> BochnerOperator:
     Raises NoFiniteOrderOperator when the finite-order criterion fails on the
     data's window.  On success the operator (with trailing zero coefficients
     trimmed, so its order may come out lower) is re-verified against the
-    symbolic eigen-equation for every prescribed degree.
+    symbolic eigen-equation for every prescribed degree.  The criterion holds
+    at every order from the true one upward, so the trimmed order is the
+    smallest order <= `order` that fits: `order = data.n_max - 1` searches
+    all testable orders at once.
     """
     if order < 1:
         raise DomainError(f"order must be positive, got {order}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import re as _re
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -166,6 +167,18 @@ def scalar(value) -> GaussianRational:
     raise DomainError(f"cannot coerce {type(value).__name__} to an exact scalar")
 
 
+def parse_int(text: str) -> int:
+    """int(text) for a decimal integer string of any length.
+
+    Python's int() refuses strings longer than sys.get_int_max_str_digits();
+    Decimal converts them exactly, without touching that process-wide limit.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        return int(Decimal(text))
+
+
 def _parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise ParseError(f"malformed rational {text!r}")
@@ -173,6 +186,13 @@ def _parse_rational(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}") from None
+    except ValueError:  # too many digits for int(); the pattern vouches for the form
+        pass
+    num, _, den = text.partition("/")
+    denominator = parse_int(den or "1")
+    if not denominator:
+        raise ParseError(f"zero denominator in {text!r}")
+    return Fraction(parse_int(num), denominator)
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -210,14 +230,29 @@ def parse_scalar(text: str) -> GaussianRational:
 
 def format_scalar(value: GaussianRational) -> str:
     """Canonical textual form: reduced fractions, sign on the numerator."""
+    try:
+        return _format_scalar(value, str)
+    except ValueError:  # a part has too many digits for str(int)
+        return _format_scalar(value, _long_fraction_text)
+
+
+def _long_fraction_text(value: Fraction) -> str:
+    # str(Fraction) for any length: Decimal renders an int of any size exactly
+    numerator = str(Decimal(value.numerator))
+    if value.denominator == 1:
+        return numerator
+    return f"{numerator}/{Decimal(value.denominator)}"
+
+
+def _format_scalar(value: GaussianRational, text) -> str:
     if not value.im:
-        return str(value.re)
+        return text(value.re)
     im_abs = -value.im if value.im < 0 else value.im
-    im_part = f"{im_abs}*i"
+    im_part = f"{text(im_abs)}*i"
     if not value.re:
         return ("-" if value.im < 0 else "") + im_part
     joiner = "+" if value.im > 0 else "-"
-    return f"{value.re}{joiner}{im_part}"
+    return f"{text(value.re)}{joiner}{im_part}"
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,19 @@
 import json
+import sys
+from decimal import Decimal
 
 import pytest
 
-from bochner import EigenSystem, GaussianRational, hermite_operator, laguerre_operator
+from bochner import (
+    EigenSystem,
+    GaussianRational,
+    NoFiniteOrderOperator,
+    hermite_operator,
+    laguerre_operator,
+    reconstruct,
+)
 from bochner.cli import main
-from bochner.serialize import eigensystem_to_dict, operator_from_dict
+from bochner.serialize import eigendata_from_dict, eigensystem_to_dict, operator_from_dict
 from conftest import monic_hermite
 
 
@@ -177,6 +186,23 @@ def test_inverse_search_finds_smallest_order(tmp_path, capsys):
     assert payload["requested_order"] == 2
 
 
+def test_inverse_search_failure_reports_last_order(tmp_path, capsys):
+    doc = hermite_data_doc(8)
+    doc["P"][5][0] = "1"  # perturb one coefficient by one
+    path = write_json(tmp_path / "broken.json", doc)
+    code, payload, _ = run_json(capsys, "inverse", "--data", path, "--search")
+    assert code == 1
+    assert payload["found"] is False
+    assert payload["orders_tested"] == list(range(1, 8))
+    data = eigendata_from_dict(doc)
+    failure = None
+    for order in range(1, data.n_max):  # the order-by-order search, as reference
+        with pytest.raises(NoFiniteOrderOperator) as info:
+            reconstruct(data, order)
+        failure = list(info.value.failure)
+    assert payload["first_failure"] == failure
+
+
 def test_inverse_failure_exits_1(tmp_path, capsys):
     doc = hermite_data_doc(8)
     doc["P"][5][0] = "1"  # perturb one coefficient by one
@@ -296,3 +322,36 @@ def test_negative_scalar_flags_attach_with_equals(capsys):
     code, payload, _ = run_json(capsys, "recurrence", "--shapiro=-3/4,1", "--nmax", "6")
     assert code == 0
     assert payload["terms"] == 3
+
+
+# A constant past Python's 4300-digit int/str conversion limit.
+BIG = "1" + "2" * 4999
+
+
+def test_direct_with_5000_digit_coefficient(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    path = write_json(tmp_path / "big.json", {"N": 1, "a": [[], [BIG, "1"]]})
+    code, payload, err = run_json(capsys, "direct", "--operator", path, "--nmax", "2")
+    assert code == 0, err
+    assert payload["P"][1] == [BIG, "1"]  # P_1 = x + c for (c + x) d/dx
+    assert sys.get_int_max_str_digits() == limit
+
+
+def big_data_text(bare):
+    # eigen-data of (c + x) d/dx: lambda_n = n, P_n = (x + c)^n
+    c = int(Decimal(BIG))
+    doc = {
+        "lambda": ["0", "1", "2"],
+        "P": [["1"], ["<c>", "1"], [str(Decimal(c * c)), str(Decimal(2 * c)), "1"]],
+    }
+    return json.dumps(doc).replace('"<c>"', BIG if bare else f'"{BIG}"')
+
+
+@pytest.mark.parametrize("bare", [False, True], ids=["string", "bare-int"])
+def test_inverse_with_5000_digit_data(tmp_path, capsys, bare):
+    path = tmp_path / "big.json"
+    path.write_text(big_data_text(bare))
+    code, payload, err = run_json(capsys, "inverse", "--data", str(path), "--order", "1")
+    assert code == 0, err
+    assert payload["found"] is True
+    assert payload["operator"]["a"][1] == [BIG, "1"]

@@ -191,3 +191,43 @@ def test_random_monic_family_has_no_order_two_operator():
 def test_eigendata_validation():
     with pytest.raises(DegenerateSpectrum):
         EigenSystem([ZERO, ZERO], [Poly([1]), X])
+
+
+def search_order_by_order(data):
+    """Reference search: try orders 1, 2, ... and stop at the first that fits.
+
+    Returns (order, operator, None) on success and (None, None, failure of
+    the last order tried) when no order fits.
+    """
+    failure = None
+    for order in range(1, data.n_max):
+        try:
+            return order, reconstruct(data, order), None
+        except NoFiniteOrderOperator as exc:
+            failure = exc.failure
+    return None, None, failure
+
+
+def search_at_top(data):
+    """The same search as one reconstruction at the largest testable order."""
+    try:
+        op = reconstruct(data, data.n_max - 1)
+    except NoFiniteOrderOperator as exc:
+        return None, None, exc.failure
+    return op.order, op, None
+
+
+def test_one_reconstruction_matches_order_by_order_search(corpus):
+    bumped_failures = 0
+    for name, op in corpus:
+        data = forward_data(op, 8)
+        polys = list(data.polys)
+        polys[5] = polys[5] + Poly([1])
+        bumped = EigenSystem(data.lambdas, polys)
+        expected = search_order_by_order(data)
+        assert expected[1] is not None, name
+        assert search_at_top(data) == expected, name
+        expected = search_order_by_order(bumped)
+        assert search_at_top(bumped) == expected, f"{name} bumped"
+        bumped_failures += expected[1] is None
+    assert bumped_failures

@@ -97,6 +97,29 @@ def test_parse_scalar_rejects(text):
         parse_scalar(text)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        Fraction(7**6000, 3),
+        Fraction(-2, 5**7000),
+        GaussianRational(Fraction(1, 3), -(11**4500)),
+        GaussianRational(0, Fraction(3**9000, 2**20000)),
+    ],
+)
+def test_parse_format_round_trip_past_int_str_digit_limit(value):
+    z = scalar(value)
+    text = format_scalar(z)
+    assert len(text) > 4300
+    assert parse_scalar(text) == z
+
+
+def test_long_zero_denominator_rejected():
+    with pytest.raises(ParseError):
+        parse_scalar("1" * 5000 + "/0")
+    with pytest.raises(ParseError):
+        parse_scalar("1/" + "0" * 5000)
+
+
 def test_format_is_canonical():
     assert format_scalar(GaussianRational(Fraction(2, 4))) == "1/2"
     assert format_scalar(GaussianRational(0, Fraction(-3, 4))) == "-3/4*i"
