@@ -182,12 +182,6 @@ def parse_int(text: str) -> int:
 def _parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise ParseError(f"malformed rational {text!r}")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}") from None
-    except ValueError:  # too many digits for int(); the pattern vouches for the form
-        pass
     num, _, den = text.partition("/")
     denominator = parse_int(den or "1")
     if not denominator:
@@ -230,29 +224,29 @@ def parse_scalar(text: str) -> GaussianRational:
 
 def format_scalar(value: GaussianRational) -> str:
     """Canonical textual form: reduced fractions, sign on the numerator."""
-    try:
-        return _format_scalar(value, str)
-    except ValueError:  # a part has too many digits for str(int)
-        return _format_scalar(value, _long_fraction_text)
-
-
-def _long_fraction_text(value: Fraction) -> str:
-    # str(Fraction) for any length: Decimal renders an int of any size exactly
-    numerator = str(Decimal(value.numerator))
-    if value.denominator == 1:
-        return numerator
-    return f"{numerator}/{Decimal(value.denominator)}"
-
-
-def _format_scalar(value: GaussianRational, text) -> str:
     if not value.im:
-        return text(value.re)
+        return _fraction_text(value.re)
     im_abs = -value.im if value.im < 0 else value.im
-    im_part = f"{text(im_abs)}*i"
+    im_part = f"{_fraction_text(im_abs)}*i"
     if not value.re:
         return ("-" if value.im < 0 else "") + im_part
     joiner = "+" if value.im > 0 else "-"
-    return f"{text(value.re)}{joiner}{im_part}"
+    return f"{_fraction_text(value.re)}{joiner}{im_part}"
+
+
+def _fraction_text(value: Fraction) -> str:
+    """str(value) for a Fraction of any size.
+
+    str(int) refuses more than sys.get_int_max_str_digits() digits; Decimal
+    renders an int of any size exactly, without touching that limit.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        numerator = str(Decimal(value.numerator))
+        if value.denominator == 1:
+            return numerator
+        return f"{numerator}/{Decimal(value.denominator)}"
 
 
 @lru_cache(maxsize=None)

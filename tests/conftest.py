@@ -15,11 +15,13 @@ import pytest
 from bochner import (
     BochnerOperator,
     GaussianRational,
+    NoFiniteOrderOperator,
     Poly,
     X,
     hermite_operator,
     jacobi_operator,
     laguerre_operator,
+    reconstruct,
 )
 from bochner.scalars import comb, factorial
 
@@ -110,3 +112,24 @@ def build_corpus(seed=20260808, random_count=25, distinct_to=25):
 def corpus():
     """Presets plus 25 random operators (orders 1..5, coefficients <= 10^3)."""
     return build_corpus()
+
+
+def search_order_by_order(data):
+    """Reference search: try orders 1, 2, ... and stop at the first that fits.
+
+    Returns (order, operator, None) on success and (None, None, failure of
+    the last order tried) when no order fits.
+    """
+    failure = None
+    for order in range(1, data.n_max):
+        try:
+            return order, reconstruct(data, order), None
+        except NoFiniteOrderOperator as exc:
+            failure = exc.failure
+    return None, None, failure
+
+
+def int_max_str_digits():
+    """Python's process-wide int/str digit limit, or None on releases before
+    3.10.7, which have no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()

@@ -1,5 +1,4 @@
 import json
-import sys
 from decimal import Decimal
 
 import pytest
@@ -7,14 +6,12 @@ import pytest
 from bochner import (
     EigenSystem,
     GaussianRational,
-    NoFiniteOrderOperator,
     hermite_operator,
     laguerre_operator,
-    reconstruct,
 )
 from bochner.cli import main
 from bochner.serialize import eigendata_from_dict, eigensystem_to_dict, operator_from_dict
-from conftest import monic_hermite
+from conftest import int_max_str_digits, monic_hermite, search_order_by_order
 
 
 def run_cli(capsys, *argv):
@@ -194,13 +191,9 @@ def test_inverse_search_failure_reports_last_order(tmp_path, capsys):
     assert code == 1
     assert payload["found"] is False
     assert payload["orders_tested"] == list(range(1, 8))
-    data = eigendata_from_dict(doc)
-    failure = None
-    for order in range(1, data.n_max):  # the order-by-order search, as reference
-        with pytest.raises(NoFiniteOrderOperator) as info:
-            reconstruct(data, order)
-        failure = list(info.value.failure)
-    assert payload["first_failure"] == failure
+    order, _, failure = search_order_by_order(eigendata_from_dict(doc))
+    assert order is None
+    assert payload["first_failure"] == list(failure)
 
 
 def test_inverse_failure_exits_1(tmp_path, capsys):
@@ -329,12 +322,12 @@ BIG = "1" + "2" * 4999
 
 
 def test_direct_with_5000_digit_coefficient(tmp_path, capsys):
-    limit = sys.get_int_max_str_digits()
+    limit = int_max_str_digits()
     path = write_json(tmp_path / "big.json", {"N": 1, "a": [[], [BIG, "1"]]})
     code, payload, err = run_json(capsys, "direct", "--operator", path, "--nmax", "2")
     assert code == 0, err
     assert payload["P"][1] == [BIG, "1"]  # P_1 = x + c for (c + x) d/dx
-    assert sys.get_int_max_str_digits() == limit
+    assert int_max_str_digits() == limit
 
 
 def big_data_text(bare):

@@ -26,7 +26,7 @@ from bochner import (
 from bochner.inverse import first_order_violation
 from bochner.operators import coefficient_from_deltas
 from bochner.scalars import ZERO
-from conftest import monic_hermite, monic_laguerre, random_bochner
+from conftest import monic_hermite, monic_laguerre, random_bochner, search_order_by_order
 
 
 def hermite_data(n_max):
@@ -191,21 +191,6 @@ def test_random_monic_family_has_no_order_two_operator():
 def test_eigendata_validation():
     with pytest.raises(DegenerateSpectrum):
         EigenSystem([ZERO, ZERO], [Poly([1]), X])
-
-
-def search_order_by_order(data):
-    """Reference search: try orders 1, 2, ... and stop at the first that fits.
-
-    Returns (order, operator, None) on success and (None, None, failure of
-    the last order tried) when no order fits.
-    """
-    failure = None
-    for order in range(1, data.n_max):
-        try:
-            return order, reconstruct(data, order), None
-        except NoFiniteOrderOperator as exc:
-            failure = exc.failure
-    return None, None, failure
 
 
 def search_at_top(data):

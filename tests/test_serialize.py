@@ -1,4 +1,3 @@
-import sys
 from fractions import Fraction
 from random import Random
 
@@ -28,7 +27,7 @@ from bochner.serialize import (
     poly_to_list,
 )
 from bochner.shapiro import shapiro_poly
-from conftest import random_bochner
+from conftest import int_max_str_digits, random_bochner
 
 
 def test_poly_round_trip():
@@ -114,9 +113,9 @@ def test_scalar_entries_must_be_strings_or_ints():
 def test_poly_round_trip_past_int_str_digit_limit():
     # n = 900 coefficients run to about 4500 digits, past Python's default
     # 4300-digit int/str limit; the limit itself must stay as it was
-    limit = sys.get_int_max_str_digits()
+    limit = int_max_str_digits()
     p = shapiro_poly(ShapiroOperator([1, 1, 1]), 900)
     values = poly_to_list(p)
     assert max(len(v) for v in values) > 4300
     assert poly_from_list(values) == p
-    assert sys.get_int_max_str_digits() == limit
+    assert int_max_str_digits() == limit
