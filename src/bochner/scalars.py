@@ -47,6 +47,8 @@ class GaussianRational:
         o = _coerce(other)
         if o is None:
             return NotImplemented
+        if not self.im and not o.im:
+            return GaussianRational._raw(self.re + o.re, _ZERO_FRACTION)
         return GaussianRational._raw(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
@@ -55,12 +57,16 @@ class GaussianRational:
         o = _coerce(other)
         if o is None:
             return NotImplemented
+        if not self.im and not o.im:
+            return GaussianRational._raw(self.re - o.re, _ZERO_FRACTION)
         return GaussianRational._raw(self.re - o.re, self.im - o.im)
 
     def __rsub__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
+        if not self.im and not o.im:
+            return GaussianRational._raw(o.re - self.re, _ZERO_FRACTION)
         return GaussianRational._raw(o.re - self.re, o.im - self.im)
 
     def __mul__(self, other):

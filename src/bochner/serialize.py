@@ -7,6 +7,9 @@ polynomial is the empty array, though a lone "0" entry parses too).
     operator   {"N": 2, "a": [[], ["1", "-1"], ["0", "1"]]}
     eigen-data {"lambda": ["0", "-1", ...], "P": [["1"], ...]}
     delta / alpha tables: triangular array of arrays of scalar strings
+
+Error messages name a bad value's type, never the value itself: str() of an
+integer past Python's int/str digit limit raises.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ def _scalar_from_json(value) -> GaussianRational:
         raise ParseError("booleans are not scalars")
     if isinstance(value, int):
         return GaussianRational(value)
-    raise ParseError(f"expected a scalar string, got {value!r}")
+    raise ParseError(f"expected a scalar string, got {type(value).__name__}")
 
 
 def operator_to_dict(op: BochnerOperator) -> dict:
@@ -47,10 +50,10 @@ def operator_from_dict(doc) -> BochnerOperator:
         raise ParseError('operator document needs keys "N" and "a"')
     order = doc["N"]
     if not isinstance(order, int) or isinstance(order, bool):
-        raise ParseError(f'"N" must be an integer, got {order!r}')
+        raise ParseError(f'"N" must be an integer, got {type(order).__name__}')
     coeff_lists = doc["a"]
     if not isinstance(coeff_lists, list) or len(coeff_lists) != order + 1:
-        raise ParseError(f'"a" must list {order + 1} polynomials for order {order}')
+        raise ParseError('"a" must list N + 1 polynomials, one per derivative 0..N')
     try:
         return BochnerOperator([poly_from_list(entry) for entry in coeff_lists])
     except InvalidOperator as exc:

@@ -11,6 +11,14 @@ b(n, n-i) as an i x i upper Hessenberg determinant and exists to cross-check
 the first.  `delta_extend` continues any delta column from its first few
 entries, which pins down the whole spectrum of an order-N operator by rows
 0..N of the table.
+
+An operator of order N has delta(n, k) = 0 for every k > N, so both routes
+read only the band k <= N of a table tagged with its order: the recursion
+costs O(n N) scalar steps per eigenpolynomial, and the determinant matrix
+gets its zeros past the band without a table lookup, so the Hessenberg
+expansion's work is bounded by the band too.  An untagged table is read as
+a full triangle.  `eigensystem` validates the spectrum once for all
+degrees.
 """
 from __future__ import annotations
 
@@ -99,19 +107,31 @@ def _lambda_prefix(table: DeltaTable, n: int) -> list[GaussianRational]:
     return lams
 
 
+def _band(table: DeltaTable, n: int) -> int:
+    """Last column k that can be nonzero in rows up to n."""
+    return n if table.order is None else min(n, table.order)
+
+
 def eigenpoly_recursive(table: DeltaTable, n: int) -> Poly:
     """The unique monic eigenpolynomial of degree n, by descending recursion."""
     if n < 0:
         raise DomainError(f"negative degree {n}")
-    lams = _lambda_prefix(table, n)
+    return _descend(table, _lambda_prefix(table, n), n)
+
+
+def _descend(table: DeltaTable, lams: Sequence[GaussianRational], n: int) -> Poly:
+    """P_n by the recursion, given a validated spectrum lams[0..n] and rows
+    0..n of the table; only the band k <= order is read."""
+    rows = table.rows
+    width = _band(table, n)
     b = [ZERO] * (n + 1)
     b[n] = ONE
     for i in range(1, n + 1):
         total = ZERO
-        for k in range(1, i + 1):
+        for k in range(1, min(i, width) + 1):
             factor = b[n - i + k]
             if factor:
-                d = table.value(n - i + k, k)
+                d = rows[n - i + k][k]
                 if d:
                     total = total + d * factor
         b[n - i] = total / (lams[n] - lams[n - i])
@@ -129,16 +149,17 @@ def eigenpoly_coeff_det(table: DeltaTable, n: int, i: int) -> GaussianRational:
     if not 1 <= i <= n:
         raise DomainError(f"need 1 <= i <= n, got i={i}, n={n}")
     lams = _lambda_prefix(table, n)
+    width = _band(table, n)
     matrix = []
     for j in range(1, i + 1):
         row = []
         for c in range(1, i + 1):
             if j == c + 1:
                 row.append(-ONE)
-            elif j > c + 1:
+            elif j > c + 1 or c + 1 - j > width:
                 row.append(ZERO)
             else:
-                d = table.value(n + 1 - j, c + 1 - j)
+                d = table.rows[n + 1 - j][c + 1 - j]
                 row.append(d / (lams[n] - lams[n - c]) if d else ZERO)
         matrix.append(row)
     return hessenberg_determinant(matrix)
@@ -193,5 +214,5 @@ def eigensystem(table: DeltaTable, n_max: int | None = None) -> EigenSystem:
     """Eigenvalues and eigenpolynomials up to degree n_max (table depth by default)."""
     top = table.n_max if n_max is None else n_max
     lams = _lambda_prefix(table, top)
-    polys = [eigenpoly_recursive(table, m) for m in range(top + 1)]
+    polys = [_descend(table, lams, m) for m in range(top + 1)]
     return EigenSystem(lams, polys)

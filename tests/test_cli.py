@@ -348,3 +348,26 @@ def test_inverse_with_5000_digit_data(tmp_path, capsys, bare):
     assert code == 0, err
     assert payload["found"] is True
     assert payload["operator"]["a"][1] == [BIG, "1"]
+
+
+@pytest.mark.parametrize(
+    "verb, flag, text",
+    [
+        ("direct", "--operator", '{"N": %s, "a": []}' % BIG),
+        ("direct", "--operator", '{"N": [%s], "a": []}' % BIG),
+        ("direct", "--operator", '{"N": 1, "a": [[], [[%s]]]}' % BIG),
+        ("inverse", "--data", '{"lambda": ["0", [%s]], "P": [["1"], ["0", "1"]]}' % BIG),
+    ],
+    ids=["N", "N-list", "a-entry", "lambda-entry"],
+)
+def test_malformed_document_with_5000_digit_integer_exits_2(tmp_path, capsys, verb, flag, text):
+    # the error message must not format the document's integer, whose
+    # str() would raise past the int/str digit limit
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    extra = ["--order", "1"] if verb == "inverse" else []
+    code, out, err = run_cli(capsys, verb, flag, str(path), *extra)
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err

@@ -69,3 +69,32 @@ def test_unit_subdiagonal_case():
 def test_rejects_non_square():
     with pytest.raises(DomainError):
         hessenberg_determinant([[ONE, ONE]])
+
+
+def zero_above_diagonal(matrix, keep):
+    """Copy of `matrix` with entry (r, c), c > r, zeroed unless keep(r, c)."""
+    return [
+        [v if c <= r or keep(r, c) else ZERO for c, v in enumerate(row)]
+        for r, row in enumerate(matrix)
+    ]
+
+
+def sparse_cases(size):
+    """(label, keep) pairs: a band of w superdiagonals, one column all zero
+    above the diagonal, and a band of w with superdiagonal d zeroed."""
+    for w in range(size):
+        yield f"band {w}", lambda r, c, w=w: c - r <= w
+    for col in range(size):
+        yield f"zero column {col}", lambda r, c, col=col: c != col
+    for w in range(2, size):
+        for d in range(1, w):
+            yield f"band {w} gap {d}", lambda r, c, w=w, d=d: c - r <= w and c - r != d
+
+
+def test_sparse_above_diagonal_matches_laplace_oracle():
+    rng = Random(4321)
+    for size in range(1, 8):
+        for label, keep in sparse_cases(size):
+            for _ in range(2):
+                matrix = zero_above_diagonal(random_hessenberg(rng, size), keep)
+                assert hessenberg_determinant(matrix) == laplace_determinant(matrix), (size, label)

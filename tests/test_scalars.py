@@ -150,3 +150,39 @@ def test_division_inverts_multiplication(a, b):
 @given(scalars)
 def test_parse_format_round_trip(z):
     assert parse_scalar(format_scalar(z)) == z
+
+
+# Scalars of each shape the arithmetic branches on: real-only, purely
+# imaginary and complex.  `scalars` above almost never draws im == 0.
+gaussians = st.one_of(
+    st.builds(GaussianRational, rationals),
+    st.builds(GaussianRational, st.just(0), rationals),
+    scalars,
+)
+operands = st.one_of(gaussians, st.integers(-(2**70), 2**70), rationals)
+
+
+def parts(value):
+    if isinstance(value, GaussianRational):
+        return value.re, value.im
+    return Fraction(value), Fraction(0)
+
+
+def assert_parts(result, re, im):
+    assert isinstance(result, GaussianRational)
+    assert type(result.re) is Fraction and type(result.im) is Fraction
+    assert (result.re, result.im) == (re, im)
+
+
+@given(gaussians, operands)
+def test_arithmetic_matches_componentwise_reference(a, b):
+    (ar, ai), (br, bi) = parts(a), parts(b)
+    assert_parts(a + b, ar + br, ai + bi)
+    assert_parts(b + a, ar + br, ai + bi)
+    assert_parts(a - b, ar - br, ai - bi)
+    assert_parts(b - a, br - ar, bi - ai)
+    assert_parts(a * b, ar * br - ai * bi, ar * bi + ai * br)
+    assert_parts(b * a, ar * br - ai * bi, ar * bi + ai * br)
+    norm = br * br + bi * bi
+    if norm:
+        assert_parts(a / b, (ar * br + ai * bi) / norm, (ai * br - ar * bi) / norm)

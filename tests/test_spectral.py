@@ -166,3 +166,17 @@ def test_eigensystem_validation():
         EigenSystem([0, -1], [Poly([1]), Poly([1, 0, 1])])  # degree mismatch
     with pytest.raises(DegenerateSpectrum):
         EigenSystem([0, -1, -1], [Poly([1]), X, Poly([0, 0, 1])])
+
+
+def test_band_matches_full_triangle(corpus):
+    # the tagged table is read only inside its band; an untagged copy with
+    # explicit zeros past the order is read as a full triangle
+    for name, op in corpus:
+        table = deltas_from_operator(op, 32)
+        full = DeltaTable(
+            [row + (ZERO,) * (n + 1 - len(row)) for n, row in enumerate(table.rows)]
+        )
+        assert full.order is None and table.order == op.order
+        assert eigensystem(table) == eigensystem(full), name
+        for i in range(1, 13):
+            assert eigenpoly_coeff_det(table, 12, i) == eigenpoly_coeff_det(full, 12, i), name
