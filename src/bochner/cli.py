@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -61,6 +63,9 @@ from .spectral import (
 )
 
 PRESET_NAMES = ("hermite", "laguerre", "jacobi", "shapiro")
+_SCALAR_FLAGS = ("--alpha", "--beta", "--shapiro")
+# a scalar argument that starts with a minus sign: "-2/5", "-i", "-3/4,1"
+_NEGATIVE_SCALAR = re.compile(r"-[\di]")
 
 
 def _decimal_text(value: Fraction, digits: int) -> str:
@@ -281,6 +286,7 @@ def run_inverse(args) -> int:
     data = eigendata_from_dict(doc)
     if args.search and data.n_max < 2:
         raise InsufficientData(f"--search needs data at least to degree 2, got {data.n_max}")
+    table = None
     if args.check:
         table = deltas_from_eigendata_rec(data, data.n_max)
         for n in range(data.n_max + 1):
@@ -292,7 +298,7 @@ def run_inverse(args) -> int:
     # the criterion holds from the true order upward: one call finds the smallest
     order = data.n_max - 1 if args.search else args.order
     try:
-        op = reconstruct(data, order)
+        op = reconstruct(data, order, table)
     except NoFiniteOrderOperator as exc:
         payload = {
             "found": False,
@@ -470,11 +476,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_scalars(argv):
+    """Join `--beta -2/5` into `--beta=-2/5` for the scalar flags.
+
+    argparse takes a separate argument that starts with "-" for an option
+    unless it looks like a plain negative number, so "-2/5" or "-3/4,1"
+    would be refused as a value.
+    """
+    joined = []
+    for arg in argv:
+        if joined and joined[-1] in _SCALAR_FLAGS and _NEGATIVE_SCALAR.match(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_scalars(sys.argv[1:] if argv is None else argv))
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError as exc:
+        # the reader closed stdout; send what is still buffered to devnull,
+        # or the interpreter's final flush raises the same error again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write to standard output: {exc}", file=sys.stderr)
+        return 2
     except DegenerateSpectrum as exc:
         print(f"degenerate spectrum: {exc}", file=sys.stderr)
         return 3

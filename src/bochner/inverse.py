@@ -130,8 +130,12 @@ def finite_order_test(table: DeltaTable, order: int, n_max: int) -> bool:
     return first_order_violation(table, order, n_max) is None
 
 
-def reconstruct(data: EigenSystem, order: int) -> BochnerOperator:
+def reconstruct(data: EigenSystem, order: int, table: DeltaTable | None = None) -> BochnerOperator:
     """The operator of the given order with the prescribed eigen-data.
+
+    `table` is the data's delta table up to row data.n_max, when the caller
+    has already built it by `deltas_from_eigendata_rec`; by default it is
+    built here.
 
     Raises NoFiniteOrderOperator when the finite-order criterion fails on the
     data's window.  On success the operator (with trailing zero coefficients
@@ -147,7 +151,8 @@ def reconstruct(data: EigenSystem, order: int) -> BochnerOperator:
         raise InsufficientData(
             f"need data at least to degree {order + 1}, got {data.n_max}"
         )
-    table = deltas_from_eigendata_rec(data, data.n_max)
+    if table is None:
+        table = deltas_from_eigendata_rec(data, data.n_max)
     violation = first_order_violation(table, order, data.n_max)
     if violation is not None:
         raise NoFiniteOrderOperator(order, violation)

@@ -3,6 +3,15 @@
 Every number in this package is a :class:`GaussianRational`, a complex number
 whose real and imaginary parts are arbitrary-precision rationals.  All
 arithmetic is exact; no floating point is used anywhere.
+
+A scalar is stored as three integers, (p + q*i)/d with d > 0 and
+gcd(p, q, d) = 1: both parts over one common denominator.  Every value has
+exactly one stored form, so equality and hashing compare the triples, and an
+arithmetic result is reduced once, by one gcd of its three integers.  Two
+`Fraction` parts would reduce every partial product and sum on its own: a
+complex multiply would run four `Fraction` multiplies and two adds, each
+with its own gcds.  The parts are reduced on their own only where a reader
+needs them: `format_scalar` and the `re` / `im` properties.
 """
 from __future__ import annotations
 
@@ -15,31 +24,42 @@ from functools import lru_cache
 from .errors import DomainError, ParseError
 
 _RATIONAL_RE = _re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_gcd = math.gcd
+_new = object.__new__
 
 
 class GaussianRational:
-    """Complex number with rational real and imaginary parts.
+    """Complex number (p + q*i)/d with integers p, q, d, d > 0 and
+    gcd(p, q, d) = 1.
 
     Immutable and hashable; equality is componentwise.  Mixed arithmetic with
     `int` and `Fraction` is supported.  Floats are rejected outright so that
-    no inexact value can enter a computation.
+    no inexact value can enter a computation.  `re` and `im` give the parts
+    as reduced `Fraction`s.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, re=0, im=0):
         if isinstance(re, float) or isinstance(im, float):
             raise DomainError("floating-point input is not allowed; use int, Fraction or a string")
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        re, im = Fraction(re), Fraction(im)
+        b, e = re.denominator, im.denominator
+        # over lcm(b, e) the triple is reduced: each prime of the lcm divides,
+        # to the lcm's full power, the denominator of a part whose numerator
+        # it does not divide
+        d = b // _gcd(b, e) * e
+        self._p = re.numerator * (d // b)
+        self._q = im.numerator * (d // e)
+        self._d = d
 
-    @classmethod
-    def _raw(cls, re, im):
-        # internal: both arguments already Fractions
-        value = object.__new__(cls)
-        value.re = re
-        value.im = im
-        return value
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._p, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._q, self._d)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -47,9 +67,7 @@ class GaussianRational:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        if not self.im and not o.im:
-            return GaussianRational._raw(self.re + o.re, _ZERO_FRACTION)
-        return GaussianRational._raw(self.re + o.re, self.im + o.im)
+        return _sum(self._p, self._q, self._d, o._p, o._q, o._d)
 
     __radd__ = __add__
 
@@ -57,28 +75,36 @@ class GaussianRational:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        if not self.im and not o.im:
-            return GaussianRational._raw(self.re - o.re, _ZERO_FRACTION)
-        return GaussianRational._raw(self.re - o.re, self.im - o.im)
+        return _sum(self._p, self._q, self._d, -o._p, -o._q, o._d)
 
     def __rsub__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        if not self.im and not o.im:
-            return GaussianRational._raw(o.re - self.re, _ZERO_FRACTION)
-        return GaussianRational._raw(o.re - self.re, o.im - self.im)
+        return _sum(o._p, o._q, o._d, -self._p, -self._q, self._d)
 
     def __mul__(self, other):
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        if not self.im and not o.im:
-            return GaussianRational._raw(self.re * o.re, _ZERO_FRACTION)
-        return GaussianRational._raw(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        p1, q1, d1 = self._p, self._q, self._d
+        p2, q2, d2 = o._p, o._q, o._d
+        if q1 and q2:
+            return _reduced(p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
+        if q1:
+            p1, q1, d1, p2, q2, d2 = p2, q2, d2, p1, q1, d1
+        # a real factor p1/d1: cancel p1 against d2 and d1 against (p2, q2),
+        # as Fraction does; the product of what is left is already reduced
+        g = _gcd(p1, d2)
+        if g > 1:
+            p1 //= g
+            d2 //= g
+        g = _gcd(d1, p2, q2)
+        if g > 1:
+            d1 //= g
+            p2 //= g
+            q2 //= g
+        return _exact(p1 * p2, p1 * q2, d1 * d2)
 
     __rmul__ = __mul__
 
@@ -86,14 +112,30 @@ class GaussianRational:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        if not o.re and not o.im:
+        p1, q1, d1 = self._p, self._q, self._d
+        p2, q2, d2 = o._p, o._q, o._d
+        if not p2 and not q2:
             raise ZeroDivisionError("division by zero scalar")
-        if not self.im and not o.im:
-            return GaussianRational._raw(self.re / o.re, _ZERO_FRACTION)
-        norm = o.re * o.re + o.im * o.im
-        return GaussianRational._raw(
-            (self.re * o.re + self.im * o.im) / norm,
-            (self.im * o.re - self.re * o.im) / norm,
+        if not q2:
+            # a real divisor: multiply by d2/p2 with the cancellations of
+            # __mul__, the sign moved to the numerator
+            g = _gcd(p2, p1, q1)
+            if g > 1:
+                p2 //= g
+                p1 //= g
+                q1 //= g
+            g = _gcd(d2, d1)
+            if g > 1:
+                d2 //= g
+                d1 //= g
+            if p2 < 0:
+                p2, d2 = -p2, -d2
+            return _exact(p1 * d2, q1 * d2, d1 * p2)
+        # (p1 + q1 i) (p2 - q2 i) d2 / (d1 (p2^2 + q2^2))
+        return _reduced(
+            (p1 * p2 + q1 * q2) * d2,
+            (q1 * p2 - p1 * q2) * d2,
+            d1 * (p2 * p2 + q2 * q2),
         )
 
     def __rtruediv__(self, other):
@@ -103,7 +145,7 @@ class GaussianRational:
         return o / self
 
     def __neg__(self):
-        return GaussianRational._raw(-self.re, -self.im)
+        return _exact(-self._p, -self._q, self._d)
 
     def __pos__(self):
         return self
@@ -122,7 +164,7 @@ class GaussianRational:
         return result
 
     def conjugate(self):
-        return GaussianRational._raw(self.re, -self.im)
+        return _exact(self._p, -self._q, self._d)
 
     # -- comparisons / hashing --------------------------------------------
 
@@ -130,13 +172,13 @@ class GaussianRational:
         o = _coerce(other)
         if o is None:
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self._p == o._p and self._q == o._q and self._d == o._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self._p, self._q, self._d))
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._p or self._q)
 
     # -- display -----------------------------------------------------------
 
@@ -147,15 +189,56 @@ class GaussianRational:
         return f"GaussianRational('{format_scalar(self)}')"
 
 
+def _exact(p, q, d):
+    """The scalar (p + q*i)/d; the triple is already reduced with d > 0."""
+    value = _new(GaussianRational)
+    value._p = p
+    value._q = q
+    value._d = d
+    return value
+
+
+def _reduced(p, q, d):
+    """The scalar (p + q*i)/d for d > 0, divided by gcd(p, q, d)."""
+    g = _gcd(d, p, q)
+    if g != 1:
+        p //= g
+        q //= g
+        d //= g
+    return _exact(p, q, d)
+
+
+def _sum(p1, q1, d1, p2, q2, d2):
+    """(p1 + q1 i)/d1 + (p2 + q2 i)/d2 for two reduced triples.
+
+    As in Fraction's addition, only a factor of g = gcd(d1, d2) can cancel
+    from the sum over lcm(d1, d2): no prime of d1/g divides both parts of
+    p1 * d2/g + p2 * d1/g (or of its q counterpart), since it divides neither
+    d2/g nor both of p1 and q1; likewise for d2/g.
+    """
+    if d1 == d2:
+        return _reduced(p1 + p2, q1 + q2, d1)
+    g = _gcd(d1, d2)
+    if g == 1:
+        return _exact(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
+    s, t = d1 // g, d2 // g
+    p = p1 * t + p2 * s
+    q = q1 * t + q2 * s
+    g = _gcd(g, p, q)
+    if g == 1:
+        return _exact(p, q, s * d2)
+    return _exact(p // g, q // g, s * (d2 // g))
+
+
 def _coerce(value):
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational._raw(Fraction(value), _ZERO_FRACTION)
+    if isinstance(value, int):
+        return _exact(int(value), 0, 1)
+    if isinstance(value, Fraction):
+        return _exact(value.numerator, 0, value.denominator)
     return None
 
-
-_ZERO_FRACTION = Fraction(0)
 
 ZERO = GaussianRational(0)
 ONE = GaussianRational(1)
@@ -164,10 +247,9 @@ I = GaussianRational(0, 1)
 
 def scalar(value) -> GaussianRational:
     """Coerce `value` (GaussianRational, Fraction, int or string) to a scalar."""
-    if isinstance(value, GaussianRational):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(value)
+    result = _coerce(value)
+    if result is not None:
+        return result
     if isinstance(value, str):
         return parse_scalar(value)
     raise DomainError(f"cannot coerce {type(value).__name__} to an exact scalar")
@@ -185,14 +267,17 @@ def parse_int(text: str) -> int:
         return int(Decimal(text))
 
 
-def _parse_rational(text: str) -> Fraction:
+def _parse_rational(text: str) -> tuple[int, int]:
+    """(numerator, denominator) of "p/q" or "p", unreduced; denominator > 0."""
     if not _RATIONAL_RE.match(text):
         raise ParseError(f"malformed rational {text!r}")
     num, _, den = text.partition("/")
-    denominator = parse_int(den or "1")
+    if not den:
+        return parse_int(num), 1
+    denominator = parse_int(den)
     if not denominator:
         raise ParseError(f"zero denominator in {text!r}")
-    return Fraction(parse_int(num), denominator)
+    return parse_int(num), denominator
 
 
 def parse_scalar(text: str) -> GaussianRational:
@@ -206,18 +291,17 @@ def parse_scalar(text: str) -> GaussianRational:
     if not s:
         raise ParseError("empty scalar string")
     if not s.endswith("i"):
-        return GaussianRational(_parse_rational(s))
+        p, d = _parse_rational(s)
+        return _reduced(p, 0, d)
     head = s[:-1]
     if head.endswith("*"):
         head = head[:-1]
-    # split at the rightmost sign that follows a digit: that sign starts the
-    # imaginary part, anything before it is the real part
-    split = -1
-    for idx in range(len(head) - 1, 0, -1):
-        if head[idx] in "+-" and head[idx - 1].isdigit():
-            split = idx
-            break
-    if split == -1:
+    # the rightmost sign past the first character starts the imaginary part,
+    # anything before it is the real part.  If that sign follows no digit,
+    # the real part is malformed, as is the imaginary part of any split
+    # further left, which would hold that sign
+    split = max(head.rfind("+"), head.rfind("-"))
+    if split <= 0:
         re_text, im_text = "0", head
     else:
         re_text, im_text = head[:split], head[split:]
@@ -225,34 +309,49 @@ def parse_scalar(text: str) -> GaussianRational:
         im_text = "1"
     elif im_text == "-":
         im_text = "-1"
-    return GaussianRational(_parse_rational(re_text), _parse_rational(im_text))
+    a, b = _parse_rational(re_text)
+    c, e = _parse_rational(im_text)
+    if b == e:
+        return _reduced(a, c, b)
+    return _reduced(a * e, c * b, b * e)
 
 
 def format_scalar(value: GaussianRational) -> str:
     """Canonical textual form: reduced fractions, sign on the numerator."""
-    if not value.im:
-        return _fraction_text(value.re)
-    im_abs = -value.im if value.im < 0 else value.im
-    im_part = f"{_fraction_text(im_abs)}*i"
-    if not value.re:
-        return ("-" if value.im < 0 else "") + im_part
-    joiner = "+" if value.im > 0 else "-"
-    return f"{_fraction_text(value.re)}{joiner}{im_part}"
+    p, q, d = value._p, value._q, value._d
+    if not q:
+        # gcd(p, d) = gcd(p, 0, d) = 1: the real part is already reduced
+        return _ratio_text(p, d)
+    # no prime divides all of p, q and d, so gcd(p*q, d) is the product of
+    # gcd(p, d) and gcd(q, d): one gcd settles both parts (and for p = 0,
+    # gcd(q, d) = 1)
+    d_re = d_im = d
+    g = _gcd(p * q, d) if p else 1
+    if g > 1:
+        g_re = _gcd(p, g)
+        g_im = g // g_re
+        p, d_re = p // g_re, d // g_re
+        q, d_im = q // g_im, d // g_im
+    im_part = _ratio_text(-q if q < 0 else q, d_im) + "*i"
+    if not p:
+        return "-" + im_part if q < 0 else im_part
+    return _ratio_text(p, d_re) + ("+" if q > 0 else "-") + im_part
 
 
-def _fraction_text(value: Fraction) -> str:
-    """str(value) for a Fraction of any size.
+def _ratio_text(numerator: int, denominator: int) -> str:
+    """The text of the reduced fraction numerator/denominator, of any size.
 
     str(int) refuses more than sys.get_int_max_str_digits() digits; Decimal
     renders an int of any size exactly, without touching that limit.
     """
     try:
-        return str(value)
+        if denominator == 1:
+            return str(numerator)
+        return f"{numerator}/{denominator}"
     except ValueError:
-        numerator = str(Decimal(value.numerator))
-        if value.denominator == 1:
-            return numerator
-        return f"{numerator}/{Decimal(value.denominator)}"
+        if denominator == 1:
+            return str(Decimal(numerator))
+        return f"{Decimal(numerator)}/{Decimal(denominator)}"
 
 
 @lru_cache(maxsize=None)

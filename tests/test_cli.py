@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import bochner.cli
+import bochner.inverse
 from bochner import (
     EigenSystem,
     GaussianRational,
@@ -12,6 +18,8 @@ from bochner import (
 from bochner.cli import main
 from bochner.serialize import eigendata_from_dict, eigensystem_to_dict, operator_from_dict
 from conftest import int_max_str_digits, monic_hermite, search_order_by_order
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -183,6 +191,24 @@ def test_inverse_search_finds_smallest_order(tmp_path, capsys):
     assert payload["requested_order"] == 2
 
 
+@pytest.mark.parametrize("extra", [(), ("--check",)], ids=["plain", "check"])
+def test_inverse_search_builds_the_delta_table_once(tmp_path, capsys, monkeypatch, extra):
+    calls = []
+    build = bochner.inverse.deltas_from_eigendata_rec
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(bochner.inverse, "deltas_from_eigendata_rec", counted)
+    monkeypatch.setattr(bochner.cli, "deltas_from_eigendata_rec", counted)
+    path = write_json(tmp_path / "hermite.json", hermite_data_doc(8))
+    code, payload, _ = run_json(capsys, "inverse", "--data", path, "--search", *extra)
+    assert code == 0
+    assert payload["requested_order"] == 2
+    assert len(calls) == 1
+
+
 def test_inverse_search_failure_reports_last_order(tmp_path, capsys):
     doc = hermite_data_doc(8)
     doc["P"][5][0] = "1"  # perturb one coefficient by one
@@ -315,6 +341,52 @@ def test_negative_scalar_flags_attach_with_equals(capsys):
     code, payload, _ = run_json(capsys, "recurrence", "--shapiro=-3/4,1", "--nmax", "6")
     assert code == 0
     assert payload["terms"] == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("direct", "--preset", "jacobi", "--alpha", "1/2", "--beta", "-2/5", "--nmax", "3"),
+        ("direct", "--preset", "laguerre", "--alpha", "-1/2", "--nmax", "3"),
+        ("verify", "--shapiro", "-3/4,1"),
+        ("recurrence", "--shapiro", "-i,1", "--nmax", "6"),
+        ("preset", "jacobi", "--alpha", "-1/3", "--beta", "-2/5"),
+    ],
+    ids=["jacobi-beta", "laguerre-alpha", "verify-shapiro", "complex-shapiro", "preset"],
+)
+def test_negative_scalar_as_separate_argument(capsys, argv):
+    attached = []
+    for arg in argv:
+        if attached and attached[-1] in ("--alpha", "--beta", "--shapiro"):
+            attached[-1] += "=" + arg
+        else:
+            attached.append(arg)
+    expected = run_cli(capsys, *attached)
+    assert expected[0] == 0, expected[2]
+    assert run_cli(capsys, *argv) == expected
+
+
+@pytest.mark.parametrize("nmax", ["3", "150"])
+def test_closed_stdout_exits_2_without_traceback(nmax):
+    # no reader is left on the pipe when the child writes: small output
+    # fails at the final flush, large output inside print()
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "bochner", "direct", "--preset", "hermite", "--nmax", nmax],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
 
 
 # A constant past Python's 4300-digit int/str conversion limit.

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,40 @@ def test_parse_format_round_trip_past_int_str_digit_limit(value):
     assert parse_scalar(text) == z
 
 
+def reference_rational(text):
+    if not re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text):
+        raise ParseError(text)
+    return Fraction(text)  # ZeroDivisionError for a zero denominator
+
+
+def reference_scalar(text):
+    """The scalar grammar by a plain scan: the imaginary part starts at the
+    rightmost sign that follows a digit."""
+    s = "".join(text.split())
+    if not s.endswith("i"):
+        return GaussianRational(reference_rational(s))
+    head = s[:-1].removesuffix("*")
+    split = next(
+        (k for k in range(len(head) - 1, 0, -1) if head[k] in "+-" and head[k - 1].isdigit()),
+        0,
+    )
+    re_text, im_text = (head[:split], head[split:]) if split else ("0", head)
+    im_text = {"": "1", "+": "1", "-": "-1"}.get(im_text, im_text)
+    return GaussianRational(reference_rational(re_text), reference_rational(im_text))
+
+
+# "²" is a digit to str.isdigit but not to the grammar
+@given(st.text(alphabet="0123456789/+-*i ²", max_size=14))
+def test_parse_matches_reference_grammar(text):
+    try:
+        expected = reference_scalar(text)
+    except (ParseError, ZeroDivisionError):
+        with pytest.raises(ParseError):
+            parse_scalar(text)
+    else:
+        assert parse_scalar(text) == expected
+
+
 def test_long_zero_denominator_rejected():
     with pytest.raises(ParseError):
         parse_scalar("1" * 5000 + "/0")
@@ -172,10 +207,20 @@ def assert_parts(result, re, im):
     assert isinstance(result, GaussianRational)
     assert type(result.re) is Fraction and type(result.im) is Fraction
     assert (result.re, result.im) == (re, im)
+    # the stored form is the one form of that value: equal to, and hashed as,
+    # the scalar built from the reduced parts
+    canonical = GaussianRational(re, im)
+    assert result == canonical and hash(result) == hash(canonical)
 
 
-@given(gaussians, operands)
-def test_arithmetic_matches_componentwise_reference(a, b):
+def quotient(x, y):
+    (xr, xi), (yr, yi) = x, y
+    norm = yr * yr + yi * yi
+    return (xr * yr + xi * yi) / norm, (xi * yr - xr * yi) / norm
+
+
+@given(gaussians, operands, rationals.filter(bool))
+def test_arithmetic_matches_componentwise_reference(a, b, r):
     (ar, ai), (br, bi) = parts(a), parts(b)
     assert_parts(a + b, ar + br, ai + bi)
     assert_parts(b + a, ar + br, ai + bi)
@@ -183,6 +228,52 @@ def test_arithmetic_matches_componentwise_reference(a, b):
     assert_parts(b - a, br - ar, bi - ai)
     assert_parts(a * b, ar * br - ai * bi, ar * bi + ai * br)
     assert_parts(b * a, ar * br - ai * bi, ar * bi + ai * br)
-    norm = br * br + bi * bi
-    if norm:
-        assert_parts(a / b, (ar * br + ai * bi) / norm, (ai * br - ar * bi) / norm)
+    if br or bi:
+        assert_parts(a / b, *quotient((ar, ai), (br, bi)))
+    if a:
+        assert_parts(b / a, *quotient((br, bi), (ar, ai)))
+    assert bool(a) is bool(ar or ai)
+    assert_parts(-a, -ar, -ai)
+    assert_parts(a.conjugate(), ar, -ai)
+    power = (Fraction(1), Fraction(0))
+    for k in range(4):
+        assert_parts(a ** k, *power)
+        power = (power[0] * ar - power[1] * ai, power[0] * ai + power[1] * ar)
+    # negative reals, as a scalar and as a Fraction, and a purely imaginary value
+    for divisor in (GaussianRational(-abs(r)), -abs(r), GaussianRational(0, r)):
+        assert_parts(a / divisor, *quotient((ar, ai), parts(divisor)))
+
+
+def test_one_stored_form_for_unreduced_input():
+    z = GaussianRational(Fraction(2, 4), Fraction(6, 8))
+    assert z == GaussianRational(Fraction(1, 2), Fraction(3, 4)) == parse_scalar("2/4+6/8*i")
+    assert hash(z) == hash(parse_scalar("2/4+6/8*i"))
+    assert hash(z - z) == hash(ZERO) and z - z == ZERO == 0
+
+
+@given(rationals, rationals, st.integers(1, 2**20), gaussians)
+def test_equal_values_compare_and_hash_equal(re, im, k, w):
+    z = GaussianRational(re, im)
+    unreduced = (
+        f"{re.numerator * k}/{re.denominator * k}"
+        f"{'-' if im < 0 else '+'}{abs(im.numerator) * k}/{im.denominator * k}*i"
+    )
+    routes = [
+        GaussianRational(z.re, z.im),
+        parse_scalar(format_scalar(z)),
+        parse_scalar(unreduced),
+        (z + w) - w,
+        (z - w) + w,
+        -(-z),
+    ]
+    if w:
+        routes.append((z * w) / w)
+    for value in routes:
+        assert value == z and z == value
+        assert hash(value) == hash(z)
+    real = im == 0
+    assert (z == re) is real and (re == z) is real
+    assert z != re + 1 and re + 1 != z
+    n = re.numerator
+    assert GaussianRational(n) == n and n == GaussianRational(n)
+    assert (GaussianRational(n, im) == n) is real and (n == GaussianRational(n, im)) is real
