@@ -13,10 +13,8 @@ from random import Random
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bochner import (
-    BochnerOperator,
     DegenerateSpectrum,
     GaussianRational,
-    Poly,
     ShapiroOperator,
     bandwidth,
     deltas_from_operator,
@@ -24,28 +22,13 @@ from bochner import (
     fit_recurrence,
     to_bochner,
 )
+from random_operators import random_operator
 
 
 ORDERS = (1, 2, 3, 4, 5)
 N_MAX = 20
 N_START = 10
 SEED = 7
-
-
-def random_operator(rng, order):
-    while True:
-        polys = [Poly()]
-        for i in range(1, order + 1):
-            coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(i + 1)]
-            polys.append(Poly(coeffs))
-        if not polys[order]:
-            continue
-        op = BochnerOperator(polys)
-        try:
-            eigensystem(deltas_from_operator(op, 4))
-        except DegenerateSpectrum:
-            continue
-        return op
 
 
 def fitted_band(op):
@@ -65,7 +48,7 @@ def main():
         generic = None
         for _ in range(10):
             try:
-                generic = fitted_band(random_operator(rng, order))
+                generic = fitted_band(random_operator(rng, order, bound=5, distinct_to=4))
                 break
             except DegenerateSpectrum:
                 continue

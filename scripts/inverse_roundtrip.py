@@ -6,15 +6,12 @@ negative side: nudging a single polynomial coefficient makes every tested
 order fail the finite-order criterion.
 """
 import sys
-from fractions import Fraction
 from pathlib import Path
 from random import Random
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from bochner import (
-    BochnerOperator,
-    DegenerateSpectrum,
     EigenSystem,
     NoFiniteOrderOperator,
     Poly,
@@ -22,6 +19,7 @@ from bochner import (
     eigensystem,
     reconstruct,
 )
+from random_operators import random_operator
 
 
 ORDER = 3
@@ -29,25 +27,9 @@ DEGREE = 12
 SEED = 2024
 
 
-def random_operator(rng, order, degree):
-    while True:
-        polys = [Poly()]
-        for i in range(1, order + 1):
-            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(i + 1)]
-            polys.append(Poly(coeffs))
-        if not polys[order]:
-            continue
-        op = BochnerOperator(polys)
-        try:
-            eigensystem(deltas_from_operator(op, degree))
-        except DegenerateSpectrum:
-            continue
-        return op
-
-
 def main():
     rng = Random(SEED)
-    op = random_operator(rng, ORDER, DEGREE)
+    op = random_operator(rng, ORDER, bound=4, distinct_to=DEGREE)
     print(f"original operator:      {op}")
 
     system = eigensystem(deltas_from_operator(op, DEGREE))

@@ -50,6 +50,7 @@ from .shapiro import (
     ShapiroOperator,
     shapiro_alpha,
     shapiro_delta1,
+    shapiro_delta1_column,
     to_bochner,
     verify_shapiro_recurrence,
 )
@@ -113,6 +114,7 @@ __all__ = [
     "scalar",
     "shapiro_alpha",
     "shapiro_delta1",
+    "shapiro_delta1_column",
     "to_bochner",
     "verify_shapiro_recurrence",
 ]

@@ -54,7 +54,13 @@ from .serialize import (
     operator_to_dict,
     poly_to_list,
 )
-from .shapiro import ShapiroOperator, shapiro_alpha, to_bochner, verify_shapiro_recurrence
+from .shapiro import (
+    ShapiroOperator,
+    shapiro_alpha,
+    shapiro_delta1_column,
+    to_bochner,
+    verify_shapiro_recurrence,
+)
 from .spectral import (
     delta_extend,
     eigenpoly_coeff_det,
@@ -145,13 +151,17 @@ def _operator_from_args(args):
 
 def _direct_mismatches(op, table, system, shift):
     """Eigen-equation and determinant mismatches of `system`, in (n, i) order."""
+    by_det = eigenpoly_coeff_det(table, system.n_max)
     mismatches = []
     for n, poly in enumerate(system.polys):
         if not is_eigenpair(op, poly, system.lambdas[n] + shift):
             mismatches.append({"n": n, "check": "eigen-equation"})
-        for i in range(1, n + 1):
-            if eigenpoly_coeff_det(table, n, i) != poly.coeff(n - i):
-                mismatches.append({"n": n, "i": i, "check": "determinant"})
+        if by_det.polys[n] != poly:
+            mismatches.extend(
+                {"n": n, "i": i, "check": "determinant"}
+                for i in range(1, n + 1)
+                if by_det.coeff(n, n - i) != poly.coeff(n - i)
+            )
     return mismatches
 
 
@@ -170,23 +180,16 @@ def run_direct(args) -> int:
     table = deltas_from_operator(normalized, args.nmax)
     system = eigensystem(table)
     lambdas = [lam + shift for lam in system.lambdas]
-    if args.det:
-        polys = []
-        for n in range(args.nmax + 1):
-            coeffs = [eigenpoly_coeff_det(table, n, i) for i in range(n, 0, -1)]
-            polys.append(coeffs + [GaussianRational(1)])
-        poly_lists = [[format_scalar(c) for c in row] for row in polys]
-    else:
-        poly_lists = [poly_to_list(p) for p in system.polys]
+    emitted = eigenpoly_coeff_det(table, args.nmax) if args.det else system
     payload = {
         "lambda": [format_scalar(v) for v in lambdas],
-        "P": poly_lists,
+        "P": [poly_to_list(p) for p in emitted.polys],
     }
     if args.deltas:
         payload["delta"] = delta_table_to_list(table)
     if args.decimal:
         payload["lambda_decimal"] = [_scalar_decimal(v, args.decimal) for v in lambdas]
-        payload["P_decimal"] = _decimal_rows((p.coeffs for p in system.polys), args.decimal)
+        payload["P_decimal"] = _decimal_rows((p.coeffs for p in emitted.polys), args.decimal)
     status = 0
     if args.check:
         mismatches = _direct_mismatches(op, table, system, shift)
@@ -262,12 +265,15 @@ def run_verify(args) -> int:
             for n in range(nmax + 1)
         )
     if product_op is not None:
+        # delta1 from the closed form, never from `table`, so the match below
+        # stays an independent check of the table
+        delta1 = shapiro_delta1_column(product_op, nmax + 1)
         checks["product_form_recurrence"] = bool(
-            verify_shapiro_recurrence(product_op, nmax)
+            verify_shapiro_recurrence(product_op, delta1, nmax)
         )
         checks["product_form_alpha_match"] = all(
             coeffs.alpha(n, n - s)
-            == shapiro_alpha(product_op, n, s)
+            == shapiro_alpha(product_op, delta1, n, s)
             for n in range(coeffs.n_max + 1)
             for s in range(min(product_op.order - 1, n) + 1)
         )
@@ -289,12 +295,15 @@ def run_inverse(args) -> int:
     table = None
     if args.check:
         table = deltas_from_eigendata_rec(data, data.n_max)
-        for n in range(data.n_max + 1):
-            for k in range(n + 1):
-                if deltas_from_eigendata_det(data, n, k) != table.value(n, k):
-                    raise VerificationError(
-                        f"delta determinant and recursion disagree at ({n}, {k})"
-                    )  # pragma: no cover
+        by_det = deltas_from_eigendata_det(data, data.n_max)
+        if by_det != table:
+            n, k = next(
+                (n, k)
+                for n in range(data.n_max + 1)
+                for k in range(n + 1)
+                if by_det.value(n, k) != table.value(n, k)
+            )
+            raise VerificationError(f"delta determinant and recursion disagree at ({n}, {k})")
     # the criterion holds from the true order upward: one call finds the smallest
     order = data.n_max - 1 if args.search else args.order
     try:

@@ -1,4 +1,4 @@
-"""Determinants of upper Hessenberg matrices.
+"""Determinants of upper Hessenberg matrices, as a chain of leading minors.
 
 An upper Hessenberg matrix has zeros below the first subdiagonal, so its
 determinant expands along the last column into determinants of leading
@@ -7,9 +7,13 @@ principal submatrices:
     det(H_m) = h[m][m] det(H_{m-1})
              + sum_{j<m} (-1)^(m-j) h[j][m] (prod_{l=j}^{m-1} h[l+1][l]) det(H_{j-1})
 
-(1-based indices, det(H_0) = 1).  Evaluating the whole chain of prefixes
-costs O(m^2) exact operations instead of the factorial cost of a general
-cofactor expansion.  Each column's sum starts at its first nonzero entry
+(1-based indices, det(H_0) = 1).  The expansion of an m x m matrix thus
+produces every leading minor det(H_0), ..., det(H_m) on the way, in O(m^2)
+exact operations instead of the factorial cost of a general cofactor
+expansion, and `hessenberg_determinant` returns that whole chain.  Callers
+whose determinants are nested leading submatrices of one matrix (every
+coefficient of one eigenpolynomial, every delta on one diagonal) pay for a
+single expansion.  Each column's sum starts at its first nonzero entry
 above the diagonal, so for a matrix that is zero above its w-th
 superdiagonal the expansion does O(m w) multiplications, plus one zero test
 per entry above the band.
@@ -22,8 +26,11 @@ from .errors import DomainError
 from .scalars import GaussianRational, ONE
 
 
-def hessenberg_determinant(matrix: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
-    """Exact determinant of a square upper Hessenberg matrix."""
+def hessenberg_determinant(
+    matrix: Sequence[Sequence[GaussianRational]],
+) -> list[GaussianRational]:
+    """The leading principal minors det(H_0) = 1, det(H_1), ..., det(H_m) of
+    a square upper Hessenberg matrix; the last is its determinant."""
     size = len(matrix)
     for row in matrix:
         if len(row) != size:
@@ -42,4 +49,4 @@ def hessenberg_determinant(matrix: Sequence[Sequence[GaussianRational]]) -> Gaus
             term = matrix[j - 1][m - 1] * subdiagonal_product * prefix[j - 1]
             acc = acc + term if sign > 0 else acc - term
         prefix.append(acc)
-    return prefix[size]
+    return prefix

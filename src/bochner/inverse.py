@@ -3,14 +3,18 @@ prescribed eigenvalues and monic eigenpolynomials, when one exists.
 
 From the data alone a delta table is defined: delta(n, 0) = lambda_n, and
 for 1 <= k <= n a k x k Hessenberg determinant in the lambdas and the
-polynomial coefficients (`deltas_from_eigendata_det`).  Expanding that
-determinant along its last column collapses it to the linear recursion
+polynomial coefficients.  Expanding that determinant along its last column
+collapses it to the linear recursion
 
     delta(n, k) = (lambda_n - lambda_{n-k}) b(n, n-k)
                   - sum_{j=1}^{k-1} delta(n-k+j, j) b(n, n-k+j)
 
-used by `deltas_from_eigendata_rec`; the two routes agree entrywise and are
-kept as mutual cross-checks.  The data comes from an operator of order N
+used by `deltas_from_eigendata_rec`.  The matrix of delta(n, k) depends on
+n and k only through the diagonal base n - k, and the matrices along one
+diagonal are nested leading submatrices, so `deltas_from_eigendata_det`
+reads every delta(base + k, k) off the chain of leading minors of one
+expansion per diagonal.  The two routes agree entrywise and are kept as
+mutual cross-checks.  The data comes from an operator of order N
 exactly when every row past N of this table is the binomial extension of
 rows 0..N and the columns above N vanish (`finite_order_test`); in that case
 the operator coefficients fall out of the same inversion formula as in the
@@ -37,42 +41,42 @@ from .errors import (
 from .hessenberg import hessenberg_determinant
 from .operators import BochnerOperator, DeltaTable, operator_from_deltas
 from .polynomials import is_eigenpair
-from .scalars import GaussianRational, ONE, ZERO
+from .scalars import ONE, ZERO
 from .spectral import EigenSystem, delta_extend
 
 
-def deltas_from_eigendata_det(data: EigenSystem, n: int, k: int) -> GaussianRational:
-    """delta(n, k) straight from its determinant definition.
+def deltas_from_eigendata_det(data: EigenSystem, n_max: int) -> DeltaTable:
+    """The full delta table of the data up to row n_max, straight from the
+    determinant definition, one Hessenberg expansion per diagonal.
 
-    The matrix is k x k with unit subdiagonal; column c holds, top to bottom,
-    (lambda_{n-k} - lambda_{n-k+c}) b(n-k+c, n-k) in the first row and
-    b(n-k+c, n-k+j-1) in row j >= 2.  The determinant carries a (-1)^k sign.
+    For the diagonal base = n - k the matrix has unit subdiagonal; column c
+    holds, top to bottom, (lambda_base - lambda_{base+c}) b(base+c, base) in
+    the first row and b(base+c, base+j-1) in row j >= 2.  Its leading k x k
+    minor is (-1)^k delta(base + k, k): the first row carries the negated gap
+    lambda_{n-k} - lambda_n of the recursion, and with a +1 subdiagonal the
+    cofactor signs (-1)^(k-j) of the last-column expansion do not cancel, so
+    by induction on k every term of the expansion is (-1)^k times the
+    matching term of the recursion.
     """
-    if n < 0 or k < 0:
-        raise DomainError(f"negative position ({n}, {k})")
-    if n > data.n_max:
-        raise InsufficientData(f"data reaches degree {data.n_max}, row {n} requested")
-    if k == 0:
-        return data.lambdas[n]
-    if k > n:
-        return ZERO
+    if n_max < 0:
+        raise DomainError(f"n_max must be nonnegative, got {n_max}")
+    if n_max > data.n_max:
+        raise InsufficientData(f"data reaches degree {data.n_max}, need {n_max}")
     lams = data.lambdas
-    base = n - k
-    matrix = []
-    for j in range(1, k + 1):
-        row = []
-        for c in range(1, k + 1):
-            if j == 1:
-                row.append((lams[base] - lams[base + c]) * data.coeff(base + c, base))
-            elif j == c + 1:
-                row.append(ONE)
-            elif j > c + 1:
-                row.append(ZERO)
-            else:
-                row.append(data.coeff(base + c, base + j - 1))
-        matrix.append(row)
-    det = hessenberg_determinant(matrix)
-    return det if k % 2 == 0 else -det
+    rows = [[lams[n]] + [ZERO] * n for n in range(n_max + 1)]
+    for base in range(n_max):
+        size = n_max - base
+        matrix = [
+            [(lams[base] - lams[base + c]) * data.coeff(base + c, base) for c in range(1, size + 1)]
+        ]
+        for j in range(2, size + 1):
+            row = [ZERO] * (j - 2) + [ONE]
+            row += [data.coeff(base + c, base + j - 1) for c in range(j, size + 1)]
+            matrix.append(row)
+        chain = hessenberg_determinant(matrix)
+        for k in range(1, size + 1):
+            rows[base + k][k] = chain[k] if k % 2 == 0 else -chain[k]
+    return DeltaTable(rows)
 
 
 def deltas_from_eigendata_rec(data: EigenSystem, n_max: int) -> DeltaTable:

@@ -11,14 +11,17 @@ and
 with everything at k >= 2 vanishing.  Eigenpolynomial coefficients become
 running products of delta1, and the recurrence coefficients have the closed
 form implemented by `shapiro_alpha`; `verify_shapiro_recurrence` checks the
-resulting (N+1)-term relation as an exact polynomial identity.
+resulting (N+1)-term relation as an exact polynomial identity.  These read
+delta1 from a column computed once by `shapiro_delta1_column`, from the
+closed form above and never from an operator's delta table, so they stay an
+independent check of that table.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InvalidOperator
+from .errors import DomainError, InsufficientData, InvalidOperator
 from .operators import BochnerOperator
 from .polynomials import Poly
 from .recurrence import relation_residual
@@ -75,27 +78,44 @@ def shapiro_delta1(op: ShapiroOperator, n: int) -> GaussianRational:
     return total
 
 
-def shapiro_poly(op: ShapiroOperator, n: int) -> Poly:
-    """The degree-n monic eigenpolynomial, built from the coefficient products."""
+def shapiro_delta1_column(op: ShapiroOperator, last: int) -> list[GaussianRational]:
+    """delta1(0), ..., delta1(last): the column the closed forms below read."""
+    if last < 0:
+        raise DomainError(f"negative index {last}")
+    return [shapiro_delta1(op, n) for n in range(last + 1)]
+
+
+def _need(delta1, last: int) -> None:
+    if len(delta1) <= last:
+        raise InsufficientData(
+            f"delta1 column reaches {len(delta1) - 1}, index {last} needed"
+        )
+
+
+def shapiro_poly(delta1, n: int) -> Poly:
+    """The degree-n monic eigenpolynomial, built from the coefficient
+    products of the column delta1(0..n)."""
     if n < 0:
         raise DomainError(f"negative degree {n}")
+    _need(delta1, n)
     coeffs = [ZERO] * (n + 1)
     running = ONE
     coeffs[n] = ONE
     for i in range(1, n + 1):
-        running = running * shapiro_delta1(op, n - i + 1)
+        running = running * delta1[n - i + 1]
         coeffs[n - i] = running * Fraction(1, factorial(i))
     return Poly(coeffs)
 
 
-def shapiro_alpha(op: ShapiroOperator, n: int, s: int) -> GaussianRational:
+def shapiro_alpha(op: ShapiroOperator, delta1, n: int, s: int) -> GaussianRational:
     """Closed-form recurrence coefficient alpha(n, n-s) for 0 <= s <= N-1:
 
         (delta1(n) ... delta1(n-s+1) / (s+1)!)
             * sum_{j=0}^{s+1} C(s+1, j) (-1)^j delta1(n-s+j)
 
-    with the empty product at s = 0.  Entries below the triangle (s > n) are
-    zero by the truncation convention of the recurrence.
+    with the empty product at s = 0, read from op's column delta1(0..n+1).
+    Entries below the triangle (s > n) are zero by the truncation convention
+    of the recurrence.
     """
     if not 0 <= s <= op.order - 1:
         raise DomainError(f"band position s={s} outside 0..{op.order - 1}")
@@ -103,13 +123,14 @@ def shapiro_alpha(op: ShapiroOperator, n: int, s: int) -> GaussianRational:
         raise DomainError(f"negative index {n}")
     if s > n:
         return ZERO
+    _need(delta1, n + 1)
     product = ONE
     for m in range(n, n - s, -1):
-        product = product * shapiro_delta1(op, m)
+        product = product * delta1[m]
     total = ZERO
     for j in range(s + 2):
         weight = (-1) ** j * comb(s + 1, j)
-        total = total + weight * shapiro_delta1(op, n - s + j)
+        total = total + weight * delta1[n - s + j]
     return product * total * Fraction(1, factorial(s + 1))
 
 
@@ -129,20 +150,21 @@ class RecurrenceCheck:
         return self.ok
 
 
-def verify_shapiro_recurrence(op: ShapiroOperator, n_max: int) -> RecurrenceCheck:
+def verify_shapiro_recurrence(op: ShapiroOperator, delta1, n_max: int) -> RecurrenceCheck:
     """Check the (N+1)-term relation built from the closed forms, exactly.
 
     For every n <= n_max the combination
         sum_{s=1}^{N-1} alpha(n, n-s) P_{n-s} + (alpha(n, n) - x) P_n + P_{n+1}
     must vanish identically, with P of negative degree treated as zero.
+    `delta1` is op's column delta1(0..n_max+1).
     """
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
-    polys = [shapiro_poly(op, m) for m in range(n_max + 2)]
+    polys = [shapiro_poly(delta1, m) for m in range(n_max + 2)]
     for n in range(n_max + 1):
         row = [ZERO] * (n + 1)
         for s in range(min(op.order - 1, n) + 1):
-            row[n - s] = shapiro_alpha(op, n, s)
+            row[n - s] = shapiro_alpha(op, delta1, n, s)
         residual = relation_residual(polys, row, n)
         if residual:
             for power, value in enumerate(residual.coeffs):

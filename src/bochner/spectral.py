@@ -8,17 +8,21 @@ The default is the linear recursion
 
 descending from the monic top coefficient; the second expresses each
 b(n, n-i) as an i x i upper Hessenberg determinant and exists to cross-check
-the first.  `delta_extend` continues any delta column from its first few
-entries, which pins down the whole spectrum of an order-N operator by rows
-0..N of the table.
+the first.  The i x i matrix of b(n, n-i) is the leading submatrix of the
+n x n matrix of b(n, 0), so the determinant route builds one matrix per
+degree and reads b(n, n-1), ..., b(n, 0) off the chain of nested leading
+minors of a single expansion (`eigenpoly_coeff_det`).  It never reads the
+recursion's output.  `delta_extend` continues any delta column from its
+first few entries, which pins down the whole spectrum of an order-N
+operator by rows 0..N of the table.
 
 An operator of order N has delta(n, k) = 0 for every k > N, so both routes
 read only the band k <= N of a table tagged with its order: the recursion
 costs O(n N) scalar steps per eigenpolynomial, and the determinant matrix
 gets its zeros past the band without a table lookup, so the Hessenberg
 expansion's work is bounded by the band too.  An untagged table is read as
-a full triangle.  `eigensystem` validates the spectrum once for all
-degrees.
+a full triangle.  `eigensystem` and `eigenpoly_coeff_det` each validate the
+spectrum once for all degrees.
 """
 from __future__ import annotations
 
@@ -138,31 +142,38 @@ def _descend(table: DeltaTable, lams: Sequence[GaussianRational], n: int) -> Pol
     return Poly(b)
 
 
-def eigenpoly_coeff_det(table: DeltaTable, n: int, i: int) -> GaussianRational:
-    """b(n, n-i) as an i x i upper Hessenberg determinant.
+def eigenpoly_coeff_det(table: DeltaTable, n_max: int) -> EigenSystem:
+    """Eigenvalues and eigenpolynomials up to degree n_max by the
+    determinant route, one Hessenberg expansion per degree.
 
-    Entry (j, c) above the diagonal band is delta(n+1-j, c+1-j) divided by
-    (lambda_n - lambda_{n-c}); the subdiagonal is -1.  For n below the
-    operator order the matrix is simply cut at i <= n columns, so no index
-    ever leaves the table.  Evaluated by the prefix-determinant expansion.
+    For degree n the matrix is n x n: entry (j, c) on or above the diagonal
+    is delta(n+1-j, c+1-j) divided by (lambda_n - lambda_{n-c}), zero past
+    the band, and the subdiagonal is -1.  Its leading i x i minor is
+    b(n, n-i), so the expansion's chain of minors is the whole polynomial.
     """
-    if not 1 <= i <= n:
-        raise DomainError(f"need 1 <= i <= n, got i={i}, n={n}")
-    lams = _lambda_prefix(table, n)
+    lams = _lambda_prefix(table, n_max)
+    polys = []
+    for n in range(n_max + 1):
+        chain = hessenberg_determinant(_coeff_matrix(table, lams, n))
+        polys.append(Poly(chain[::-1]))
+    return EigenSystem(lams, polys)
+
+
+def _coeff_matrix(table: DeltaTable, lams: Sequence[GaussianRational], n: int):
+    """The n x n Hessenberg matrix whose leading i x i minor is b(n, n-i)."""
+    rows = table.rows
     width = _band(table, n)
     matrix = []
-    for j in range(1, i + 1):
-        row = []
-        for c in range(1, i + 1):
-            if j == c + 1:
-                row.append(-ONE)
-            elif j > c + 1 or c + 1 - j > width:
-                row.append(ZERO)
-            else:
-                d = table.rows[n + 1 - j][c + 1 - j]
-                row.append(d / (lams[n] - lams[n - c]) if d else ZERO)
+    for j in range(1, n + 1):
+        row = [ZERO] * n
+        if j >= 2:
+            row[j - 2] = -ONE
+        for c in range(j, min(n, j - 1 + width) + 1):
+            d = rows[n + 1 - j][c + 1 - j]
+            if d:
+                row[c - 1] = d / (lams[n] - lams[n - c])
         matrix.append(row)
-    return hessenberg_determinant(matrix)
+    return matrix
 
 
 def delta_extend(seed: DeltaTable, n: int, k: int, order: int | None = None) -> GaussianRational:

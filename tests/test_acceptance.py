@@ -34,6 +34,7 @@ from bochner import (
     normalize,
     reconstruct,
     shapiro_alpha,
+    shapiro_delta1_column,
     verify_shapiro_recurrence,
 )
 from bochner.cli import main as cli_main
@@ -97,12 +98,11 @@ def test_criterion_3_determinant_cross_check(corpus, tables, shared_systems):
     checked = 0
     for name, _ in corpus:
         system = systems[name]
-        table = tables[name]
+        by_det = eigenpoly_coeff_det(tables[name], 20)
         for n in range(1, 21):
             poly = system.polys[n]
             for i in range(1, n + 1):
-                det_value = eigenpoly_coeff_det(table, n, i)
-                assert det_value == poly.coeff(n - i), (name, n, i)
+                assert by_det.coeff(n, n - i) == poly.coeff(n - i), (name, n, i)
                 checked += 1
     print(
         f"\nACCEPTANCE 3 PASS: determinant route equals the recursion on "
@@ -139,13 +139,14 @@ def test_criterion_5_product_form_recurrence():
             if not c[-1]:
                 c[-1] = GaussianRational(1)
             op = ShapiroOperator(c)
-            assert verify_shapiro_recurrence(op, 25), c
-            polys = [shapiro_poly(op, m) for m in range(27)]
+            delta1 = shapiro_delta1_column(op, 27)
+            assert verify_shapiro_recurrence(op, delta1, 25), c
+            polys = [shapiro_poly(delta1, m) for m in range(27)]
             lambdas = [GaussianRational(m) for m in range(27)]
             coeffs = fit_recurrence(EigenSystem(lambdas, polys))
             for n in range(coeffs.n_max + 1):
                 for s in range(n + 1):
-                    expected = shapiro_alpha(op, n, s) if s <= order - 1 else ZERO
+                    expected = shapiro_alpha(op, delta1, n, s) if s <= order - 1 else ZERO
                     assert coeffs.alpha(n, n - s) == expected, (c, n, s)
             assert bandwidth(coeffs, 10) == order - 1, c
             families += 1
@@ -165,13 +166,10 @@ def test_criterion_6_inverse_round_trip(corpus, tables, shared_systems):
         rebuilt = reconstruct(data, op.order)
         assert rebuilt == normalize(op)[0], name
         table = deltas_from_eigendata_rec(data, 12)
+        by_det = deltas_from_eigendata_det(data, 12)
         for n in range(13):
             for k in range(n + 1):
-                assert deltas_from_eigendata_det(data, n, k) == table.value(n, k), (
-                    name,
-                    n,
-                    k,
-                )
+                assert by_det.value(n, k) == table.value(n, k), (name, n, k)
     print(
         f"\nACCEPTANCE 6 PASS: reconstruction from degree-12 data returns every "
         f"corpus operator exactly; determinant and recursion delta paths agree"

@@ -10,8 +10,10 @@ import pytest
 import bochner.cli
 import bochner.inverse
 from bochner import (
+    DeltaTable,
     EigenSystem,
     GaussianRational,
+    Poly,
     hermite_operator,
     laguerre_operator,
 )
@@ -165,6 +167,75 @@ def test_verify_shapiro_source(capsys):
     assert code == 0
     assert payload["checks"]["product_form_recurrence"] == "ok"
     assert payload["checks"]["product_form_alpha_match"] == "ok"
+
+
+def bump_det_coefficient(monkeypatch, n, i):
+    """Make the CLI's determinant route return b(n, n-i) off by one, and
+    every other coefficient as computed."""
+    real = bochner.cli.eigenpoly_coeff_det
+
+    def bumped(table, n_max):
+        system = real(table, n_max)
+        polys = list(system.polys)
+        coeffs = list(polys[n].coeffs)
+        coeffs[n - i] = coeffs[n - i] + 1
+        polys[n] = Poly(coeffs)
+        return EigenSystem(system.lambdas, polys)
+
+    monkeypatch.setattr(bochner.cli, "eigenpoly_coeff_det", bumped)
+
+
+@pytest.mark.parametrize("eigen_fails", [False, True], ids=["det-only", "with-eigen"])
+def test_direct_check_locates_one_determinant_mismatch(capsys, monkeypatch, eigen_fails):
+    bump_det_coefficient(monkeypatch, 5, 3)
+    if eigen_fails:
+        real = bochner.cli.is_eigenpair
+        monkeypatch.setattr(
+            bochner.cli, "is_eigenpair", lambda op, p, lam: p.degree != 5 and real(op, p, lam)
+        )
+    code, payload, _ = run_json(capsys, "direct", "--preset", "hermite", "--nmax", "8", "--check")
+    assert code == 1
+    assert payload["check"] == "failed"
+    expected = [{"n": 5, "i": 3, "check": "determinant"}]
+    if eigen_fails:
+        expected.insert(0, {"n": 5, "check": "eigen-equation"})
+    assert payload["mismatches"] == expected
+
+
+def test_direct_det_decimal_renders_the_determinant_route(capsys, monkeypatch):
+    bump_det_coefficient(monkeypatch, 2, 2)
+    code, payload, _ = run_json(
+        capsys, "direct", "--preset", "hermite", "--nmax", "3", "--det", "--decimal", "4"
+    )
+    assert code == 0
+    assert payload["P"][2] == ["1/2", "0", "1"]
+    assert payload["P_decimal"][2] == ["0.5", "0", "1"]
+
+
+def test_verify_reports_a_determinant_mismatch(capsys, monkeypatch):
+    bump_det_coefficient(monkeypatch, 7, 1)
+    code, payload, _ = run_json(capsys, "verify", "--shapiro", "2/3,-1/5", "--nmax", "8")
+    assert code == 1
+    assert payload["checks"]["determinant_vs_recursion"] == "fail"
+    others = dict(payload["checks"])
+    del others["determinant_vs_recursion"]
+    assert set(others.values()) == {"ok"}
+
+
+def test_inverse_check_locates_a_delta_mismatch(tmp_path, capsys, monkeypatch):
+    real = bochner.cli.deltas_from_eigendata_det
+
+    def bumped(data, n_max):
+        rows = [list(row) for row in real(data, n_max).rows]
+        rows[6][4] = rows[6][4] + 1
+        return DeltaTable(rows)
+
+    monkeypatch.setattr(bochner.cli, "deltas_from_eigendata_det", bumped)
+    path = write_json(tmp_path / "hermite.json", hermite_data_doc(8))
+    code, out, err = run_cli(capsys, "inverse", "--data", path, "--order", "2", "--check")
+    assert code == 1
+    assert out == ""
+    assert err == "error: delta determinant and recursion disagree at (6, 4)\n"
 
 
 def hermite_data_doc(n_max):

@@ -1,6 +1,7 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bochner import DomainError, GaussianRational
 from bochner.hessenberg import hessenberg_determinant
@@ -39,22 +40,31 @@ def random_hessenberg(rng, size):
     return matrix
 
 
+def assert_chain_matches_laplace(matrix, label=None):
+    """The returned chain is det(H_0), ..., det(H_m): each entry must equal the
+    oracle on the leading submatrix of that size."""
+    chain = hessenberg_determinant(matrix)
+    assert len(chain) == len(matrix) + 1
+    for m, minor in enumerate(chain):
+        leading = [row[:m] for row in matrix[:m]]
+        assert minor == laplace_determinant(leading), (label, m)
+
+
 def test_small_cases():
-    assert hessenberg_determinant([]) == ONE
-    assert hessenberg_determinant([[GaussianRational(7)]]) == GaussianRational(7)
+    assert hessenberg_determinant([]) == [ONE]
+    assert hessenberg_determinant([[GaussianRational(7)]]) == [ONE, GaussianRational(7)]
     two = [
         [GaussianRational(1), GaussianRational(2)],
         [GaussianRational(3), GaussianRational(4)],
     ]
-    assert hessenberg_determinant(two) == GaussianRational(-2)
+    assert hessenberg_determinant(two) == [ONE, GaussianRational(1), GaussianRational(-2)]
 
 
 def test_matches_laplace_oracle():
     rng = Random(1234)
     for size in range(1, 7):
         for _ in range(8):
-            matrix = random_hessenberg(rng, size)
-            assert hessenberg_determinant(matrix) == laplace_determinant(matrix)
+            assert_chain_matches_laplace(random_hessenberg(rng, size))
 
 
 def test_unit_subdiagonal_case():
@@ -63,7 +73,32 @@ def test_unit_subdiagonal_case():
         matrix = random_hessenberg(rng, size)
         for i in range(1, size):
             matrix[i][i - 1] = -ONE
-        assert hessenberg_determinant(matrix) == laplace_determinant(matrix)
+        assert_chain_matches_laplace(matrix)
+
+
+ENTRIES = st.builds(GaussianRational, st.integers(-9, 9), st.integers(-3, 3))
+
+
+@st.composite
+def sparse_hessenberg(draw):
+    """Upper Hessenberg matrices with w superdiagonals kept and some columns
+    zero from top to bottom."""
+    size = draw(st.integers(0, 6))
+    band = draw(st.integers(0, max(size - 1, 0)))
+    zero_columns = draw(st.sets(st.integers(0, max(size - 1, 0)), max_size=size))
+    return [
+        [
+            ZERO if c < r - 1 or c - r > band or c in zero_columns else draw(ENTRIES)
+            for c in range(size)
+        ]
+        for r in range(size)
+    ]
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_hessenberg())
+def test_every_prefix_of_the_chain_is_a_leading_minor(matrix):
+    assert_chain_matches_laplace(matrix)
 
 
 def test_rejects_non_square():
@@ -97,4 +132,4 @@ def test_sparse_above_diagonal_matches_laplace_oracle():
         for label, keep in sparse_cases(size):
             for _ in range(2):
                 matrix = zero_above_diagonal(random_hessenberg(rng, size), keep)
-                assert hessenberg_determinant(matrix) == laplace_determinant(matrix), (size, label)
+                assert_chain_matches_laplace(matrix, (size, label))

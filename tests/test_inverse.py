@@ -49,9 +49,10 @@ def forward_data(op, n_max):
 def test_delta_paths_agree_on_classical_data():
     for data in (hermite_data(15), laguerre_data(15)):
         table = deltas_from_eigendata_rec(data, 15)
+        by_det = deltas_from_eigendata_det(data, 15)
         for n in range(16):
             for k in range(n + 1):
-                assert deltas_from_eigendata_det(data, n, k) == table.value(n, k), (n, k)
+                assert by_det.value(n, k) == table.value(n, k), (n, k)
 
 
 def test_delta_paths_agree_on_random_operator():
@@ -59,9 +60,10 @@ def test_delta_paths_agree_on_random_operator():
     op = random_bochner(rng, 3, distinct_to=12)
     data = forward_data(op, 12)
     table = deltas_from_eigendata_rec(data, 12)
+    by_det = deltas_from_eigendata_det(data, 12)
     for n in range(13):
         for k in range(n + 1):
-            assert deltas_from_eigendata_det(data, n, k) == table.value(n, k)
+            assert by_det.value(n, k) == table.value(n, k)
 
 
 def test_rec_table_matches_forward_table():
@@ -79,7 +81,7 @@ def test_first_degree_delta_from_shifted_polynomial():
     table = deltas_from_eigendata_rec(data, 1)
     # delta(1, 1) = lambda_1 b(1, 0)
     assert table.value(1, 1) == GaussianRational(6)
-    assert deltas_from_eigendata_det(data, 1, 1) == GaussianRational(6)
+    assert deltas_from_eigendata_det(data, 1).value(1, 1) == GaussianRational(6)
 
 
 def test_degenerate_data_only():
@@ -91,12 +93,29 @@ def test_degenerate_data_only():
 
 def test_delta_beyond_row_is_zero():
     data = hermite_data(6)
-    assert deltas_from_eigendata_det(data, 3, 7) == ZERO
+    assert deltas_from_eigendata_det(data, 6).value(3, 7) == ZERO
+
+
+def test_det_table_window():
+    data = hermite_data(6)
+    assert deltas_from_eigendata_det(data, 0) == deltas_from_eigendata_rec(data, 0)
+    with pytest.raises(InsufficientData):
+        deltas_from_eigendata_det(data, 7)
+    with pytest.raises(DomainError):
+        deltas_from_eigendata_det(data, -1)
+
+
+def test_delta_paths_agree_on_data_of_no_operator():
+    # both routes define the table of any eigen-data, operator or not
+    polys = list(monic_hermite(9))
+    polys[5] = polys[5] + Poly([1])
+    data = EigenSystem([GaussianRational(-2 * n) for n in range(10)], polys)
+    assert deltas_from_eigendata_det(data, 9) == deltas_from_eigendata_rec(data, 9)
 
 
 def test_hermite_det_entry():
     data = hermite_data(8)
-    assert deltas_from_eigendata_det(data, 4, 2) == GaussianRational(12)
+    assert deltas_from_eigendata_det(data, 4).value(4, 2) == GaussianRational(12)
 
 
 def test_operator_coeffs_from_deltas():

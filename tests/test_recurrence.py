@@ -17,7 +17,7 @@ from bochner import (
 )
 from bochner.recurrence import relation_residual
 from bochner.scalars import ONE, ZERO
-from bochner.shapiro import ShapiroOperator, shapiro_alpha, shapiro_poly
+from bochner.shapiro import ShapiroOperator, shapiro_alpha, shapiro_delta1_column, shapiro_poly
 from conftest import monic_hermite, random_bochner
 
 
@@ -84,14 +84,15 @@ def test_shapiro_fit_matches_closed_form():
     c = [GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for _ in range(3)]
     c[-1] = GaussianRational(Fraction(1, 2))
     op = ShapiroOperator(c)
-    polys = [shapiro_poly(op, m) for m in range(16)]
+    delta1 = shapiro_delta1_column(op, 16)
+    polys = [shapiro_poly(delta1, m) for m in range(16)]
     lambdas = [GaussianRational(m) for m in range(16)]
     coeffs = fit_recurrence(EigenSystem(lambdas, polys))
     for n in range(coeffs.n_max + 1):
         for s in range(n + 1):
             fitted = coeffs.alpha(n, n - s)
             if s <= op.order - 1:
-                assert fitted == shapiro_alpha(op, n, s), (n, s)
+                assert fitted == shapiro_alpha(op, delta1, n, s), (n, s)
             else:
                 assert fitted == ZERO, (n, s)
 
@@ -104,7 +105,7 @@ def test_bandwidth_hermite_three_term():
 def test_bandwidth_shapiro_orders():
     for order in (1, 2, 3, 4):
         op = ShapiroOperator([GaussianRational(1)] * order)
-        polys = [shapiro_poly(op, m) for m in range(18)]
+        polys = [shapiro_poly(shapiro_delta1_column(op, 17), m) for m in range(18)]
         lambdas = [GaussianRational(m) for m in range(18)]
         coeffs = fit_recurrence(EigenSystem(lambdas, polys))
         assert bandwidth(coeffs, 10) == order - 1

@@ -26,7 +26,7 @@ from bochner.serialize import (
     poly_from_list,
     poly_to_list,
 )
-from bochner.shapiro import shapiro_poly
+from bochner.shapiro import shapiro_delta1_column, shapiro_poly
 from conftest import int_max_str_digits, random_bochner
 
 
@@ -114,7 +114,7 @@ def test_poly_round_trip_past_int_str_digit_limit():
     # n = 900 coefficients run to about 4500 digits, past Python's default
     # 4300-digit int/str limit; the limit itself must stay as it was
     limit = int_max_str_digits()
-    p = shapiro_poly(ShapiroOperator([1, 1, 1]), 900)
+    p = shapiro_poly(shapiro_delta1_column(ShapiroOperator([1, 1, 1]), 900), 900)
     values = poly_to_list(p)
     assert max(len(v) for v in values) > 4300
     assert poly_from_list(values) == p

@@ -7,6 +7,7 @@ from bochner import (
     BochnerOperator,
     DomainError,
     GaussianRational,
+    InsufficientData,
     InvalidOperator,
     Poly,
     ShapiroOperator,
@@ -14,6 +15,7 @@ from bochner import (
     eigenpoly_recursive,
     shapiro_alpha,
     shapiro_delta1,
+    shapiro_delta1_column,
     to_bochner,
     verify_shapiro_recurrence,
 )
@@ -66,22 +68,41 @@ def test_delta1_matches_operator_table():
                 assert table.value(n, k) == ZERO
 
 
+def test_delta1_column_is_the_closed_form():
+    op = ShapiroOperator([Fraction(2, 3), Fraction(-1, 5), 4])
+    assert shapiro_delta1_column(op, 9) == [shapiro_delta1(op, n) for n in range(10)]
+    with pytest.raises(DomainError):
+        shapiro_delta1_column(op, -1)
+
+
+def test_short_column_is_refused():
+    op = ShapiroOperator([1, 1])
+    delta1 = shapiro_delta1_column(op, 5)
+    with pytest.raises(InsufficientData):
+        shapiro_poly(delta1, 6)
+    with pytest.raises(InsufficientData):
+        shapiro_alpha(op, delta1, 5, 1)  # reads delta1(6)
+    with pytest.raises(InsufficientData):
+        verify_shapiro_recurrence(op, delta1, 5)
+
+
 def test_coeff_examples():
-    assert shapiro_poly(ShapiroOperator([Fraction(3, 7)]), 4).coeff(4) == ONE
-    unit = ShapiroOperator([1])
+    third = shapiro_delta1_column(ShapiroOperator([Fraction(3, 7)]), 4)
+    assert shapiro_poly(third, 4).coeff(4) == ONE
+    unit = shapiro_delta1_column(ShapiroOperator([1]), 3)
     assert shapiro_poly(unit, 3).coeff(1) == GaussianRational(3)  # delta1(3) delta1(2) / 2
-    pure2 = ShapiroOperator([0, 1])
+    pure2 = shapiro_delta1_column(ShapiroOperator([0, 1]), 2)
     assert shapiro_poly(pure2, 2).coeff(1) == GaussianRational(2)
 
 
 def test_unit_coefficient_family_is_binomial():
     # with c = (1,) the eigenpolynomials collapse to (x + 1)^n
-    op = ShapiroOperator([1])
+    delta1 = shapiro_delta1_column(ShapiroOperator([1]), 6)
     for n in range(7):
         power = Poly([1])
         for _ in range(n):
             power = power * Poly([1, 1])
-        assert shapiro_poly(op, n) == power
+        assert shapiro_poly(delta1, n) == power
 
 
 def test_coeff_matches_spectral_recursion():
@@ -89,40 +110,45 @@ def test_coeff_matches_spectral_recursion():
     for order in (1, 2, 3):
         op = ShapiroOperator(random_c_vector(rng, order))
         table = deltas_from_operator(to_bochner(op), 12)
+        delta1 = shapiro_delta1_column(op, 12)
         for n in range(13):
             poly = eigenpoly_recursive(table, n)
-            assert shapiro_poly(op, n) == poly
+            assert shapiro_poly(delta1, n) == poly
             for i in range(n + 1):
-                assert shapiro_poly(op, n).coeff(n - i) == poly.coeff(n - i)
+                assert shapiro_poly(delta1, n).coeff(n - i) == poly.coeff(n - i)
 
 
 def test_alpha_closed_forms():
     c1, c2 = Fraction(2, 3), Fraction(-3, 4)
     op = ShapiroOperator([c1, c2])
+    delta1 = shapiro_delta1_column(op, 12)
     for n in range(12):
-        assert shapiro_alpha(op, n, 0) == GaussianRational(-c1 - 2 * n * c2)
+        assert shapiro_alpha(op, delta1, n, 0) == GaussianRational(-c1 - 2 * n * c2)
     for n in range(1, 12):
         delta_n = n * c1 + n * (n - 1) * c2
-        assert shapiro_alpha(op, n, 1) == GaussianRational(c2 * delta_n)
+        assert shapiro_alpha(op, delta1, n, 1) == GaussianRational(c2 * delta_n)
     single = ShapiroOperator([Fraction(5, 2)])
+    single_delta1 = shapiro_delta1_column(single, 8)
     for n in range(8):
-        assert shapiro_alpha(single, n, 0) == GaussianRational(Fraction(-5, 2))
+        assert shapiro_alpha(single, single_delta1, n, 0) == GaussianRational(Fraction(-5, 2))
 
 
 def test_alpha_band_bounds():
     op = ShapiroOperator([1, 1])
+    delta1 = shapiro_delta1_column(op, 6)
     with pytest.raises(DomainError):
-        shapiro_alpha(op, 5, 2)
+        shapiro_alpha(op, delta1, 5, 2)
     with pytest.raises(DomainError):
-        shapiro_alpha(op, 5, -1)
-    assert shapiro_alpha(op, 0, 1) == ZERO  # below the triangle
+        shapiro_alpha(op, delta1, 5, -1)
+    assert shapiro_alpha(op, delta1, 0, 1) == ZERO  # below the triangle
 
 
 def test_verify_recurrence_small_orders():
-    assert verify_shapiro_recurrence(ShapiroOperator([1]), 10)
+    unit = ShapiroOperator([1])
+    assert verify_shapiro_recurrence(unit, shapiro_delta1_column(unit, 11), 10)
     rng = Random(31)
     op = ShapiroOperator(random_c_vector(rng, 3))
-    result = verify_shapiro_recurrence(op, 20)
+    result = verify_shapiro_recurrence(op, shapiro_delta1_column(op, 21), 20)
     assert result
     assert result.failed_n is None
 
@@ -130,11 +156,12 @@ def test_verify_recurrence_small_orders():
 def test_perturbed_alpha_detected():
     rng = Random(13)
     op = ShapiroOperator(random_c_vector(rng, 3))
-    polys = [shapiro_poly(op, m) for m in range(12)]
+    delta1 = shapiro_delta1_column(op, 11)
+    polys = [shapiro_poly(delta1, m) for m in range(12)]
     n = 8
     row = [ZERO] * (n + 1)
     for s in range(min(op.order - 1, n) + 1):
-        row[n - s] = shapiro_alpha(op, n, s)
+        row[n - s] = shapiro_alpha(op, delta1, n, s)
     assert not relation_residual(polys, row, n)
     row[n - 1] = row[n - 1] + ONE
     residual = relation_residual(polys, row, n)
@@ -150,10 +177,11 @@ def test_complex_coefficients_keep_the_band():
             GaussianRational(2, Fraction(-1, 4)),
         ]
     )
-    assert verify_shapiro_recurrence(op, 15)
+    delta1 = shapiro_delta1_column(op, 16)
+    assert verify_shapiro_recurrence(op, delta1, 15)
     for n in range(10):
         for s in range(min(op.order - 1, n) + 1):
-            assert shapiro_alpha(op, n, s) is not None  # closed form stays defined
+            assert shapiro_alpha(op, delta1, n, s) is not None  # closed form stays defined
     table = deltas_from_operator(to_bochner(op), 12)
     for n in range(13):
         assert shapiro_delta1(op, n) == table.value(n, 1)

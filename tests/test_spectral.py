@@ -80,20 +80,25 @@ def test_eigenpoly_recursive_needs_rows(hermite_table):
 
 
 def test_coeff_det_hermite(hermite_table):
-    assert eigenpoly_coeff_det(hermite_table, 2, 2) == GaussianRational(Fraction(-1, 2))
+    assert eigenpoly_coeff_det(hermite_table, 2).coeff(2, 0) == GaussianRational(Fraction(-1, 2))
 
 
 def test_coeff_det_single_entry(laguerre_table):
-    # 1 x 1 determinant: delta(5, 1) / (lambda_5 - lambda_4) = 25 / (-1)
-    assert eigenpoly_coeff_det(laguerre_table, 5, 1) == GaussianRational(-25)
-    assert eigenpoly_coeff_det(laguerre_table, 3, 1) == GaussianRational(-9)
+    # 1 x 1 leading minor: delta(5, 1) / (lambda_5 - lambda_4) = 25 / (-1)
+    by_det = eigenpoly_coeff_det(laguerre_table, 5)
+    assert by_det.coeff(5, 4) == GaussianRational(-25)
+    assert by_det.coeff(3, 2) == GaussianRational(-9)
 
 
 def test_coeff_det_bounds(hermite_table):
-    with pytest.raises(DomainError):
-        eigenpoly_coeff_det(hermite_table, 3, 0)
-    with pytest.raises(DomainError):
-        eigenpoly_coeff_det(hermite_table, 3, 4)
+    # the chain of minors starts at det(H_0) = 1, the monic top, and stops at
+    # degree n: every polynomial is monic of its degree, nothing lies above
+    by_det = eigenpoly_coeff_det(hermite_table, 3)
+    for n in range(4):
+        assert by_det.polys[n].degree == n and by_det.coeff(n, n) == GaussianRational(1)
+        assert by_det.coeff(n, n + 1) == ZERO
+    with pytest.raises(InsufficientData):
+        eigenpoly_coeff_det(hermite_table, 13)
 
 
 def test_det_matches_recursion_on_random_operators():
@@ -101,11 +106,11 @@ def test_det_matches_recursion_on_random_operators():
     for _ in range(4):
         op = random_bochner(rng, rng.randint(1, 4), distinct_to=12)
         table = deltas_from_operator(op, 12)
+        by_det = eigenpoly_coeff_det(table, 12)
         for n in range(1, 13):
             poly = eigenpoly_recursive(table, n)
             for i in range(1, n + 1):
-                det_value = eigenpoly_coeff_det(table, n, i)
-                assert det_value == poly.coeff(n - i), (n, i)
+                assert by_det.coeff(n, n - i) == poly.coeff(n - i), (n, i)
 
 
 def test_oracle_equivalence_sample():
@@ -178,5 +183,5 @@ def test_band_matches_full_triangle(corpus):
         )
         assert full.order is None and table.order == op.order
         assert eigensystem(table) == eigensystem(full), name
-        for i in range(1, 13):
-            assert eigenpoly_coeff_det(table, 12, i) == eigenpoly_coeff_det(full, 12, i), name
+        by_det = eigenpoly_coeff_det(table, 12).polys[12]
+        assert by_det == eigenpoly_coeff_det(full, 12).polys[12], name
