@@ -149,9 +149,9 @@ def _operator_from_args(args):
     )
 
 
-def _direct_mismatches(op, table, system, shift):
-    """Eigen-equation and determinant mismatches of `system`, in (n, i) order."""
-    by_det = eigenpoly_coeff_det(table, system.n_max)
+def _direct_mismatches(op, system, by_det, shift):
+    """Eigen-equation mismatches of `system` and its determinant mismatches
+    against `by_det`, in (n, i) order."""
     mismatches = []
     for n, poly in enumerate(system.polys):
         if not is_eigenpair(op, poly, system.lambdas[n] + shift):
@@ -180,7 +180,8 @@ def run_direct(args) -> int:
     table = deltas_from_operator(normalized, args.nmax)
     system = eigensystem(table)
     lambdas = [lam + shift for lam in system.lambdas]
-    emitted = eigenpoly_coeff_det(table, args.nmax) if args.det else system
+    by_det = eigenpoly_coeff_det(table, args.nmax) if args.det or args.check else None
+    emitted = by_det if args.det else system
     payload = {
         "lambda": [format_scalar(v) for v in lambdas],
         "P": [poly_to_list(p) for p in emitted.polys],
@@ -192,7 +193,7 @@ def run_direct(args) -> int:
         payload["P_decimal"] = _decimal_rows((p.coeffs for p in emitted.polys), args.decimal)
     status = 0
     if args.check:
-        mismatches = _direct_mismatches(op, table, system, shift)
+        mismatches = _direct_mismatches(op, system, by_det, shift)
         payload["check"] = "ok" if not mismatches else "failed"
         if mismatches:
             payload["mismatches"] = mismatches
@@ -243,14 +244,15 @@ def run_verify(args) -> int:
     op, product_op = _operator_from_args(args)
     normalized, shift = normalize(op)
     nmax = args.nmax
+    order = normalized.order
     table = deltas_from_operator(normalized, nmax)
     system = eigensystem(table)
-    failed = {m["check"] for m in _direct_mismatches(op, table, system, shift)}
+    by_det = eigenpoly_coeff_det(table, nmax)
+    failed = {m["check"] for m in _direct_mismatches(op, system, by_det, shift)}
     checks = {
         "eigen_equation": "eigen-equation" not in failed,
         "determinant_vs_recursion": "determinant" not in failed,
     }
-    order = normalized.order
     checks["delta_extension"] = all(
         delta_extend(table, n, k) == table.value(n, k)
         for n in range(order + 1, nmax + 1)
@@ -259,6 +261,10 @@ def run_verify(args) -> int:
     coeffs = fit_recurrence(system)
     checks["recurrence_reconstruction"] = not _broken_rows(system, coeffs)
     if order == 2:
+        if nmax < 2:
+            raise InsufficientData(
+                f"the order-2 eigenvalue identity needs --nmax at least 2, got {nmax}"
+            )
         checks["order2_eigenvalue_identity"] = all(
             lambda_via_N2_identity(system.lambdas[1], system.lambdas[2], n)
             == system.lambdas[n]

@@ -41,7 +41,7 @@ from .errors import (
 from .hessenberg import hessenberg_determinant
 from .operators import BochnerOperator, DeltaTable, operator_from_deltas
 from .polynomials import is_eigenpair
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, dot
 from .spectral import EigenSystem, delta_extend
 
 
@@ -88,16 +88,13 @@ def deltas_from_eigendata_rec(data: EigenSystem, n_max: int) -> DeltaTable:
     lams = data.lambdas
     rows = []
     for n in range(n_max + 1):
+        b = data.polys[n].coeffs
         row = [lams[n]]
         for k in range(1, n + 1):
-            value = (lams[n] - lams[n - k]) * data.coeff(n, n - k)
-            for j in range(1, k):
-                b = data.coeff(n, n - k + j)
-                if b:
-                    d = rows[n - k + j][j]
-                    if d:
-                        value = value - d * b
-            row.append(value)
+            row.append(
+                (lams[n] - lams[n - k]) * b[n - k]
+                - dot((rows[n - k + j][j], b[n - k + j]) for j in range(1, k))
+            )
         rows.append(row)
     return DeltaTable(rows)
 

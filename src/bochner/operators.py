@@ -12,10 +12,18 @@ and conversely
 
 where a_{i, j} is the x^j coefficient of a_i and a_i = 0 above the order.
 Either direction determines the other exactly.
+
+The inverse sum is the n-th forward difference at row 0 of column k, read
+as a function of the row (zero above the diagonal).  For an operator of
+order N every column is a polynomial of degree <= N in n, so its difference
+table vanishes from level N + 1 on.  `operator_from_deltas` builds each
+column's table over rows 0..K level by level and stops at the first
+all-zero level: inverting at order K costs O(K N^2) subtractions plus
+O(K^2) table reads and zero tests, where the binomial sums cost O(K^3)
+weighted products, most of them for coefficients that come out zero.  On
+data of no finite order no level vanishes and all K + 1 levels are built.
 """
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import DomainError, InsufficientData, InvalidOperator
 from .polynomials import Poly
@@ -167,26 +175,12 @@ def deltas_from_operator(op: BochnerOperator, n_max: int) -> DeltaTable:
     return DeltaTable(rows, order=order)
 
 
-def coefficient_from_deltas(table: DeltaTable, n: int, k: int) -> GaussianRational:
-    """The x^(n-k) coefficient of a_n recovered from delta rows k..n."""
-    if n < 0 or not 0 <= k <= n:
-        raise DomainError(f"coefficient position ({n}, {k}) outside the triangle")
-    if table.n_max < n:
-        raise InsufficientData(
-            f"need delta rows up to {n}, table holds {table.n_max}"
-        )
-    total = ZERO
-    for i in range(k, n + 1):
-        sign = 1 if (n - i) % 2 == 0 else -1
-        weight = sign * comb(n, i)
-        if weight:
-            total = total + weight * table.value(i, k)
-    return total * Fraction(1, factorial(n))
-
-
 def operator_from_deltas(table: DeltaTable, order: int) -> BochnerOperator:
     """Invert the delta table into the operator of the given order.
 
+    n! a_{n, n-k} is the n-th forward difference at row 0 of column k.  Each
+    column's difference table over rows 0..order is built level by level and
+    stops at the first all-zero level, past which every level vanishes.
     Trailing identically-zero coefficient polynomials are trimmed, so a table
     produced by an operator of lower true order still inverts cleanly.
     """
@@ -196,9 +190,23 @@ def operator_from_deltas(table: DeltaTable, order: int) -> BochnerOperator:
         raise InsufficientData(
             f"need delta rows up to {order}, table holds {table.n_max}"
         )
+    # heads[k][n] is the n-th difference of column k at row 0, for every n
+    # below the column's first all-zero level
+    heads = []
+    for k in range(order + 1):
+        level = [table.value(i, k) for i in range(order + 1)]
+        column = []
+        while any(level):
+            column.append(level[0])
+            level = [b - a for a, b in zip(level, level[1:])]
+        heads.append(column)
     polys = []
     for n in range(order + 1):
-        polys.append(Poly([coefficient_from_deltas(table, n, n - j) for j in range(n + 1)]))
+        coeffs = []
+        for j in range(n + 1):
+            column = heads[n - j]
+            coeffs.append(column[n] / factorial(n) if n < len(column) else ZERO)
+        polys.append(Poly(coeffs))
     while len(polys) > 2 and not polys[-1]:
         polys.pop()
     return BochnerOperator(polys)

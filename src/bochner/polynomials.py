@@ -10,7 +10,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .scalars import GaussianRational, ONE, ZERO, scalar
+from .scalars import GaussianRational, ONE, ZERO, dot, scalar
 
 if TYPE_CHECKING:  # pragma: no cover
     from .operators import BochnerOperator
@@ -98,17 +98,19 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
+            short, long = self.coeffs, other.coeffs
+            if len(short) > len(long):
+                short, long = long, short
+            if not short:
                 return Poly._raw(())
-            out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            while out and not out[-1]:
-                out.pop()
-            return Poly._raw(tuple(out))
+            # one dot per output coefficient over the nonzero entries of the
+            # shorter factor; the leading product is nonzero, so no trim
+            terms = [(i, a) for i, a in enumerate(short) if a]
+            top = len(long) - 1
+            return Poly._raw(tuple(
+                dot((a, long[m - i]) for i, a in terms if 0 <= m - i <= top)
+                for m in range(len(short) + top)
+            ))
         factor = scalar(other)
         if not factor:
             return Poly._raw(())

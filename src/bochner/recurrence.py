@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import DomainError, InsufficientData
 from .polynomials import Poly
-from .scalars import GaussianRational, ZERO
+from .scalars import GaussianRational, ZERO, dot
 from .spectral import EigenSystem
 
 
@@ -64,18 +64,16 @@ def fit_recurrence(system: EigenSystem) -> RecurrenceCoeffs:
     """
     if system.n_max < 1:
         raise InsufficientData("need polynomials at least up to degree 1")
+    coeffs = [p.coeffs for p in system.polys]
     rows = []
     for n in range(system.n_max):
         row = [ZERO] * (n + 1)
         for j in range(n + 1):
-            value = system.coeff(n, n - j - 1) - system.coeff(n + 1, n - j)
-            for s in range(j):
-                prior = row[n - s]
-                if prior:
-                    b = system.coeff(n - s, n - j)
-                    if b:
-                        value = value - prior * b
-            row[n - j] = value
+            row[n - j] = (
+                system.coeff(n, n - j - 1)
+                - system.coeff(n + 1, n - j)
+                - dot((row[n - s], coeffs[n - s][n - j]) for s in range(j))
+            )
         rows.append(row)
     return RecurrenceCoeffs(rows)
 

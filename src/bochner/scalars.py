@@ -12,6 +12,13 @@ arithmetic result is reduced once, by one gcd of its three integers.  Two
 complex multiply would run four `Fraction` multiplies and two adds, each
 with its own gcds.  The parts are reduced on their own only where a reader
 needs them: `format_scalar` and the `re` / `im` properties.
+
+`dot` fuses a sum of products, the inner loop of the eigenpolynomial and
+delta recursions, the recurrence fit and the polynomial product, into one
+reduction per sum: each product stays unreduced over its own denominator
+and is added to running sums over a running common denominator, at most
+one gcd per term, and the total is reduced once.  A chain of `+` and `*`
+would reduce every product and every partial sum.
 """
 from __future__ import annotations
 
@@ -228,6 +235,65 @@ def _sum(p1, q1, d1, p2, q2, d2):
     if g == 1:
         return _exact(p, q, s * d2)
     return _exact(p // g, q // g, s * (d2 // g))
+
+
+def dot(pairs) -> GaussianRational:
+    """The sum of a * b over `pairs` of scalars, ints or Fractions, reduced
+    once.
+
+    Each product is kept unreduced, (p + q*i)/(d1 d2), and added to running
+    sums (P, Q) over a running common denominator D: at most one gcd of D
+    with the product's denominator per term, and one `_reduced` of (P, Q, D)
+    at the end, where a chain of `+` would reduce after every term.  Terms
+    with a zero factor are skipped.
+    """
+    p = q = 0
+    d = 1
+    for a, b in pairs:
+        if a.__class__ is not GaussianRational:
+            a = _operand(a)
+        if b.__class__ is not GaussianRational:
+            b = _operand(b)
+        p1, q1, p2, q2 = a._p, a._q, b._p, b._q
+        if q1:
+            if q2:
+                tp, tq = p1 * p2 - q1 * q2, p1 * q2 + q1 * p2
+            elif p2:
+                tp, tq = p1 * p2, q1 * p2
+            else:
+                continue
+        elif not p1:
+            continue
+        elif q2:
+            tp, tq = p1 * p2, p1 * q2
+        elif p2:
+            tp, tq = p1 * p2, 0
+        else:
+            continue
+        e = a._d * b._d
+        if e == d:
+            p += tp
+            q += tq
+        elif d == 1:
+            p, q, d = p * e + tp, q * e + tq, e
+        else:
+            g = _gcd(d, e)
+            if g > 1:
+                e //= g
+                p, q = p * e + tp * (d // g), q * e + tq * (d // g)
+            else:
+                p, q = p * e + tp * d, q * e + tq * d
+            d *= e
+    if not (p or q):
+        return ZERO
+    return _reduced(p, q, d)
+
+
+def _operand(value):
+    o = _coerce(value)
+    if o is None:
+        raise TypeError(f"cannot multiply {type(value).__name__} exactly")
+    return o
 
 
 def _coerce(value):

@@ -22,7 +22,8 @@ costs O(n N) scalar steps per eigenpolynomial, and the determinant matrix
 gets its zeros past the band without a table lookup, so the Hessenberg
 expansion's work is bounded by the band too.  An untagged table is read as
 a full triangle.  `eigensystem` and `eigenpoly_coeff_det` each validate the
-spectrum once for all degrees.
+spectrum once for all degrees, before any division, and build their
+`EigenSystem` without validating it again.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from .errors import (
 from .hessenberg import hessenberg_determinant
 from .operators import DeltaTable
 from .polynomials import Poly
-from .scalars import GaussianRational, ONE, ZERO, comb, scalar
+from .scalars import GaussianRational, ONE, ZERO, comb, dot, scalar
 
 
 def check_spectrum(lambdas: Sequence[GaussianRational]) -> None:
@@ -77,6 +78,14 @@ class EigenSystem:
                 raise InvalidEigenSystem(f"polynomial {n} is not monic")
         check_spectrum(lams)
         self.lambdas, self.polys = lams, ps
+
+    @classmethod
+    def _raw(cls, lambdas, polys):
+        # internal: tuples of a spectrum already checked by `check_spectrum`
+        # and of monic P_n of degree n
+        system = object.__new__(cls)
+        system.lambdas, system.polys = lambdas, polys
+        return system
 
     @property
     def n_max(self) -> int:
@@ -131,15 +140,9 @@ def _descend(table: DeltaTable, lams: Sequence[GaussianRational], n: int) -> Pol
     b = [ZERO] * (n + 1)
     b[n] = ONE
     for i in range(1, n + 1):
-        total = ZERO
-        for k in range(1, min(i, width) + 1):
-            factor = b[n - i + k]
-            if factor:
-                d = rows[n - i + k][k]
-                if d:
-                    total = total + d * factor
+        total = dot((rows[n - i + k][k], b[n - i + k]) for k in range(1, min(i, width) + 1))
         b[n - i] = total / (lams[n] - lams[n - i])
-    return Poly(b)
+    return Poly._raw(tuple(b))
 
 
 def eigenpoly_coeff_det(table: DeltaTable, n_max: int) -> EigenSystem:
@@ -156,7 +159,7 @@ def eigenpoly_coeff_det(table: DeltaTable, n_max: int) -> EigenSystem:
     for n in range(n_max + 1):
         chain = hessenberg_determinant(_coeff_matrix(table, lams, n))
         polys.append(Poly(chain[::-1]))
-    return EigenSystem(lams, polys)
+    return EigenSystem._raw(tuple(lams), tuple(polys))
 
 
 def _coeff_matrix(table: DeltaTable, lams: Sequence[GaussianRational], n: int):
@@ -225,5 +228,5 @@ def eigensystem(table: DeltaTable, n_max: int | None = None) -> EigenSystem:
     """Eigenvalues and eigenpolynomials up to degree n_max (table depth by default)."""
     top = table.n_max if n_max is None else n_max
     lams = _lambda_prefix(table, top)
-    polys = [_descend(table, lams, m) for m in range(top + 1)]
-    return EigenSystem(lams, polys)
+    polys = tuple(_descend(table, lams, m) for m in range(top + 1))
+    return EigenSystem._raw(tuple(lams), polys)

@@ -129,6 +129,15 @@ def search_order_by_order(data):
     return None, None, failure
 
 
+def coefficient_by_binomial_sum(table, n, k):
+    """Reference inversion: the x^(n-k) coefficient of a_n as the binomial
+    sum (1/n!) sum_{i=k}^{n} (-1)^(n-i) C(n, i) delta(i, k)."""
+    total = GaussianRational(0)
+    for i in range(k, n + 1):
+        total = total + (-1) ** (n - i) * comb(n, i) * table.value(i, k)
+    return total / factorial(n)
+
+
 def int_max_str_digits():
     """Python's process-wide int/str digit limit, or None on releases before
     3.10.7, which have no limit."""

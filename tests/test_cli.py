@@ -9,6 +9,7 @@ import pytest
 
 import bochner.cli
 import bochner.inverse
+import bochner.spectral
 from bochner import (
     DeltaTable,
     EigenSystem,
@@ -74,6 +75,51 @@ def test_direct_degenerate_spectrum_exits_3(tmp_path, capsys):
     code, out, err = run_cli(capsys, "direct", "--operator", path)
     assert code == 3
     assert "degenerate" in err.lower()
+
+
+ROUTES = [(), ("--det",), ("--check",), ("--det", "--check")]
+
+
+@pytest.mark.parametrize("flags", ROUTES, ids=["plain", "det", "check", "det-check"])
+def test_direct_degenerate_spectrum_exits_3_on_every_route(tmp_path, capsys, flags):
+    path = write_json(tmp_path / "deg.json", {"N": 2, "a": [[], [], ["0", "0", "1"]]})
+    code, out, err = run_cli(capsys, "direct", "--operator", path, *flags)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("degenerate spectrum:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", ROUTES, ids=["plain", "det", "check", "det-check"])
+def test_direct_checks_the_spectrum_once_per_route(capsys, monkeypatch, flags):
+    calls = []
+    real = bochner.spectral.check_spectrum
+
+    def counted(lambdas):
+        calls.append(len(lambdas))
+        return real(lambdas)
+
+    monkeypatch.setattr(bochner.spectral, "check_spectrum", counted)
+    code, _, _ = run_cli(capsys, "direct", "--preset", "hermite", "--nmax", "8", *flags)
+    assert code == 0
+    # the recursion, plus the determinant route when --det or --check runs it
+    assert calls == [9] * (2 if flags else 1)
+
+
+def test_direct_det_check_builds_the_determinant_system_once(capsys, monkeypatch):
+    calls = []
+    real = bochner.cli.eigenpoly_coeff_det
+
+    def counted(table, n_max):
+        calls.append(n_max)
+        return real(table, n_max)
+
+    monkeypatch.setattr(bochner.cli, "eigenpoly_coeff_det", counted)
+    code, payload, _ = run_json(
+        capsys, "direct", "--preset", "hermite", "--nmax", "8", "--det", "--check"
+    )
+    assert code == 0
+    assert payload["check"] == "ok"
+    assert calls == [8]
 
 
 def test_direct_shift_folded_into_lambdas(tmp_path, capsys):
@@ -167,6 +213,16 @@ def test_verify_shapiro_source(capsys):
     assert code == 0
     assert payload["checks"]["product_form_recurrence"] == "ok"
     assert payload["checks"]["product_form_alpha_match"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "source", [("--preset", "hermite"), ("--shapiro=2/3,-1/5",)], ids=["hermite", "shapiro"]
+)
+def test_verify_order_2_below_nmax_2_exits_2(capsys, source):
+    code, out, err = run_cli(capsys, "verify", *source, "--nmax", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the order-2 eigenvalue identity needs --nmax at least 2, got 1\n"
 
 
 def bump_det_coefficient(monkeypatch, n, i):

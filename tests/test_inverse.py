@@ -24,7 +24,7 @@ from bochner import (
     reconstruct,
 )
 from bochner.inverse import first_order_violation
-from bochner.operators import coefficient_from_deltas
+from bochner.operators import operator_from_deltas
 from bochner.scalars import ZERO
 from conftest import monic_hermite, monic_laguerre, random_bochner, search_order_by_order
 
@@ -119,12 +119,13 @@ def test_hermite_det_entry():
 
 
 def test_operator_coeffs_from_deltas():
-    hermite_table = deltas_from_eigendata_rec(hermite_data(8), 8)
-    assert coefficient_from_deltas(hermite_table, 2, 2) == GaussianRational(1)
+    hermite = operator_from_deltas(deltas_from_eigendata_rec(hermite_data(8), 8), 7)
+    assert hermite.coefficient(2, 2 - 2) == GaussianRational(1)
     for k in range(4):
-        assert coefficient_from_deltas(hermite_table, 3, k) == ZERO
+        assert hermite.coefficient(3, 3 - k) == ZERO
     laguerre_table = deltas_from_eigendata_rec(laguerre_data(8, Fraction(1, 3)), 8)
-    assert coefficient_from_deltas(laguerre_table, 1, 0) == GaussianRational(-1)
+    laguerre = operator_from_deltas(laguerre_table, 7)
+    assert laguerre.coefficient(1, 1 - 0) == GaussianRational(-1)
 
 
 def test_finite_order_test_hermite():

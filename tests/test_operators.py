@@ -20,7 +20,7 @@ from bochner import (
     operator_from_deltas,
 )
 from bochner.scalars import ZERO, comb, factorial
-from conftest import random_bochner
+from conftest import coefficient_by_binomial_sum, random_bochner, random_gaussian
 
 
 def test_constructor_rejects_degree_violation():
@@ -176,6 +176,65 @@ def test_operator_from_deltas_trims_padding():
         order=4,
     )
     assert operator_from_deltas(padded, 4) == hermite_operator()
+
+
+def full_triangle(table):
+    """The table's entries as an untagged triangle with explicit zeros, the
+    shape the inverse problem builds from eigen-data."""
+    return DeltaTable(
+        [[table.value(n, k) for k in range(n + 1)] for n in range(table.n_max + 1)]
+    )
+
+
+def inverted_by_binomial_sums(table, order):
+    """operator_from_deltas(table, order), checked coefficient by coefficient
+    against the binomial-sum reference."""
+    op = operator_from_deltas(table, order)
+    for n in range(order + 1):
+        for k in range(n + 1):
+            expected = coefficient_by_binomial_sum(table, n, k)
+            assert op.coefficient(n, n - k) == expected, (order, n, k)
+    return op
+
+
+def test_inversion_matches_binomial_sums_at_every_order(corpus):
+    n_max = 9
+    for name, op in corpus:
+        table = full_triangle(deltas_from_operator(op, n_max))
+        for order in range(op.order, n_max):
+            assert inverted_by_binomial_sums(table, order) == op, (name, order)
+
+
+def test_inversion_matches_binomial_sums_on_data_of_no_finite_order():
+    rng = Random(4242)
+    for _ in range(4):
+        rows = [
+            [random_gaussian(rng) or GaussianRational(1) for _ in range(n + 1)]
+            for n in range(9)
+        ]
+        table = DeltaTable(rows)
+        for order in range(1, 9):
+            op = inverted_by_binomial_sums(table, order)
+            # every level of column 0 is needed: its last one gives a_{order, order}
+            assert op.order == order and op.coefficient(order, order)
+
+
+def test_inversion_stops_at_the_first_all_zero_level(monkeypatch):
+    order, table = 20, full_triangle(deltas_from_operator(hermite_operator(), 21))
+    ops = []
+    for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"):
+        real = getattr(GaussianRational, f"__{name}__")
+
+        def counted(self, other, real=real):
+            ops.append(1)
+            return real(self, other)
+
+        monkeypatch.setattr(GaussianRational, f"__{name}__", counted)
+    assert operator_from_deltas(table, order) == hermite_operator()
+    # each of the N + 1 = 3 columns that can be nonzero builds at most levels
+    # 1..N + 1 of at most `order` entries and divides at most N + 1 heads by
+    # n!; full difference tables alone would take 21 * 210 = 4410 subtractions
+    assert len(ops) <= 3 * 3 * (order + 1)
 
 
 def test_jacobi_preset_eigenvalues():

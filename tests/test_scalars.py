@@ -12,7 +12,7 @@ from bochner import (
     parse_scalar,
     scalar,
 )
-from bochner.scalars import ONE, ZERO, comb, factorial
+from bochner.scalars import ONE, ZERO, comb, dot, factorial
 
 
 def test_binom_basic():
@@ -277,3 +277,56 @@ def test_equal_values_compare_and_hash_equal(re, im, k, w):
     n = re.numerator
     assert GaussianRational(n) == n and n == GaussianRational(n)
     assert (GaussianRational(n, im) == n) is real and (n == GaussianRational(n, im)) is real
+
+
+# Factors over one family of denominators: all equal, pairwise coprime, or
+# sharing a common factor, each drawn as a real, purely imaginary or complex
+# scalar, an int or a Fraction.
+DENOMINATORS = {
+    "equal": [12] * 6,
+    "coprime": [1, 2, 3, 5, 7, 11],
+    "shared": [6, 10, 15, 12, 18, 2**40 * 3],
+}
+
+
+@st.composite
+def factor_lists(draw):
+    dens = DENOMINATORS[draw(st.sampled_from(sorted(DENOMINATORS)))]
+    numerators = st.integers(-(2**70), 2**70)
+
+    def factor():
+        p, q = draw(numerators), draw(numerators)
+        den = draw(st.sampled_from(dens))
+        shape = draw(st.sampled_from(["real", "imaginary", "complex", "int", "fraction"]))
+        if shape == "int":
+            return p
+        if shape == "fraction":
+            return Fraction(p, den)
+        if shape == "real":
+            return GaussianRational(Fraction(p, den))
+        if shape == "imaginary":
+            return GaussianRational(0, Fraction(q, den))
+        return GaussianRational(Fraction(p, den), Fraction(q, draw(st.sampled_from(dens))))
+
+    size = draw(st.integers(0, 6))
+    return [(factor(), factor()) for _ in range(size)]
+
+
+@given(factor_lists())
+def test_dot_matches_the_naive_sum(pairs):
+    naive = sum((a * b for a, b in pairs), ZERO)
+    re, im = parts(naive)
+    assert_parts(dot(pairs), re, im)
+    assert_parts(dot(iter(pairs)), re, im)
+    # a zero factor on either side adds nothing
+    assert_parts(dot(pairs + [(ZERO, ONE), (2, 0), (Fraction(0), GaussianRational(0, 1))]), re, im)
+
+
+def test_dot_of_nothing_is_zero():
+    assert_parts(dot([]), Fraction(0), Fraction(0))
+    assert dot(()) == 0 and hash(dot(())) == hash(ZERO)
+
+
+def test_dot_rejects_inexact_factors():
+    with pytest.raises(TypeError):
+        dot([(ONE, 0.5)])
