@@ -178,10 +178,12 @@ def run_direct(args) -> int:
     op, _ = _operator_from_args(args)
     normalized, shift = normalize(op)
     table = deltas_from_operator(normalized, args.nmax)
-    system = eigensystem(table)
-    lambdas = [lam + shift for lam in system.lambdas]
+    # --det alone emits the determinant route only; the recursion runs for
+    # plain output and for the --check comparison
+    system = eigensystem(table) if args.check or not args.det else None
     by_det = eigenpoly_coeff_det(table, args.nmax) if args.det or args.check else None
     emitted = by_det if args.det else system
+    lambdas = [lam + shift for lam in emitted.lambdas]
     payload = {
         "lambda": [format_scalar(v) for v in lambdas],
         "P": [poly_to_list(p) for p in emitted.polys],

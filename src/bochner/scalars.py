@@ -13,12 +13,18 @@ complex multiply would run four `Fraction` multiplies and two adds, each
 with its own gcds.  The parts are reduced on their own only where a reader
 needs them: `format_scalar` and the `re` / `im` properties.
 
-`dot` fuses a sum of products, the inner loop of the eigenpolynomial and
-delta recursions, the recurrence fit and the polynomial product, into one
-reduction per sum: each product stays unreduced over its own denominator
-and is added to running sums over a running common denominator, at most
-one gcd per term, and the total is reduced once.  A chain of `+` and `*`
-would reduce every product and every partial sum.
+`dot` fuses a sum of products, the inner loop of the delta recursion, the
+recurrence fit and the polynomial product, into one reduction per sum: each
+product stays unreduced over its own denominator and is added to running
+sums over a running common denominator, at most one gcd per term, and the
+total is reduced once.  A chain of `+` and `*` would reduce every product
+and every partial sum.
+
+`dot_over` is the eigenpolynomial recursion's step, a sum of products over
+a difference of eigenvalues, with one reduction per coefficient.  The
+divisor is not reduced first: its gcd would be one more reduction, and the
+final one cancels whatever it shares with the sum anyway.  `dot` followed
+by `-` and `/` would reduce the sum, the difference and the quotient.
 """
 from __future__ import annotations
 
@@ -237,15 +243,13 @@ def _sum(p1, q1, d1, p2, q2, d2):
     return _exact(p // g, q // g, s * (d2 // g))
 
 
-def dot(pairs) -> GaussianRational:
-    """The sum of a * b over `pairs` of scalars, ints or Fractions, reduced
-    once.
+def _accumulate(pairs):
+    """(P, Q, D) with (P + Q*i)/D the sum of a * b over `pairs`, unreduced.
 
     Each product is kept unreduced, (p + q*i)/(d1 d2), and added to running
-    sums (P, Q) over a running common denominator D: at most one gcd of D
-    with the product's denominator per term, and one `_reduced` of (P, Q, D)
-    at the end, where a chain of `+` would reduce after every term.  Terms
-    with a zero factor are skipped.
+    sums (P, Q) over a running common denominator D, with at most one gcd of
+    D with the product's denominator per term.  Terms with a zero factor are
+    skipped, so a sum of zero terms is (0, 0, 1).
     """
     p = q = 0
     d = 1
@@ -284,15 +288,54 @@ def dot(pairs) -> GaussianRational:
             else:
                 p, q = p * e + tp * d, q * e + tq * d
             d *= e
+    return p, q, d
+
+
+def dot(pairs) -> GaussianRational:
+    """The sum of a * b over `pairs` of scalars, ints or Fractions, reduced
+    once, where a chain of `+` would reduce after every term."""
+    return _reduced(*_accumulate(pairs))
+
+
+def dot_over(pairs, top, low) -> GaussianRational:
+    """dot(pairs) / (top - low), reduced once.
+
+    The divisor is never reduced on its own: from the triples of `top` and
+    `low` it is (u_p + u_q*i)/(d_top d_low), and the unreduced sum (P, Q, D)
+    times its inverse goes through one `_reduced`.  A real divisor moves its
+    sign to the numerator; a non-real one is multiplied by its conjugate.
+    A sum of zero terms returns ZERO with no division.
+    """
+    if top.__class__ is not GaussianRational:
+        top = _operand(top)
+    if low.__class__ is not GaussianRational:
+        low = _operand(low)
+    p, q, d = _accumulate(pairs)
+    d_top, d_low = top._d, low._d
+    u_p = top._p * d_low - low._p * d_top
+    u_q = top._q * d_low - low._q * d_top
+    if not (u_p or u_q):
+        raise ZeroDivisionError("division by zero scalar")
     if not (p or q):
         return ZERO
-    return _reduced(p, q, d)
+    e = d_top * d_low
+    if not u_q:
+        if u_p < 0:
+            u_p, e = -u_p, -e
+        # (P + Q i) e / (D u_p)
+        return _reduced(p * e, q * e, d * u_p)
+    # (P + Q i) (u_p - u_q i) e / (D (u_p^2 + u_q^2))
+    return _reduced(
+        (p * u_p + q * u_q) * e,
+        (q * u_p - p * u_q) * e,
+        d * (u_p * u_p + u_q * u_q),
+    )
 
 
 def _operand(value):
     o = _coerce(value)
     if o is None:
-        raise TypeError(f"cannot multiply {type(value).__name__} exactly")
+        raise TypeError(f"cannot compute exactly with {type(value).__name__}")
     return o
 
 

@@ -6,7 +6,10 @@ The default is the linear recursion
 
     b(n, n-i) = sum_{k} delta(n-i+k, k) b(n, n-i+k) / (lambda_n - lambda_{n-i})
 
-descending from the monic top coefficient; the second expresses each
+descending from the monic top coefficient.  Each coefficient is reduced
+once, as a quotient (`scalars.dot_over`): the sum and the difference of
+eigenvalues are left unreduced, since the quotient's one gcd cancels
+whatever a gcd of either would.  The second expresses each
 b(n, n-i) as an i x i upper Hessenberg determinant and exists to cross-check
 the first.  The i x i matrix of b(n, n-i) is the leading submatrix of the
 n x n matrix of b(n, 0), so the determinant route builds one matrix per
@@ -39,7 +42,7 @@ from .errors import (
 from .hessenberg import hessenberg_determinant
 from .operators import DeltaTable
 from .polynomials import Poly
-from .scalars import GaussianRational, ONE, ZERO, comb, dot, scalar
+from .scalars import GaussianRational, ONE, ZERO, comb, dot_over, scalar
 
 
 def check_spectrum(lambdas: Sequence[GaussianRational]) -> None:
@@ -139,9 +142,10 @@ def _descend(table: DeltaTable, lams: Sequence[GaussianRational], n: int) -> Pol
     width = _band(table, n)
     b = [ZERO] * (n + 1)
     b[n] = ONE
+    top = lams[n]
     for i in range(1, n + 1):
-        total = dot((rows[n - i + k][k], b[n - i + k]) for k in range(1, min(i, width) + 1))
-        b[n - i] = total / (lams[n] - lams[n - i])
+        pairs = ((rows[n - i + k][k], b[n - i + k]) for k in range(1, min(i, width) + 1))
+        b[n - i] = dot_over(pairs, top, lams[n - i])
     return Poly._raw(tuple(b))
 
 

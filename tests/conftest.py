@@ -14,6 +14,7 @@ import pytest
 
 from bochner import (
     BochnerOperator,
+    EigenSystem,
     GaussianRational,
     NoFiniteOrderOperator,
     Poly,
@@ -136,6 +137,23 @@ def coefficient_by_binomial_sum(table, n, k):
     for i in range(k, n + 1):
         total = total + (-1) ** (n - i) * comb(n, i) * table.value(i, k)
     return total / factorial(n)
+
+
+def eigensystem_by_plain_arithmetic(table, n_max):
+    """Reference recursion: each b(n, n-i) as a chain of plain +, * and /
+    over the whole triangle of `table.value`, reduced after every step."""
+    lams = [table.value(m, 0) for m in range(n_max + 1)]
+    polys = []
+    for n in range(n_max + 1):
+        b = [GaussianRational(0)] * (n + 1)
+        b[n] = GaussianRational(1)
+        for i in range(1, n + 1):
+            total = GaussianRational(0)
+            for k in range(1, i + 1):
+                total = total + table.value(n - i + k, k) * b[n - i + k]
+            b[n - i] = total / (lams[n] - lams[n - i])
+        polys.append(Poly(b))
+    return EigenSystem(lams, polys)
 
 
 def int_max_str_digits():

@@ -101,8 +101,23 @@ def test_direct_checks_the_spectrum_once_per_route(capsys, monkeypatch, flags):
     monkeypatch.setattr(bochner.spectral, "check_spectrum", counted)
     code, _, _ = run_cli(capsys, "direct", "--preset", "hermite", "--nmax", "8", *flags)
     assert code == 0
-    # the recursion, plus the determinant route when --det or --check runs it
-    assert calls == [9] * (2 if flags else 1)
+    # one route, or both when --check compares them
+    assert calls == [9] * (2 if "--check" in flags else 1)
+
+
+@pytest.mark.parametrize("flags,descents", [(("--det",), 0), ((), 9)], ids=["det", "plain"])
+def test_direct_det_runs_no_recursion(capsys, monkeypatch, flags, descents):
+    calls = []
+    real = bochner.spectral._descend
+
+    def counted(table, lams, n):
+        calls.append(n)
+        return real(table, lams, n)
+
+    monkeypatch.setattr(bochner.spectral, "_descend", counted)
+    code, _, _ = run_cli(capsys, "direct", "--preset", "hermite", "--nmax", "8", *flags)
+    assert code == 0
+    assert len(calls) == descents
 
 
 def test_direct_det_check_builds_the_determinant_system_once(capsys, monkeypatch):

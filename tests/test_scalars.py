@@ -12,7 +12,7 @@ from bochner import (
     parse_scalar,
     scalar,
 )
-from bochner.scalars import ONE, ZERO, comb, dot, factorial
+from bochner.scalars import I, ONE, ZERO, comb, dot, dot_over, factorial
 
 
 def test_binom_basic():
@@ -289,27 +289,37 @@ DENOMINATORS = {
 }
 
 
+def draw_factor(draw, dens):
+    numerators = st.integers(-(2**70), 2**70)
+    p, q = draw(numerators), draw(numerators)
+    den = draw(st.sampled_from(dens))
+    shape = draw(st.sampled_from(["real", "imaginary", "complex", "int", "fraction"]))
+    if shape == "int":
+        return p
+    if shape == "fraction":
+        return Fraction(p, den)
+    if shape == "real":
+        return GaussianRational(Fraction(p, den))
+    if shape == "imaginary":
+        return GaussianRational(0, Fraction(q, den))
+    return GaussianRational(Fraction(p, den), Fraction(q, draw(st.sampled_from(dens))))
+
+
 @st.composite
 def factor_lists(draw):
     dens = DENOMINATORS[draw(st.sampled_from(sorted(DENOMINATORS)))]
-    numerators = st.integers(-(2**70), 2**70)
-
-    def factor():
-        p, q = draw(numerators), draw(numerators)
-        den = draw(st.sampled_from(dens))
-        shape = draw(st.sampled_from(["real", "imaginary", "complex", "int", "fraction"]))
-        if shape == "int":
-            return p
-        if shape == "fraction":
-            return Fraction(p, den)
-        if shape == "real":
-            return GaussianRational(Fraction(p, den))
-        if shape == "imaginary":
-            return GaussianRational(0, Fraction(q, den))
-        return GaussianRational(Fraction(p, den), Fraction(q, draw(st.sampled_from(dens))))
-
     size = draw(st.integers(0, 6))
-    return [(factor(), factor()) for _ in range(size)]
+    return [(draw_factor(draw, dens), draw_factor(draw, dens)) for _ in range(size)]
+
+
+@st.composite
+def quotient_cases(draw):
+    """Pairs with the two scalars of a divisor top - low, all over one
+    family of denominators."""
+    dens = DENOMINATORS[draw(st.sampled_from(sorted(DENOMINATORS)))]
+    size = draw(st.integers(0, 4))
+    pairs = [(draw_factor(draw, dens), draw_factor(draw, dens)) for _ in range(size)]
+    return pairs, draw_factor(draw, dens), draw_factor(draw, dens)
 
 
 @given(factor_lists())
@@ -330,3 +340,59 @@ def test_dot_of_nothing_is_zero():
 def test_dot_rejects_inexact_factors():
     with pytest.raises(TypeError):
         dot([(ONE, 0.5)])
+
+
+@given(quotient_cases())
+def test_dot_over_matches_the_quotient(case):
+    pairs, top, low = case
+    (tr, ti), (lr, li) = parts(top), parts(low)
+    divisor = tr - lr, ti - li
+    if divisor == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            dot_over(pairs, top, low)
+        return
+    expected = dot(pairs) / (top - low)
+    total_re, total_im = parts(dot(pairs))
+    for result in (dot_over(pairs, top, low), dot_over(iter(pairs), top, low)):
+        assert result == expected and hash(result) == hash(expected)
+        assert_parts(result, *quotient((total_re, total_im), divisor))
+    # a purely imaginary sum, which random pairs seldom give
+    assert_parts(dot_over([(I, total_re)], top, low), *quotient((0, total_re), divisor))
+    # zero factors add nothing, and a sum that cancels is zero
+    zeros = [(ZERO, ONE), (2, 0), (Fraction(0), GaussianRational(0, 1))]
+    assert_parts(dot_over(pairs + zeros, top, low), *parts(expected))
+    cancelled = pairs + [(-scalar(a), b) for a, b in pairs]
+    assert_parts(dot_over(cancelled, top, low), Fraction(0), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "pairs,top,low,re,im",
+    [
+        # a negative real divisor moves its sign to the numerator
+        ([(3, GaussianRational(1, 2))], Fraction(1, 2), Fraction(5, 6), Fraction(-9), Fraction(-18)),
+        # a purely imaginary sum over a non-real divisor
+        ([(GaussianRational(0, 2), 1)], GaussianRational(1, 1), 0, Fraction(1), Fraction(1)),
+        # shared denominators cancel in the single reduction
+        ([(Fraction(1, 6), Fraction(1, 10))], Fraction(1, 15), Fraction(1, 10), Fraction(-1, 2), Fraction(0)),
+        ([], 1, 2, Fraction(0), Fraction(0)),
+    ],
+    ids=["negative-real", "imaginary-sum", "shared-denominators", "empty"],
+)
+def test_dot_over_examples(pairs, top, low, re, im):
+    assert_parts(dot_over(pairs, top, low), re, im)
+
+
+def test_dot_over_by_zero_divisor():
+    z = GaussianRational(Fraction(1, 3), 2)
+    for pairs in ([], [(ZERO, z)], [(z, z)]):
+        with pytest.raises(ZeroDivisionError):
+            dot_over(pairs, z, GaussianRational(Fraction(2, 6), 2))
+    with pytest.raises(ZeroDivisionError):
+        dot_over([(1, 1)], 3, Fraction(6, 2))
+
+
+def test_dot_over_rejects_inexact_factors():
+    with pytest.raises(TypeError):
+        dot_over([(ONE, 0.5)], 1, 0)
+    with pytest.raises(TypeError):
+        dot_over([(ONE, ONE)], 1.5, 0)

@@ -27,7 +27,7 @@ from bochner import (
     laguerre_operator,
 )
 from bochner.scalars import ZERO
-from conftest import random_bochner
+from conftest import eigensystem_by_plain_arithmetic, random_bochner, random_gaussian
 
 
 @pytest.fixture(scope="module")
@@ -185,3 +185,65 @@ def test_band_matches_full_triangle(corpus):
         assert eigensystem(table) == eigensystem(full), name
         by_det = eigenpoly_coeff_det(table, 12).polys[12]
         assert by_det == eigenpoly_coeff_det(full, 12).polys[12], name
+
+
+def random_table(rng, n_max, order=None, zero_column=None):
+    """Delta rows of random complex entries over a distinct, nonzero
+    spectrum, tagged with `order` or a full triangle, one column zeroed."""
+    while True:
+        lams = [GaussianRational(0)] + [random_gaussian(rng, 50) for _ in range(n_max)]
+        if all(lams[1:]) and len(set(lams)) == len(lams):
+            break
+    rows = []
+    for n, lam in enumerate(lams):
+        width = n if order is None else min(n, order)
+        row = [lam] + [random_gaussian(rng, 50) for _ in range(width)]
+        if zero_column is not None and zero_column < len(row):
+            row[zero_column] = ZERO
+        rows.append(row)
+    return DeltaTable(rows, order=order)
+
+
+def assert_plain_arithmetic(table, n_max):
+    # scalars compare by their stored triples, so an unreduced or
+    # negative-denominator coefficient differs from the reference
+    assert eigensystem(table, n_max) == eigensystem_by_plain_arithmetic(table, n_max)
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        hermite_operator(),
+        laguerre_operator(Fraction(5, 3)),
+        jacobi_operator(Fraction(3, 7), Fraction(-2, 5)),
+    ],
+    ids=["hermite", "laguerre", "jacobi"],
+)
+def test_eigensystem_matches_plain_arithmetic_on_presets(op):
+    assert_plain_arithmetic(deltas_from_operator(op, 24), 24)
+
+
+def test_eigensystem_matches_plain_arithmetic_on_random_tables():
+    rng = Random(808)
+    for order in (1, 2, 3, 4):
+        op = random_bochner(rng, order, distinct_to=14)
+        tagged = deltas_from_operator(op, 14)
+        untagged = DeltaTable(
+            [row + (ZERO,) * (n + 1 - len(row)) for n, row in enumerate(tagged.rows)]
+        )
+        assert_plain_arithmetic(tagged, 14)
+        assert_plain_arithmetic(untagged, 14)
+        assert_plain_arithmetic(random_table(rng, 10, order=order), 10)
+        assert_plain_arithmetic(random_table(rng, 10), 10)
+        # a zero band column leaves sums with a single term or none
+        assert_plain_arithmetic(random_table(rng, 10, order=order, zero_column=1), 10)
+        assert_plain_arithmetic(random_table(rng, 10, zero_column=order), 10)
+
+
+def test_hermite_odd_offset_coefficients_are_zero():
+    system = eigensystem(deltas_from_operator(hermite_operator(), 30))
+    for n, poly in enumerate(system.polys):
+        for i in range(1, n + 1, 2):
+            assert poly.coeff(n - i) == ZERO, (n, i)
+        for i in range(0, n + 1, 2):
+            assert poly.coeff(n - i) != ZERO, (n, i)
