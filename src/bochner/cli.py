@@ -513,6 +513,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_scalars(sys.argv[1:] if argv is None else argv))
     try:
+        if args.decimal is not None and args.decimal < 1:
+            raise ParseError(f"--decimal K needs K >= 1, got {args.decimal}")
         status = args.func(args)
         sys.stdout.flush()
         return status

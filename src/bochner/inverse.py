@@ -32,6 +32,8 @@ order fits either.
 """
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import (
     DomainError,
     InsufficientData,
@@ -89,12 +91,14 @@ def deltas_from_eigendata_rec(data: EigenSystem, n_max: int) -> DeltaTable:
     rows = []
     for n in range(n_max + 1):
         b = data.polys[n].coeffs
-        row = [lams[n]]
+        minus_b = [-c for c in b]
+        lam = lams[n]
+        row = [lam]
         for k in range(1, n + 1):
-            row.append(
-                (lams[n] - lams[n - k]) * b[n - k]
-                - dot((rows[n - k + j][j], b[n - k + j]) for j in range(1, k))
-            )
+            # the gap term (lambda_n - lambda_{n-k}) b(n, n-k) enters as two pairs
+            gap = ((lam, b[n - k]), (lams[n - k], minus_b[n - k]))
+            rest = ((rows[n - k + j][j], minus_b[n - k + j]) for j in range(1, k))
+            row.append(dot(chain(gap, rest)))
         rows.append(row)
     return DeltaTable(rows)
 

@@ -2,7 +2,12 @@
 
 `apply_operator` is the brute-force oracle for the whole package: it applies
 a differential operator symbolically, term by term, so any spectral quantity
-computed elsewhere can be checked against it.
+computed elsewhere can be checked against it.  It forms each derivative d^i p
+of a nonzero a_i and sums, for every power of x, the products
+a_{i,j} (d^i p)[m - j] as one fused `dot`, reduced once per coefficient.  It
+never reads a delta table, so it stays independent of the delta recursion.
+`is_eigenpair` sums the same products with -lambda p[m] added and stops at
+the first nonzero coefficient of L p - lambda p.
 """
 from __future__ import annotations
 
@@ -173,18 +178,45 @@ def derivative(p: Poly, order: int = 1) -> Poly:
     return Poly._raw(out)
 
 
-def apply_operator(op: "BochnerOperator", p: Poly) -> Poly:
-    """Apply sum_i a_i(x) d^i to p by direct symbolic expansion."""
-    result = Poly._raw(())
+def _fused_coeffs(terms):
+    """The coefficients, lowest power first, of sum c x^j q over the
+    `terms` (j, c, q), where q is a coefficient tuple: one `dot` per power.
+
+    Yielded one by one, so a caller testing for zero can stop early.
+    """
+    size = max((j + len(q) for j, _, q in terms), default=0)
+    for m in range(size):
+        yield dot((c, q[m - j]) for j, c, q in terms if 0 <= m - j < len(q))
+
+
+def _fused_poly(terms) -> Poly:
+    """sum c x^j q over the `terms` (j, c, q), as a polynomial."""
+    coeffs = list(_fused_coeffs(terms))
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return Poly._raw(tuple(coeffs))
+
+
+def _operator_terms(op: "BochnerOperator", p: Poly):
+    """(j, a_{i,j}, d^i p) over the nonzero a_{i,j} whose derivative of p is
+    nonzero: each derivative is formed once."""
+    terms = []
     for i, a in enumerate(op.coeffs):
         if not a:
             continue
-        dp = derivative(p, i)
+        dp = derivative(p, i).coeffs
         if dp:
-            result = result + a * dp
-    return result
+            terms.extend((j, c, dp) for j, c in enumerate(a.coeffs) if c)
+    return terms
+
+
+def apply_operator(op: "BochnerOperator", p: Poly) -> Poly:
+    """Apply sum_i a_i(x) d^i to p by direct symbolic expansion."""
+    return _fused_poly(_operator_terms(op, p))
 
 
 def is_eigenpair(op: "BochnerOperator", p: Poly, value) -> bool:
     """True iff applying the operator to p gives value * p, exactly."""
-    return apply_operator(op, p) == scalar(value) * p
+    terms = _operator_terms(op, p)
+    terms.append((0, -scalar(value), p.coeffs))
+    return not any(_fused_coeffs(terms))

@@ -15,9 +15,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DomainError, InsufficientData
-from .polynomials import Poly
-from .scalars import GaussianRational, ZERO, dot
+from .polynomials import Poly, _fused_poly
+from .scalars import GaussianRational, ONE, ZERO, dot
 from .spectral import EigenSystem
+
+_MINUS_ONE = -ONE
 
 
 class RecurrenceCoeffs:
@@ -68,25 +70,33 @@ def fit_recurrence(system: EigenSystem) -> RecurrenceCoeffs:
     rows = []
     for n in range(system.n_max):
         row = [ZERO] * (n + 1)
-        for j in range(n + 1):
-            row[n - j] = (
-                system.coeff(n, n - j - 1)
-                - system.coeff(n + 1, n - j)
-                - dot((row[n - s], coeffs[n - s][n - j]) for s in range(j))
+        # (i, alpha(n, i)) for the nonzero entries solved so far
+        found = []
+        for k in range(n, -1, -1):
+            value = (
+                system.coeff(n, k - 1)
+                - system.coeff(n + 1, k)
+                - dot((a, coeffs[i][k]) for i, a in found)
             )
+            row[k] = value
+            if value:
+                found.append((k, value))
         rows.append(row)
     return RecurrenceCoeffs(rows)
 
 
 def relation_residual(polys: Sequence[Poly], alpha_row: Sequence, n: int) -> Poly:
-    """P_{n+1} - x P_n + sum_k alpha_row[k] P_k, which is zero iff row n holds."""
+    """P_{n+1} - x P_n + sum_k alpha_row[k] P_k, which is zero iff row n holds.
+
+    A symbolic oracle that never reads a delta table: each coefficient of the
+    residual is one fused `dot` over the pairs (1, P_{n+1}[m]),
+    (-1, P_n[m-1]) and (alpha_k, P_k[m]) for the nonzero alpha_k.
+    """
     if n + 1 >= len(polys):
         raise InsufficientData(f"need polynomials up to degree {n + 1}")
-    residual = polys[n + 1] - polys[n].times_x()
-    for k, a in enumerate(alpha_row):
-        if a:
-            residual = residual + a * polys[k]
-    return residual
+    terms = [(0, ONE, polys[n + 1].coeffs), (1, _MINUS_ONE, polys[n].coeffs)]
+    terms += [(0, a, polys[k].coeffs) for k, a in enumerate(alpha_row) if a]
+    return _fused_poly(terms)
 
 
 def bandwidth(coeffs: RecurrenceCoeffs, n_start: int):

@@ -25,7 +25,7 @@ from .errors import DomainError, InsufficientData, InvalidOperator
 from .operators import BochnerOperator
 from .polynomials import Poly
 from .recurrence import relation_residual
-from .scalars import GaussianRational, ONE, ZERO, comb, factorial, scalar
+from .scalars import GaussianRational, ONE, ZERO, comb, dot, factorial, scalar
 
 
 class ShapiroOperator:
@@ -70,12 +70,9 @@ def shapiro_delta1(op: ShapiroOperator, n: int) -> GaussianRational:
     """delta1(n) = sum_{s=1}^{min(n, N)} C(n, s) s! c_s; empty at n = 0."""
     if n < 0:
         raise DomainError(f"negative index {n}")
-    total = ZERO
-    for s in range(1, min(n, op.order) + 1):
-        c_s = op.c[s - 1]
-        if c_s:
-            total = total + (comb(n, s) * factorial(s)) * c_s
-    return total
+    return dot(
+        (comb(n, s) * factorial(s), op.c[s - 1]) for s in range(1, min(n, op.order) + 1)
+    )
 
 
 def shapiro_delta1_column(op: ShapiroOperator, last: int) -> list[GaussianRational]:

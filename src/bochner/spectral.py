@@ -42,7 +42,7 @@ from .errors import (
 from .hessenberg import hessenberg_determinant
 from .operators import DeltaTable
 from .polynomials import Poly
-from .scalars import GaussianRational, ONE, ZERO, comb, dot_over, scalar
+from .scalars import GaussianRational, ONE, ZERO, comb, dot, dot_over, scalar
 
 
 def check_spectrum(lambdas: Sequence[GaussianRational]) -> None:
@@ -209,13 +209,10 @@ def delta_extend(seed: DeltaTable, n: int, k: int, order: int | None = None) -> 
         raise InsufficientData(
             f"seed must hold rows up to {big_n}, it holds {seed.n_max}"
         )
-    total = ZERO
-    for i in range(k, big_n + 1):
-        sign = 1 if (big_n - i) % 2 == 0 else -1
-        weight = sign * comb(n, i) * comb(n - i - 1, big_n - i)
-        if weight:
-            total = total + weight * seed.value(i, k)
-    return total
+    return dot(
+        ((-1) ** (big_n - i) * comb(n, i) * comb(n - i - 1, big_n - i), seed.value(i, k))
+        for i in range(k, big_n + 1)
+    )
 
 
 def lambda_via_N2_identity(lambda1, lambda2, n: int) -> GaussianRational:

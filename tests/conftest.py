@@ -11,6 +11,7 @@ if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
 import pytest
+from hypothesis import strategies as st
 
 from bochner import (
     BochnerOperator,
@@ -19,12 +20,13 @@ from bochner import (
     NoFiniteOrderOperator,
     Poly,
     X,
+    derivative,
     hermite_operator,
     jacobi_operator,
     laguerre_operator,
     reconstruct,
 )
-from bochner.scalars import comb, factorial
+from bochner.scalars import ZERO, comb, factorial, scalar
 
 
 def monic_hermite(n_max):
@@ -154,6 +156,95 @@ def eigensystem_by_plain_arithmetic(table, n_max):
             b[n - i] = total / (lams[n] - lams[n - i])
         polys.append(Poly(b))
     return EigenSystem(lams, polys)
+
+
+def apply_operator_by_poly_chain(op, p):
+    """Reference oracle: sum_i a_i d^i p as a chain of `Poly` products and
+    sums, each reduced coefficient by coefficient."""
+    result = Poly()
+    for i, a in enumerate(op.coeffs):
+        if not a:
+            continue
+        dp = derivative(p, i)
+        if dp:
+            result = result + a * dp
+    return result
+
+
+def is_eigenpair_by_poly_chain(op, p, value):
+    """Reference verdict: the two polynomials L p and value * p compared."""
+    return apply_operator_by_poly_chain(op, p) == scalar(value) * p
+
+
+def relation_residual_by_poly_chain(polys, alpha_row, n):
+    """Reference residual P_{n+1} - x P_n + sum_k alpha_row[k] P_k as a
+    chain of `Poly` sums."""
+    residual = polys[n + 1] - polys[n].times_x()
+    for k, a in enumerate(alpha_row):
+        if a:
+            residual = residual + a * polys[k]
+    return residual
+
+
+def delta_extend_by_plain_sum(seed, n, k, order):
+    """Reference extension of a delta column past row `order`: the binomial
+    combination as a chain of plain `+`."""
+    total = ZERO
+    if k > order:
+        return total
+    for i in range(k, order + 1):
+        weight = (-1) ** (order - i) * comb(n, i) * comb(n - i - 1, order - i)
+        total = total + weight * seed.value(i, k)
+    return total
+
+
+def shapiro_delta1_by_plain_sum(op, n):
+    """Reference delta1(n) = sum_s C(n, s) s! c_s as a chain of plain `+`."""
+    total = ZERO
+    for s in range(1, min(n, op.order) + 1):
+        total = total + (comb(n, s) * factorial(s)) * op.c[s - 1]
+    return total
+
+
+def deltas_from_eigendata_by_plain_sum(data, n_max):
+    """Reference delta recursion over plain `-` and `*`, reduced after every
+    step: delta(n, k) = (lambda_n - lambda_{n-k}) b(n, n-k)
+    - sum_{j=1}^{k-1} delta(n-k+j, j) b(n, n-k+j)."""
+    lams = data.lambdas
+    rows = []
+    for n in range(n_max + 1):
+        b = data.polys[n].coeffs
+        row = [lams[n]]
+        for k in range(1, n + 1):
+            total = (lams[n] - lams[n - k]) * b[n - k]
+            for j in range(1, k):
+                total = total - rows[n - k + j][j] * b[n - k + j]
+            row.append(total)
+        rows.append(row)
+    return rows
+
+
+# small Gaussian rationals, real, imaginary and complex, with zeros among them
+small_fractions = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+small_scalars = st.one_of(
+    st.just(GaussianRational(0)),
+    st.builds(GaussianRational, small_fractions),
+    st.builds(GaussianRational, small_fractions, small_fractions),
+)
+
+
+@st.composite
+def bochner_operators(draw):
+    """Operators sum_{i=0}^{N} a_i d^i of order 1-4 with complex coefficients,
+    deg a_i <= i, a nonzero a_0 as often as not, and some zero coefficient
+    polynomials."""
+    order = draw(st.integers(1, 4))
+    polys = [Poly([draw(small_scalars.filter(bool))]) if draw(st.booleans()) else Poly()]
+    for i in range(1, order + 1):
+        polys.append(Poly(draw(st.lists(small_scalars, max_size=i + 1))))
+    if not polys[order]:
+        polys[order] = Poly.monomial(order, draw(small_scalars.filter(bool)))
+    return BochnerOperator(polys)
 
 
 def int_max_str_digits():

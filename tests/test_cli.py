@@ -430,6 +430,15 @@ def test_decimal_flag_adds_labeled_rendering(capsys):
     assert payload["P_decimal"][2][0] == "-0.5"
 
 
+@pytest.mark.parametrize("digits", ["0", "-5"])
+def test_decimal_below_one_digit_exits_2(capsys, digits):
+    code, out, err = run_cli(
+        capsys, "direct", "--preset", "hermite", "--nmax", "2", "--decimal", digits
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: --decimal K needs K >= 1, got {int(digits)}\n"
+
+
 def test_out_flag_mirrors_stdout(tmp_path, capsys):
     target = tmp_path / "out.json"
     code, out, _ = run_cli(

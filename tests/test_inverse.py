@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bochner import (
     DegenerateSpectrum,
@@ -26,7 +27,14 @@ from bochner import (
 from bochner.inverse import first_order_violation
 from bochner.operators import operator_from_deltas
 from bochner.scalars import ZERO
-from conftest import monic_hermite, monic_laguerre, random_bochner, search_order_by_order
+from conftest import (
+    deltas_from_eigendata_by_plain_sum,
+    monic_hermite,
+    monic_laguerre,
+    random_bochner,
+    search_order_by_order,
+    small_scalars,
+)
 
 
 def hermite_data(n_max):
@@ -73,6 +81,23 @@ def test_rec_table_matches_forward_table():
     for n in range(11):
         for k in range(n + 1):
             assert backward.value(n, k) == forward.value(n, k), (n, k)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_rec_table_matches_plain_sum(data):
+    # any usable spectrum and any monic polynomials, with zero coefficients
+    n_max = data.draw(st.integers(0, 7))
+    lams = [ZERO] + data.draw(
+        st.lists(small_scalars.filter(bool), min_size=n_max, max_size=n_max, unique=True)
+    )
+    polys = [
+        Poly(data.draw(st.lists(small_scalars, min_size=n, max_size=n)) + [1])
+        for n in range(n_max + 1)
+    ]
+    system = EigenSystem(lams, polys)
+    rows = deltas_from_eigendata_rec(system, n_max).rows
+    assert [list(row) for row in rows] == deltas_from_eigendata_by_plain_sum(system, n_max)
 
 
 def test_first_degree_delta_from_shifted_polynomial():

@@ -1,20 +1,32 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bochner import (
+    BochnerOperator,
+    DegenerateSpectrum,
     DomainError,
     GaussianRational,
     Poly,
     X,
     apply_operator,
+    deltas_from_operator,
     derivative,
+    eigensystem,
     hermite_operator,
     is_eigenpair,
     laguerre_operator,
+    normalize,
 )
 from bochner.scalars import ZERO
+from bochner.spectral import check_spectrum
+from conftest import (
+    apply_operator_by_poly_chain,
+    bochner_operators,
+    is_eigenpair_by_poly_chain,
+    small_scalars as complex_scalars,
+)
 
 
 def test_zero_poly_sentinel():
@@ -134,3 +146,57 @@ def test_degree_never_increases(p):
         assert image.degree is None
     else:
         assert image.degree is None or image.degree <= p.degree
+
+
+# a_0 = 5/2 - i and a non-real a_3, so every kind of term is present
+SHIFTED = BochnerOperator(
+    [[GaussianRational(Fraction(5, 2), -1)], [1, -3], [2, 0, 1], [0, 0, 1, GaussianRational(1, 1)]]
+)
+short_polys = st.lists(complex_scalars, max_size=10).map(Poly)
+
+
+@given(bochner_operators(), short_polys)
+@example(SHIFTED, Poly())
+@example(SHIFTED, Poly([GaussianRational(0, 3)]))
+@example(SHIFTED, Poly([1, 2, 3, 4]))
+@settings(max_examples=150, deadline=None)
+def test_apply_operator_matches_poly_chain(op, p):
+    # scalars compare by their stored triples, so an unreduced coefficient
+    # or an untrimmed zero differs from the reference
+    assert apply_operator(op, p) == apply_operator_by_poly_chain(op, p)
+
+
+@given(bochner_operators(), short_polys, complex_scalars)
+@example(SHIFTED, Poly(), GaussianRational(3, -1))
+@example(SHIFTED, Poly([7]), GaussianRational(Fraction(5, 2), -1))
+@settings(max_examples=150, deadline=None)
+def test_is_eigenpair_matches_poly_chain(op, p, value):
+    assert is_eigenpair(op, p, value) == is_eigenpair_by_poly_chain(op, p, value)
+
+
+def eigenpair(op, n):
+    """(P_m, lambda_m) of the full operator for the largest m <= n whose
+    spectrum lambda_0..lambda_m is usable; m = 0 always is."""
+    normalized, shift = normalize(op)
+    table = deltas_from_operator(normalized, n)
+    lams = [table.value(m, 0) for m in range(n + 1)]
+    while n > 0:
+        try:
+            check_spectrum(lams[: n + 1])
+            break
+        except DegenerateSpectrum:
+            n -= 1
+    system = eigensystem(table, n)
+    return system.polys[n], system.lambdas[n] + shift
+
+
+@given(bochner_operators(), st.integers(0, 9))
+@example(SHIFTED, 0)
+@example(SHIFTED, 9)
+@settings(max_examples=100, deadline=None)
+def test_is_eigenpair_holds_exactly_for_true_pairs(op, n):
+    p, lam = eigenpair(op, n)
+    assert is_eigenpair(op, p, lam)
+    assert is_eigenpair_by_poly_chain(op, p, lam)
+    assert not is_eigenpair(op, p, lam + 1)
+    assert not is_eigenpair_by_poly_chain(op, p, lam + 1)

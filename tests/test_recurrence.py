@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bochner import (
     DomainError,
@@ -18,7 +19,12 @@ from bochner import (
 from bochner.recurrence import relation_residual
 from bochner.scalars import ONE, ZERO
 from bochner.shapiro import ShapiroOperator, shapiro_alpha, shapiro_delta1_column, shapiro_poly
-from conftest import monic_hermite, random_bochner
+from conftest import (
+    monic_hermite,
+    random_bochner,
+    relation_residual_by_poly_chain,
+    small_scalars,
+)
 
 
 def hermite_system(n_max):
@@ -125,3 +131,13 @@ def test_bandwidth_window_validation():
     coeffs = fit_recurrence(hermite_system(6))
     with pytest.raises(DomainError):
         bandwidth(coeffs, 9)
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_relation_residual_matches_poly_chain(data):
+    # any polynomials, the zero one among them, and rows with zero entries
+    n = data.draw(st.integers(0, 6))
+    polys = [Poly(data.draw(st.lists(small_scalars, max_size=m + 2))) for m in range(n + 2)]
+    row = data.draw(st.lists(small_scalars, min_size=n + 1, max_size=n + 1))
+    assert relation_residual(polys, row, n) == relation_residual_by_poly_chain(polys, row, n)

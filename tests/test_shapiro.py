@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bochner import (
     BochnerOperator,
@@ -22,7 +23,7 @@ from bochner import (
 from bochner.recurrence import relation_residual
 from bochner.scalars import ONE, ZERO
 from bochner.shapiro import RecurrenceCheck, shapiro_poly
-from conftest import random_rational
+from conftest import random_rational, shapiro_delta1_by_plain_sum, small_scalars
 
 
 def random_c_vector(rng, order):
@@ -54,6 +55,13 @@ def test_delta1_examples():
     assert shapiro_delta1(op, 3) == GaussianRational(3 * a + 6 * b)
     assert shapiro_delta1(op, 0) == ZERO
     assert shapiro_delta1(ShapiroOperator([1]), 5) == GaussianRational(5)
+
+
+@given(st.lists(small_scalars, min_size=1, max_size=5).filter(lambda c: c[-1]), st.integers(0, 12))
+@settings(max_examples=100, deadline=None)
+def test_delta1_matches_plain_sum(c, n):
+    op = ShapiroOperator(c)
+    assert shapiro_delta1(op, n) == shapiro_delta1_by_plain_sum(op, n)
 
 
 def test_delta1_matches_operator_table():

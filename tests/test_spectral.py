@@ -2,6 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bochner import (
     BochnerOperator,
@@ -27,7 +28,13 @@ from bochner import (
     laguerre_operator,
 )
 from bochner.scalars import ZERO
-from conftest import eigensystem_by_plain_arithmetic, random_bochner, random_gaussian
+from conftest import (
+    delta_extend_by_plain_sum,
+    eigensystem_by_plain_arithmetic,
+    random_bochner,
+    random_gaussian,
+    small_scalars,
+)
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +154,19 @@ def test_delta_extend_errors(hermite_table):
     short = DeltaTable([[0], [1, 1]], order=3)
     with pytest.raises(InsufficientData):
         delta_extend(short, 5, 0)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_delta_extend_matches_plain_sum(data):
+    order = data.draw(st.integers(1, 4))
+    seed = DeltaTable(
+        [data.draw(st.lists(small_scalars, min_size=n + 1, max_size=n + 1)) for n in range(order + 1)]
+    )
+    for n in range(order + 1, order + 7):
+        for k in range(order + 2):
+            expected = delta_extend_by_plain_sum(seed, n, k, order)
+            assert delta_extend(seed, n, k, order=order) == expected, (n, k)
 
 
 def test_lambda_identity_examples():
