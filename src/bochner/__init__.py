@@ -22,7 +22,6 @@ from .identities import lemma_residual
 from .inverse import (
     deltas_from_eigendata_det,
     deltas_from_eigendata_rec,
-    finite_order_test,
     reconstruct,
 )
 from .operators import (
@@ -60,7 +59,6 @@ from .spectral import (
     eigenpoly_coeff_det,
     eigenpoly_recursive,
     eigensystem,
-    eigenvalues,
     lambda_via_N2_identity,
 )
 
@@ -97,8 +95,6 @@ __all__ = [
     "eigenpoly_coeff_det",
     "eigenpoly_recursive",
     "eigensystem",
-    "eigenvalues",
-    "finite_order_test",
     "fit_recurrence",
     "format_scalar",
     "hermite_operator",

@@ -109,8 +109,12 @@ def _load_json(path: str):
             return json.load(handle, parse_int=parse_int)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{path} nests JSON too deeply to parse") from None
 
 
 def _preset_operator(name: str, args):
@@ -276,12 +280,10 @@ def run_verify(args) -> int:
         # delta1 from the closed form, never from `table`, so the match below
         # stays an independent check of the table
         delta1 = shapiro_delta1_column(product_op, nmax + 1)
-        checks["product_form_recurrence"] = bool(
-            verify_shapiro_recurrence(product_op, delta1, nmax)
-        )
+        alpha = shapiro_alpha(product_op, delta1, nmax)
+        checks["product_form_recurrence"] = bool(verify_shapiro_recurrence(alpha, delta1))
         checks["product_form_alpha_match"] = all(
-            coeffs.alpha(n, n - s)
-            == shapiro_alpha(product_op, delta1, n, s)
+            coeffs.alpha(n, n - s) == alpha.alpha(n, n - s)
             for n in range(coeffs.n_max + 1)
             for s in range(min(product_op.order - 1, n) + 1)
         )

@@ -16,10 +16,11 @@ reads every delta(base + k, k) off the chain of leading minors of one
 expansion per diagonal.  The two routes agree entrywise and are kept as
 mutual cross-checks.  The data comes from an operator of order N
 exactly when every row past N of this table is the binomial extension of
-rows 0..N and the columns above N vanish (`finite_order_test`); in that case
-the operator coefficients fall out of the same inversion formula as in the
-direct problem and `reconstruct` returns the operator, re-verified against
-the symbolic eigen-equation.
+rows 0..N and the columns above N vanish, that is, when
+`first_order_violation` finds no entry where this breaks.  The operator
+coefficients then fall out of the same inversion formula as in the direct
+problem and `reconstruct` returns the operator, re-verified against the
+symbolic eigen-equation.
 
 The criterion is monotone in the order.  If it holds at K, the data's table
 equals the table of the operator reconstructed at K over the whole window.
@@ -127,12 +128,6 @@ def first_order_violation(table: DeltaTable, order: int, n_max: int):
             elif actual:
                 return (n, k)
     return None
-
-
-def finite_order_test(table: DeltaTable, order: int, n_max: int) -> bool:
-    """True iff the table is consistent with an operator of the given order,
-    over the verified window of rows up to n_max."""
-    return first_order_violation(table, order, n_max) is None
 
 
 def reconstruct(data: EigenSystem, order: int, table: DeltaTable | None = None) -> BochnerOperator:

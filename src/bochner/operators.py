@@ -22,6 +22,7 @@ all-zero level: inverting at order K costs O(K N^2) subtractions plus
 O(K^2) table reads and zero tests, where the binomial sums cost O(K^3)
 weighted products, most of them for coefficients that come out zero.  On
 data of no finite order no level vanishes and all K + 1 levels are built.
+`shapiro` builds its recurrence table on the same `_difference_levels`.
 """
 from __future__ import annotations
 
@@ -175,6 +176,17 @@ def deltas_from_operator(op: BochnerOperator, n_max: int) -> DeltaTable:
     return DeltaTable(rows, order=order)
 
 
+def _difference_levels(values: list) -> list[list]:
+    """Forward differences of `values`, level j holding the j-th ones, up to
+    the first all-zero level, past which every level vanishes."""
+    levels = []
+    level = values
+    while any(level):
+        levels.append(level)
+        level = [b - a for a, b in zip(level, level[1:])]
+    return levels
+
+
 def operator_from_deltas(table: DeltaTable, order: int) -> BochnerOperator:
     """Invert the delta table into the operator of the given order.
 
@@ -194,12 +206,8 @@ def operator_from_deltas(table: DeltaTable, order: int) -> BochnerOperator:
     # below the column's first all-zero level
     heads = []
     for k in range(order + 1):
-        level = [table.value(i, k) for i in range(order + 1)]
-        column = []
-        while any(level):
-            column.append(level[0])
-            level = [b - a for a, b in zip(level, level[1:])]
-        heads.append(column)
+        levels = _difference_levels([table.value(i, k) for i in range(order + 1)])
+        heads.append([level[0] for level in levels])
     polys = []
     for n in range(order + 1):
         coeffs = []

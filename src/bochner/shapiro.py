@@ -9,11 +9,15 @@ and
     delta1(n) = sum_{s=1}^{n} C(n, s) s! c_s      (c_s = 0 above N),
 
 with everything at k >= 2 vanishing.  Eigenpolynomial coefficients become
-running products of delta1, and the recurrence coefficients have the closed
-form implemented by `shapiro_alpha`; `verify_shapiro_recurrence` checks the
-resulting (N+1)-term relation as an exact polynomial identity.  These read
-delta1 from a column computed once by `shapiro_delta1_column`, from the
-closed form above and never from an operator's delta table, so they stay an
+running products of delta1.  The recurrence coefficients have a closed
+form whose binomial sum is a forward difference of delta1; since delta1(n)
+has degree N in n, one difference table over the column, which stops by
+itself at level N + 1, serves every entry.  `shapiro_alpha` builds the whole
+table at once, and `verify --shapiro` builds it once for both of its
+product-form checks; `verify_shapiro_recurrence` checks the resulting
+(N+1)-term relation as an exact polynomial identity.  These read delta1
+from a column computed once by `shapiro_delta1_column`, from the closed
+form above and never from an operator's delta table, so they stay an
 independent check of that table.
 """
 from __future__ import annotations
@@ -22,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InsufficientData, InvalidOperator
-from .operators import BochnerOperator
+from .operators import BochnerOperator, _difference_levels
 from .polynomials import Poly
-from .recurrence import relation_residual
+from .recurrence import RecurrenceCoeffs, relation_residual
 from .scalars import GaussianRational, ONE, ZERO, comb, dot, factorial, scalar
 
 
@@ -104,31 +108,31 @@ def shapiro_poly(delta1, n: int) -> Poly:
     return Poly(coeffs)
 
 
-def shapiro_alpha(op: ShapiroOperator, delta1, n: int, s: int) -> GaussianRational:
-    """Closed-form recurrence coefficient alpha(n, n-s) for 0 <= s <= N-1:
+def shapiro_alpha(op: ShapiroOperator, delta1, n_max: int) -> RecurrenceCoeffs:
+    """The closed-form recurrence table, rows 0..n_max: for 0 <= s <= min(N-1, n)
 
-        (delta1(n) ... delta1(n-s+1) / (s+1)!)
-            * sum_{j=0}^{s+1} C(s+1, j) (-1)^j delta1(n-s+j)
+        alpha(n, n-s) = (delta1(n) ... delta1(n-s+1) / (s+1)!)
+                        * (-1)^(s+1) Delta^(s+1) delta1(n-s),
 
-    with the empty product at s = 0, read from op's column delta1(0..n+1).
-    Entries below the triangle (s > n) are zero by the truncation convention
-    of the recurrence.
+    with the empty product at s = 0, and every other entry zero.  The
+    products run along s; every difference is read from one difference
+    table of op's column delta1(0..n_max+1), zero past its last level.
     """
-    if not 0 <= s <= op.order - 1:
-        raise DomainError(f"band position s={s} outside 0..{op.order - 1}")
-    if n < 0:
-        raise DomainError(f"negative index {n}")
-    if s > n:
-        return ZERO
-    _need(delta1, n + 1)
-    product = ONE
-    for m in range(n, n - s, -1):
-        product = product * delta1[m]
-    total = ZERO
-    for j in range(s + 2):
-        weight = (-1) ** j * comb(s + 1, j)
-        total = total + weight * delta1[n - s + j]
-    return product * total * Fraction(1, factorial(s + 1))
+    if n_max < 0:
+        raise DomainError(f"negative index {n_max}")
+    _need(delta1, n_max + 1)
+    levels = _difference_levels(delta1[: n_max + 2])
+    rows = []
+    for n in range(n_max + 1):
+        row = [ZERO] * (n + 1)
+        product = ONE
+        for s in range(min(op.order - 1, n) + 1):
+            if s + 1 < len(levels):
+                weight = Fraction((-1) ** (s + 1), factorial(s + 1))
+                row[n - s] = product * levels[s + 1][n - s] * weight
+            product = product * delta1[n - s]
+        rows.append(row)
+    return RecurrenceCoeffs(rows)
 
 
 @dataclass(frozen=True)
@@ -147,21 +151,19 @@ class RecurrenceCheck:
         return self.ok
 
 
-def verify_shapiro_recurrence(op: ShapiroOperator, delta1, n_max: int) -> RecurrenceCheck:
-    """Check the (N+1)-term relation built from the closed forms, exactly.
+def verify_shapiro_recurrence(alpha: RecurrenceCoeffs, delta1) -> RecurrenceCheck:
+    """Check the (N+1)-term relation of the closed-form table, exactly.
 
-    For every n <= n_max the combination
+    For every row n of `alpha` the combination
         sum_{s=1}^{N-1} alpha(n, n-s) P_{n-s} + (alpha(n, n) - x) P_n + P_{n+1}
     must vanish identically, with P of negative degree treated as zero.
-    `delta1` is op's column delta1(0..n_max+1).
+    `delta1` is the column delta1(0..n_max+1) the table was built from.
     """
+    n_max = alpha.n_max
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
     polys = [shapiro_poly(delta1, m) for m in range(n_max + 2)]
-    for n in range(n_max + 1):
-        row = [ZERO] * (n + 1)
-        for s in range(min(op.order - 1, n) + 1):
-            row[n - s] = shapiro_alpha(op, delta1, n, s)
+    for n, row in enumerate(alpha.rows):
         residual = relation_residual(polys, row, n)
         if residual:
             for power, value in enumerate(residual.coeffs):

@@ -109,11 +109,6 @@ class EigenSystem:
         return f"EigenSystem(n_max={self.n_max})"
 
 
-def eigenvalues(table: DeltaTable) -> list[GaussianRational]:
-    """The k = 0 column of the table, validated to be a usable spectrum."""
-    return _lambda_prefix(table, table.n_max)
-
-
 def _lambda_prefix(table: DeltaTable, n: int) -> list[GaussianRational]:
     """lambda_0..lambda_n from the k = 0 column, validated as a spectrum."""
     if table.n_max < n:

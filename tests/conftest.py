@@ -26,7 +26,7 @@ from bochner import (
     laguerre_operator,
     reconstruct,
 )
-from bochner.scalars import ZERO, comb, factorial, scalar
+from bochner.scalars import ONE, ZERO, comb, factorial, scalar
 
 
 def monic_hermite(n_max):
@@ -204,6 +204,24 @@ def shapiro_delta1_by_plain_sum(op, n):
     for s in range(1, min(n, op.order) + 1):
         total = total + (comb(n, s) * factorial(s)) * op.c[s - 1]
     return total
+
+
+def shapiro_alpha_by_binomial_sum(op, delta1, n, s):
+    """Reference closed form alpha(n, n-s), 0 <= s <= N-1, entry by entry:
+
+        (delta1(n) ... delta1(n-s+1) / (s+1)!) sum_{j=0}^{s+1} (-1)^j C(s+1, j) delta1(n-s+j),
+
+    rebuilding the product and the binomial sum for each entry; zero below
+    the triangle (s > n)."""
+    if s > n:
+        return ZERO
+    product = ONE
+    for m in range(n, n - s, -1):
+        product = product * delta1[m]
+    total = ZERO
+    for j in range(s + 2):
+        total = total + (-1) ** j * comb(s + 1, j) * delta1[n - s + j]
+    return product * total * Fraction(1, factorial(s + 1))
 
 
 def deltas_from_eigendata_by_plain_sum(data, n_max):

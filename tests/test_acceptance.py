@@ -23,8 +23,6 @@ from bochner import (
     deltas_from_operator,
     eigenpoly_coeff_det,
     eigensystem,
-    eigenvalues,
-    finite_order_test,
     fit_recurrence,
     hermite_operator,
     is_eigenpair,
@@ -38,8 +36,10 @@ from bochner import (
     verify_shapiro_recurrence,
 )
 from bochner.cli import main as cli_main
+from bochner.inverse import first_order_violation
 from bochner.scalars import ZERO
 from bochner.shapiro import shapiro_poly
+from bochner.spectral import check_spectrum
 from conftest import monic_hermite, random_rational
 
 
@@ -70,7 +70,9 @@ def test_criterion_1_classical_eigenvalues():
         (jacobi_operator(alpha, beta), lambda n: -Fraction(n) * (n + 1 + alpha + beta)),
     ]
     for op, formula in specs:
-        lams = eigenvalues(deltas_from_operator(op, 50))
+        table = deltas_from_operator(op, 50)
+        lams = [table.value(n, 0) for n in range(51)]
+        check_spectrum(lams)
         for n in range(51):
             assert lams[n] == GaussianRational(formula(n)), (op, n)
     elapsed = time.perf_counter() - started
@@ -140,14 +142,13 @@ def test_criterion_5_product_form_recurrence():
                 c[-1] = GaussianRational(1)
             op = ShapiroOperator(c)
             delta1 = shapiro_delta1_column(op, 27)
-            assert verify_shapiro_recurrence(op, delta1, 25), c
+            alpha = shapiro_alpha(op, delta1, 25)
+            assert verify_shapiro_recurrence(alpha, delta1), c
             polys = [shapiro_poly(delta1, m) for m in range(27)]
             lambdas = [GaussianRational(m) for m in range(27)]
             coeffs = fit_recurrence(EigenSystem(lambdas, polys))
-            for n in range(coeffs.n_max + 1):
-                for s in range(n + 1):
-                    expected = shapiro_alpha(op, delta1, n, s) if s <= order - 1 else ZERO
-                    assert coeffs.alpha(n, n - s) == expected, (c, n, s)
+            # the whole fitted table, off-band zeros included
+            assert coeffs == alpha, c
             assert bandwidth(coeffs, 10) == order - 1, c
             families += 1
     elapsed = time.perf_counter() - started
@@ -183,7 +184,7 @@ def test_criterion_7_inverse_negative_control():
     data = EigenSystem([GaussianRational(-2 * n) for n in range(n_max + 1)], polys)
     table = deltas_from_eigendata_rec(data, n_max)
     for order in range(1, 7):
-        assert not finite_order_test(table, order, n_max), order
+        assert first_order_violation(table, order, n_max) is not None, order
         with pytest.raises(NoFiniteOrderOperator):
             reconstruct(data, order)
     print(

@@ -230,6 +230,21 @@ def test_verify_shapiro_source(capsys):
     assert payload["checks"]["product_form_alpha_match"] == "ok"
 
 
+def test_verify_shapiro_builds_the_alpha_table_once(capsys, monkeypatch):
+    calls = []
+    real = bochner.cli.shapiro_alpha
+
+    def counted(op, delta1, n_max):
+        calls.append(n_max)
+        return real(op, delta1, n_max)
+
+    monkeypatch.setattr(bochner.cli, "shapiro_alpha", counted)
+    code, payload, _ = run_json(capsys, "verify", "--shapiro=1,-2,3,1/2", "--nmax", "20")
+    assert code == 0
+    assert set(payload["checks"].values()) == {"ok"}
+    assert calls == [20]
+
+
 @pytest.mark.parametrize(
     "source", [("--preset", "hermite"), ("--shapiro=2/3,-1/5",)], ids=["hermite", "shapiro"]
 )
@@ -377,6 +392,22 @@ def test_inverse_failure_exits_1(tmp_path, capsys):
 def test_inverse_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, "inverse", "--data", "/nonexistent.json", "--order", "2")
     assert code == 2
+
+
+MALFORMED_FILES = {"not-utf8": b'{"N": 1, "a": ["\xff"]}', "deep-nesting": b"[" * 200000}
+
+
+@pytest.mark.parametrize("content", sorted(MALFORMED_FILES))
+@pytest.mark.parametrize(
+    "argv", [("direct", "--operator"), ("inverse", "--search", "--data")], ids=["operator", "data"]
+)
+def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(MALFORMED_FILES[content])
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {path} ") and err.count("\n") == 1
 
 
 def test_inverse_requires_order_or_search(tmp_path, capsys):

@@ -17,7 +17,6 @@ from bochner import (
     deltas_from_eigendata_rec,
     deltas_from_operator,
     eigensystem,
-    finite_order_test,
     hermite_operator,
     jacobi_operator,
     laguerre_operator,
@@ -155,8 +154,8 @@ def test_operator_coeffs_from_deltas():
 
 def test_finite_order_test_hermite():
     table = deltas_from_eigendata_rec(hermite_data(8), 8)
-    assert finite_order_test(table, 2, 8)
-    assert not finite_order_test(table, 1, 8)
+    assert first_order_violation(table, 2, 8) is None
+    assert first_order_violation(table, 1, 8) is not None
     violation = first_order_violation(table, 1, 8)
     assert violation == (2, 2)  # delta(2, 2) = 2 is not zero
 
@@ -164,9 +163,9 @@ def test_finite_order_test_hermite():
 def test_finite_order_test_requires_window():
     table = deltas_from_eigendata_rec(hermite_data(8), 8)
     with pytest.raises(InsufficientData):
-        finite_order_test(table, 8, 8)
+        first_order_violation(table, 8, 8)
     with pytest.raises(DomainError):
-        finite_order_test(table, 0, 8)
+        first_order_violation(table, 0, 8)
 
 
 def test_perturbed_family_fails_every_order():
@@ -179,7 +178,7 @@ def test_perturbed_family_fails_every_order():
     )
     table = deltas_from_eigendata_rec(data, n_max)
     for order in range(1, 7):
-        assert not finite_order_test(table, order, n_max), order
+        assert first_order_violation(table, order, n_max) is not None, order
         with pytest.raises(NoFiniteOrderOperator) as info:
             reconstruct(data, order)
         assert info.value.order == order

@@ -94,11 +94,13 @@ def test_shapiro_fit_matches_closed_form():
     polys = [shapiro_poly(delta1, m) for m in range(16)]
     lambdas = [GaussianRational(m) for m in range(16)]
     coeffs = fit_recurrence(EigenSystem(lambdas, polys))
+    alpha = shapiro_alpha(op, delta1, coeffs.n_max)
+    assert coeffs == alpha
     for n in range(coeffs.n_max + 1):
         for s in range(n + 1):
             fitted = coeffs.alpha(n, n - s)
             if s <= op.order - 1:
-                assert fitted == shapiro_alpha(op, delta1, n, s), (n, s)
+                assert fitted == alpha.alpha(n, n - s), (n, s)
             else:
                 assert fitted == ZERO, (n, s)
 

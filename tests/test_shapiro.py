@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bochner import (
     BochnerOperator,
@@ -11,6 +11,7 @@ from bochner import (
     InsufficientData,
     InvalidOperator,
     Poly,
+    RecurrenceCoeffs,
     ShapiroOperator,
     deltas_from_operator,
     eigenpoly_recursive,
@@ -23,7 +24,12 @@ from bochner import (
 from bochner.recurrence import relation_residual
 from bochner.scalars import ONE, ZERO
 from bochner.shapiro import RecurrenceCheck, shapiro_poly
-from conftest import random_rational, shapiro_delta1_by_plain_sum, small_scalars
+from conftest import (
+    random_rational,
+    shapiro_alpha_by_binomial_sum,
+    shapiro_delta1_by_plain_sum,
+    small_scalars,
+)
 
 
 def random_c_vector(rng, order):
@@ -89,9 +95,10 @@ def test_short_column_is_refused():
     with pytest.raises(InsufficientData):
         shapiro_poly(delta1, 6)
     with pytest.raises(InsufficientData):
-        shapiro_alpha(op, delta1, 5, 1)  # reads delta1(6)
+        shapiro_alpha(op, delta1, 5)  # reads delta1(6)
+    alpha = shapiro_alpha(op, shapiro_delta1_column(op, 6), 5)
     with pytest.raises(InsufficientData):
-        verify_shapiro_recurrence(op, delta1, 5)
+        verify_shapiro_recurrence(alpha, delta1)  # builds P_6 from delta1(6)
 
 
 def test_coeff_examples():
@@ -129,34 +136,64 @@ def test_coeff_matches_spectral_recursion():
 def test_alpha_closed_forms():
     c1, c2 = Fraction(2, 3), Fraction(-3, 4)
     op = ShapiroOperator([c1, c2])
-    delta1 = shapiro_delta1_column(op, 12)
+    alpha = shapiro_alpha(op, shapiro_delta1_column(op, 12), 11)
     for n in range(12):
-        assert shapiro_alpha(op, delta1, n, 0) == GaussianRational(-c1 - 2 * n * c2)
+        assert alpha.alpha(n, n) == GaussianRational(-c1 - 2 * n * c2)
     for n in range(1, 12):
         delta_n = n * c1 + n * (n - 1) * c2
-        assert shapiro_alpha(op, delta1, n, 1) == GaussianRational(c2 * delta_n)
+        assert alpha.alpha(n, n - 1) == GaussianRational(c2 * delta_n)
     single = ShapiroOperator([Fraction(5, 2)])
-    single_delta1 = shapiro_delta1_column(single, 8)
+    single_alpha = shapiro_alpha(single, shapiro_delta1_column(single, 8), 7)
     for n in range(8):
-        assert shapiro_alpha(single, single_delta1, n, 0) == GaussianRational(Fraction(-5, 2))
+        assert single_alpha.alpha(n, n) == GaussianRational(Fraction(-5, 2))
 
 
 def test_alpha_band_bounds():
     op = ShapiroOperator([1, 1])
     delta1 = shapiro_delta1_column(op, 6)
     with pytest.raises(DomainError):
-        shapiro_alpha(op, delta1, 5, 2)
-    with pytest.raises(DomainError):
-        shapiro_alpha(op, delta1, 5, -1)
-    assert shapiro_alpha(op, delta1, 0, 1) == ZERO  # below the triangle
+        shapiro_alpha(op, delta1, -1)
+    alpha = shapiro_alpha(op, delta1, 5)
+    assert alpha.n_max == 5
+    assert alpha.alpha(0, -1) == ZERO  # below the triangle
+    for n in range(2, 6):
+        assert alpha.alpha(n, n - 1)  # the band reaches s = N - 1
+        for s in range(2, n + 1):
+            assert alpha.rows[n][n - s] == ZERO, (n, s)  # and stops there
+
+
+@given(
+    st.lists(small_scalars, min_size=1, max_size=5).filter(lambda c: c[-1]),
+    st.integers(0, 30),
+)
+@example([GaussianRational(Fraction(1, 2), Fraction(1, 3)), GaussianRational(0, 1)], 30)
+@example([GaussianRational(0), GaussianRational(0), GaussianRational(0), GaussianRational(1)], 0)
+@example([GaussianRational(Fraction(-3, 2))] * 5, 30)
+@settings(max_examples=100, deadline=None)
+def test_alpha_table_matches_binomial_sums(c, n_max):
+    op = ShapiroOperator(c)
+    delta1 = shapiro_delta1_column(op, n_max + 1)
+    alpha = shapiro_alpha(op, delta1, n_max)
+    expected = [
+        [
+            shapiro_alpha_by_binomial_sum(op, delta1, n, n - k) if n - k < op.order else ZERO
+            for k in range(n + 1)
+        ]
+        for n in range(n_max + 1)
+    ]
+    assert alpha == RecurrenceCoeffs(expected)
+    # a longer column gives the same table
+    assert shapiro_alpha(op, shapiro_delta1_column(op, n_max + 4), n_max) == alpha
 
 
 def test_verify_recurrence_small_orders():
     unit = ShapiroOperator([1])
-    assert verify_shapiro_recurrence(unit, shapiro_delta1_column(unit, 11), 10)
+    unit_delta1 = shapiro_delta1_column(unit, 11)
+    assert verify_shapiro_recurrence(shapiro_alpha(unit, unit_delta1, 10), unit_delta1)
     rng = Random(31)
     op = ShapiroOperator(random_c_vector(rng, 3))
-    result = verify_shapiro_recurrence(op, shapiro_delta1_column(op, 21), 20)
+    delta1 = shapiro_delta1_column(op, 21)
+    result = verify_shapiro_recurrence(shapiro_alpha(op, delta1, 20), delta1)
     assert result
     assert result.failed_n is None
 
@@ -166,15 +203,21 @@ def test_perturbed_alpha_detected():
     op = ShapiroOperator(random_c_vector(rng, 3))
     delta1 = shapiro_delta1_column(op, 11)
     polys = [shapiro_poly(delta1, m) for m in range(12)]
+    alpha = shapiro_alpha(op, delta1, 10)
     n = 8
-    row = [ZERO] * (n + 1)
-    for s in range(min(op.order - 1, n) + 1):
-        row[n - s] = shapiro_alpha(op, delta1, n, s)
+    row = list(alpha.rows[n])
     assert not relation_residual(polys, row, n)
     row[n - 1] = row[n - 1] + ONE
     residual = relation_residual(polys, row, n)
     assert residual
     assert residual.coeff(n - 1) != ZERO
+    # the table check locates the same row, at its lowest nonzero power
+    rows = list(alpha.rows)
+    rows[n] = row
+    result = verify_shapiro_recurrence(RecurrenceCoeffs(rows), delta1)
+    assert not result
+    assert result.failed_n == n
+    assert result.failed_power == min(p for p, v in enumerate(residual.coeffs) if v)
 
 
 def test_complex_coefficients_keep_the_band():
@@ -186,10 +229,11 @@ def test_complex_coefficients_keep_the_band():
         ]
     )
     delta1 = shapiro_delta1_column(op, 16)
-    assert verify_shapiro_recurrence(op, delta1, 15)
+    alpha = shapiro_alpha(op, delta1, 15)
+    assert verify_shapiro_recurrence(alpha, delta1)
     for n in range(10):
         for s in range(min(op.order - 1, n) + 1):
-            assert shapiro_alpha(op, delta1, n, s) is not None  # closed form stays defined
+            assert alpha.alpha(n, n - s) is not None  # closed form stays defined
     table = deltas_from_operator(to_bochner(op), 12)
     for n in range(13):
         assert shapiro_delta1(op, n) == table.value(n, 1)

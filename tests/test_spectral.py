@@ -20,7 +20,6 @@ from bochner import (
     eigenpoly_coeff_det,
     eigenpoly_recursive,
     eigensystem,
-    eigenvalues,
     hermite_operator,
     is_eigenpair,
     jacobi_operator,
@@ -28,6 +27,7 @@ from bochner import (
     laguerre_operator,
 )
 from bochner.scalars import ZERO
+from bochner.spectral import check_spectrum
 from conftest import (
     delta_extend_by_plain_sum,
     eigensystem_by_plain_arithmetic,
@@ -47,19 +47,26 @@ def laguerre_table():
     return deltas_from_operator(laguerre_operator(0), 12)
 
 
+def spectrum(table):
+    """The k = 0 column of the table, validated by `check_spectrum`."""
+    lams = [table.value(n, 0) for n in range(table.n_max + 1)]
+    check_spectrum(lams)
+    return lams
+
+
 def test_eigenvalues_presets(hermite_table, laguerre_table):
-    assert eigenvalues(hermite_table) == [GaussianRational(-2 * n) for n in range(13)]
-    assert eigenvalues(laguerre_table) == [GaussianRational(-n) for n in range(13)]
+    assert spectrum(hermite_table) == [GaussianRational(-2 * n) for n in range(13)]
+    assert spectrum(laguerre_table) == [GaussianRational(-n) for n in range(13)]
     jacobi_table = deltas_from_operator(jacobi_operator(Fraction(1, 2), Fraction(1, 3)), 8)
     expected = [GaussianRational(-Fraction(n) * (n + Fraction(11, 6))) for n in range(9)]
-    assert eigenvalues(jacobi_table) == expected
+    assert spectrum(jacobi_table) == expected
 
 
 def test_eigenvalues_detect_collision():
     rows = [[0], [5, 0], [5, 0, 0]]
     table = DeltaTable(rows)
     with pytest.raises(DegenerateSpectrum) as info:
-        eigenvalues(table)
+        spectrum(table)
     assert info.value.indices == (1, 2)
 
 
@@ -68,7 +75,7 @@ def test_eigenvalues_detect_zero():
     op = BochnerOperator([Poly(), Poly(), Poly([0, 0, 1])])
     table = deltas_from_operator(op, 4)
     with pytest.raises(DegenerateSpectrum) as info:
-        eigenvalues(table)
+        spectrum(table)
     assert info.value.indices == (1,)
 
 
