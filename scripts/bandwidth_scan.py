@@ -34,7 +34,7 @@ SEED = 7
 def fitted_band(op):
     table = deltas_from_operator(op, N_MAX + 1)
     system = eigensystem(table)
-    coeffs = fit_recurrence(system)
+    coeffs = fit_recurrence(system, table)
     return bandwidth(coeffs, N_START)
 
 

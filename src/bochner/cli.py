@@ -222,8 +222,9 @@ def run_recurrence(args) -> int:
     normalized, _ = normalize(op)
     table = deltas_from_operator(normalized, args.nmax + 1)
     system = eigensystem(table)
-    coeffs = fit_recurrence(system)
-    n_start = args.nstart if args.nstart is not None else args.nmax // 2 + 1
+    coeffs = fit_recurrence(system, table)
+    # the default window start stays inside the table when --nmax is 0
+    n_start = args.nstart if args.nstart is not None else min(args.nmax // 2 + 1, args.nmax)
     detected = bandwidth(coeffs, n_start)
     payload = {
         "alpha": alpha_table_to_list(coeffs),
@@ -264,7 +265,7 @@ def run_verify(args) -> int:
         for n in range(order + 1, nmax + 1)
         for k in range(order + 1)
     )
-    coeffs = fit_recurrence(system)
+    coeffs = fit_recurrence(system, table)
     checks["recurrence_reconstruction"] = not _broken_rows(system, coeffs)
     if order == 2:
         if nmax < 2:
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument(
         "--nstart",
         type=int,
-        help="first row of the band-detection window (default nmax//2 + 1)",
+        help="first row of the band-detection window (default nmax//2 + 1, at most nmax)",
     )
     p_rec.add_argument(
         "--check",

@@ -5,18 +5,46 @@ Any family of monic polynomials with deg P_n = n satisfies a unique relation
     sum_{k=0}^{n} alpha(n, k) P_k - x P_n + P_{n+1} = 0
 
 for each n, because {P_0, ..., P_n, x P_n} is a basis of the polynomials of
-degree n+1.  Solving the triangular system row by row gives the alpha table
-exactly; a family solves the bispectral problem precisely when the table is
-banded, i.e. alpha(n, n-s) = 0 for all s beyond some fixed p, which makes
-the relation a (p+2)-term recurrence.
+degree n+1.  A family solves the bispectral problem precisely when the alpha
+table is banded, i.e. alpha(n, n-s) = 0 for all s beyond some fixed p, which
+makes the relation a (p+2)-term recurrence.
+
+`fit_recurrence` takes each row by one of two exact routes, which give the
+same table:
+
+- The sequential solve matches the x^(n-j) coefficients for j = 0, 1, ...:
+  each alpha(n, k) is b(n, k-1) - b(n+1, k) minus a `dot` over the nonzero
+  entries of the row solved so far.  It skips zeros, so a banded row costs
+  little, but on a dense row it sums over the largest numbers of the fit.
+- The transposed route uses the inverse connection coefficients d(m, k),
+  x^m = sum_k d(m, k) P_k with d(m, m) = 1.  Applying the operator to x^m,
+  L x^m = sum_j delta(m, j) x^(m-j), and matching P_k gives
+
+      d(m, k) (lambda_k - lambda_m) = sum_{j=1}^{min(N, m-k)} delta(m, j) d(m-j, k),
+
+  one `dot_over` per entry over the band that the eigenpolynomial recursion
+  reads (it is that recursion transposed).  Expanding x P_n = sum_j
+  b(n, j) x^(j+1) then gives each entry as one `dot`, independent of every
+  other alpha:
+
+      alpha(n, k) = sum_{j >= k-1} b(n, j) d(j+1, k).
+
+Row n takes the transposed route when the delta table is tagged with its
+order N, n >= 2N and 2 nnz(row n-1) > n + 1, where nnz counts the nonzero
+entries of a row; d is built once, on first use, and only up to row n + 1.
+A family with an (N+1)-term recurrence has at most N nonzeros per row, so
+n >= 2N gives 2 nnz <= 2N <= n < n + 1 and the rule never fires on it: the
+classical and product-form fits keep the cost of the sequential solve.
+`relation_residual` re-expands a row symbolically and reads neither route.
 """
 from __future__ import annotations
 
 from typing import Sequence
 
 from .errors import DomainError, InsufficientData
+from .operators import DeltaTable
 from .polynomials import Poly, _fused_poly
-from .scalars import GaussianRational, ONE, ZERO, dot
+from .scalars import GaussianRational, ONE, ZERO, dot, dot_over
 from .spectral import EigenSystem
 
 _MINUS_ONE = -ONE
@@ -56,33 +84,87 @@ class RecurrenceCoeffs:
         return f"RecurrenceCoeffs(n_max={self.n_max})"
 
 
-def fit_recurrence(system: EigenSystem) -> RecurrenceCoeffs:
+def fit_recurrence(system: EigenSystem, table: DeltaTable) -> RecurrenceCoeffs:
     """Solve for the alpha table of a monic family; exact and unique.
 
-    Row n is obtained from the coefficients of P_n and P_{n+1}: matching the
-    x^(n-j) coefficient for j = 0, 1, ... gives each alpha(n, n-j) in terms
-    of the previously solved entries.  The family must reach one degree past
-    the last fitted row.
+    `table` is the delta table of the operator whose eigenfamily `system`
+    is: it must hold rows up to system.n_max, and its k = 0 column must be
+    the family's spectrum.  The family must reach one degree past the last
+    fitted row.
+
+    Row n is the sequential solve, matching the x^(n-j) coefficients of
+    P_n and P_{n+1} for j = 0, 1, ..., unless the table carries its order N,
+    n >= 2N and more than half of row n-1 (2 nnz > n + 1) is nonzero; then
+    every entry is alpha(n, k) = sum_{j >= k-1} b(n, j) d(j+1, k), with the
+    inverse connection coefficients
+
+        d(m, k) = sum_{j=1}^{min(N, m-k)} delta(m, j) d(m-j, k) / (lambda_k - lambda_m)
+
+    built as far as row n + 1 needs.  A family with at most N nonzeros per
+    row (an (N+1)-term recurrence) never meets the rule, since
+    2 nnz <= 2N <= n there.
     """
     if system.n_max < 1:
         raise InsufficientData("need polynomials at least up to degree 1")
+    lams = system.lambdas
+    if table.n_max < system.n_max:
+        raise InsufficientData(
+            f"need delta rows up to {system.n_max}, table holds {table.n_max}"
+        )
+    for m, lam in enumerate(lams):
+        if table.rows[m][0] != lam:
+            raise DomainError(f"delta({m}, 0) is not the eigenvalue lambda_{m} of the family")
     coeffs = [p.coeffs for p in system.polys]
+    order = table.order
+    inverse = []
     rows = []
+    nnz = 0
     for n in range(system.n_max):
-        row = [ZERO] * (n + 1)
-        # (i, alpha(n, i)) for the nonzero entries solved so far
-        found = []
-        for k in range(n, -1, -1):
-            value = (
-                system.coeff(n, k - 1)
-                - system.coeff(n + 1, k)
-                - dot((a, coeffs[i][k]) for i, a in found)
-            )
-            row[k] = value
-            if value:
-                found.append((k, value))
+        if order is not None and n >= 2 * order and 2 * nnz > n + 1:
+            _extend_inverse(table, lams, inverse, n + 1)
+            b = coeffs[n]
+            row = [
+                dot((b[j], inverse[j + 1][k]) for j in range(max(k - 1, 0), n + 1))
+                for k in range(n + 1)
+            ]
+            nnz = sum(map(bool, row))
+        else:
+            row = [ZERO] * (n + 1)
+            # (i, alpha(n, i)) for the nonzero entries solved so far
+            found = []
+            for k in range(n, -1, -1):
+                value = (
+                    system.coeff(n, k - 1)
+                    - system.coeff(n + 1, k)
+                    - dot((a, coeffs[i][k]) for i, a in found)
+                )
+                row[k] = value
+                if value:
+                    found.append((k, value))
+            nnz = len(found)
         rows.append(row)
     return RecurrenceCoeffs(rows)
+
+
+def _extend_inverse(
+    table: DeltaTable, lams: Sequence[GaussianRational], inverse: list, m_max: int
+) -> None:
+    """Append rows of d(m, k) to `inverse` until it reaches row m_max; only
+    the band j <= order of the table is read."""
+    rows = table.rows
+    for m in range(len(inverse), m_max + 1):
+        delta = rows[m]
+        top = len(delta) - 1
+        d = [
+            dot_over(
+                ((delta[j], inverse[m - j][k]) for j in range(1, min(top, m - k) + 1)),
+                lams[k],
+                lams[m],
+            )
+            for k in range(m)
+        ]
+        d.append(ONE)
+        inverse.append(d)
 
 
 def relation_residual(polys: Sequence[Poly], alpha_row: Sequence, n: int) -> Poly:

@@ -19,6 +19,7 @@ from bochner import (
     GaussianRational,
     NoFiniteOrderOperator,
     Poly,
+    RecurrenceCoeffs,
     X,
     derivative,
     hermite_operator,
@@ -26,7 +27,7 @@ from bochner import (
     laguerre_operator,
     reconstruct,
 )
-from bochner.scalars import ONE, ZERO, comb, factorial, scalar
+from bochner.scalars import ONE, ZERO, comb, dot, factorial, scalar
 
 
 def monic_hermite(n_max):
@@ -184,6 +185,28 @@ def relation_residual_by_poly_chain(polys, alpha_row, n):
         if a:
             residual = residual + a * polys[k]
     return residual
+
+
+def fit_recurrence_by_sequential_solve(system):
+    """Reference fit: every row by the sequential solve, each alpha(n, k)
+    from b(n, k-1) - b(n+1, k) minus a `dot` over the nonzero entries of
+    the row solved so far; it never reads a delta table."""
+    coeffs = [p.coeffs for p in system.polys]
+    rows = []
+    for n in range(system.n_max):
+        row = [ZERO] * (n + 1)
+        found = []
+        for k in range(n, -1, -1):
+            value = (
+                system.coeff(n, k - 1)
+                - system.coeff(n + 1, k)
+                - dot((a, coeffs[i][k]) for i, a in found)
+            )
+            row[k] = value
+            if value:
+                found.append((k, value))
+        rows.append(row)
+    return RecurrenceCoeffs(rows)
 
 
 def delta_extend_by_plain_sum(seed, n, k, order):

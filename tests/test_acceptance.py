@@ -33,6 +33,7 @@ from bochner import (
     reconstruct,
     shapiro_alpha,
     shapiro_delta1_column,
+    to_bochner,
     verify_shapiro_recurrence,
 )
 from bochner.cli import main as cli_main
@@ -146,7 +147,8 @@ def test_criterion_5_product_form_recurrence():
             assert verify_shapiro_recurrence(alpha, delta1), c
             polys = [shapiro_poly(delta1, m) for m in range(27)]
             lambdas = [GaussianRational(m) for m in range(27)]
-            coeffs = fit_recurrence(EigenSystem(lambdas, polys))
+            table = deltas_from_operator(to_bochner(op), 26)
+            coeffs = fit_recurrence(EigenSystem(lambdas, polys), table)
             # the whole fitted table, off-band zeros included
             assert coeffs == alpha, c
             assert bandwidth(coeffs, 10) == order - 1, c
@@ -213,7 +215,8 @@ def test_criterion_8_identity_sweep(capsys):
 def test_criterion_9_hermite_recurrence_fit():
     polys = monic_hermite(31)
     lambdas = [GaussianRational(-2 * n) for n in range(32)]
-    coeffs = fit_recurrence(EigenSystem(lambdas, polys))
+    table = deltas_from_operator(hermite_operator(), 31)
+    coeffs = fit_recurrence(EigenSystem(lambdas, polys), table)
     assert coeffs.n_max == 30
     for n in range(31):
         for k in range(n + 1):

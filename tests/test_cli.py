@@ -212,6 +212,25 @@ def test_recurrence_check_flag(capsys):
     assert payload["check"] == "ok"
 
 
+def test_recurrence_nmax_0_default_window(capsys):
+    # one fitted row: the default window starts at row 0, and one row shows
+    # no band
+    code, payload, err = run_json(capsys, "recurrence", "--preset", "hermite", "--nmax", "0")
+    assert code == 0, err
+    assert payload["n_start"] == 0
+    assert payload["n_max"] == 0
+    assert payload["p"] is None
+
+
+def test_recurrence_explicit_window_outside_table_exits_2(capsys):
+    code, out, err = run_cli(
+        capsys, "recurrence", "--preset", "hermite", "--nmax", "0", "--nstart", "1"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: window start 1 outside table rows 0..0\n"
+
+
 def test_verify_hermite(capsys):
     code, payload, _ = run_json(capsys, "verify", "--preset", "hermite", "--nmax", "8")
     assert code == 0

@@ -1,10 +1,13 @@
 from fractions import Fraction
 from random import Random
+from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bochner import (
+    BochnerOperator,
+    DegenerateSpectrum,
     DomainError,
     EigenSystem,
     GaussianRational,
@@ -15,14 +18,23 @@ from bochner import (
     deltas_from_operator,
     eigensystem,
     fit_recurrence,
+    hermite_operator,
+    jacobi_operator,
+    laguerre_operator,
+    normalize,
+    to_bochner,
 )
+from bochner import recurrence
 from bochner.recurrence import relation_residual
 from bochner.scalars import ONE, ZERO
 from bochner.shapiro import ShapiroOperator, shapiro_alpha, shapiro_delta1_column, shapiro_poly
 from conftest import (
+    bochner_operators,
+    fit_recurrence_by_sequential_solve,
     monic_hermite,
     random_bochner,
     relation_residual_by_poly_chain,
+    small_fractions,
     small_scalars,
 )
 
@@ -33,9 +45,13 @@ def hermite_system(n_max):
     return EigenSystem(lambdas, polys)
 
 
+def hermite_fit(system):
+    # the independently generated family with the table of its operator
+    return fit_recurrence(system, deltas_from_operator(hermite_operator(), system.n_max))
+
+
 def test_hermite_fit_band():
-    system = hermite_system(16)
-    coeffs = fit_recurrence(system)
+    coeffs = hermite_fit(hermite_system(16))
     assert coeffs.n_max == 15
     for n in range(16):
         for k in range(n + 1):
@@ -48,14 +64,27 @@ def test_hermite_fit_band():
 def test_single_row_fit():
     c = GaussianRational(3)
     system = EigenSystem([0, -2], [Poly([1]), Poly([-c, 1])])
-    coeffs = fit_recurrence(system)
+    # L = (2c - 2x) d/dx: L (x - c) = -2 (x - c)
+    op = BochnerOperator([Poly(), Poly([2 * c, -2])])
+    coeffs = fit_recurrence(system, deltas_from_operator(op, 1))
     assert coeffs.n_max == 0
     assert coeffs.alpha(0, 0) == c  # alpha(0,0) = -b(1,0)
 
 
 def test_fit_needs_one_extra_degree():
     with pytest.raises(InsufficientData):
-        fit_recurrence(EigenSystem([0], [Poly([1])]))
+        fit_recurrence(EigenSystem([0], [Poly([1])]), deltas_from_operator(hermite_operator(), 0))
+
+
+def test_fit_needs_the_table_of_its_family():
+    system = hermite_system(8)
+    with pytest.raises(InsufficientData):
+        fit_recurrence(system, deltas_from_operator(hermite_operator(), 7))
+    # the tables of Laguerre and of twice the Hermite operator hold other spectra
+    doubled = BochnerOperator([2 * a for a in hermite_operator().coeffs])
+    for op in (laguerre_operator(0), doubled):
+        with pytest.raises(DomainError):
+            fit_recurrence(system, deltas_from_operator(op, 8))
 
 
 def test_alpha_conventions():
@@ -71,14 +100,14 @@ def test_fitted_relation_reconstructs(corpus):
     for name, op in corpus[:5]:
         table = deltas_from_operator(op, 11)
         system = eigensystem(table)
-        coeffs = fit_recurrence(system)
+        coeffs = fit_recurrence(system, table)
         for n in range(coeffs.n_max + 1):
             assert not relation_residual(system.polys, coeffs.rows[n], n), (name, n)
 
 
 def test_fit_is_unique_against_perturbation():
     system = hermite_system(10)
-    coeffs = fit_recurrence(system)
+    coeffs = hermite_fit(system)
     for n, k in [(4, 3), (4, 0), (7, 6), (9, 2)]:
         row = list(coeffs.rows[n])
         row[k] = row[k] + ONE
@@ -93,7 +122,8 @@ def test_shapiro_fit_matches_closed_form():
     delta1 = shapiro_delta1_column(op, 16)
     polys = [shapiro_poly(delta1, m) for m in range(16)]
     lambdas = [GaussianRational(m) for m in range(16)]
-    coeffs = fit_recurrence(EigenSystem(lambdas, polys))
+    table = deltas_from_operator(to_bochner(op), 15)
+    coeffs = fit_recurrence(EigenSystem(lambdas, polys), table)
     alpha = shapiro_alpha(op, delta1, coeffs.n_max)
     assert coeffs == alpha
     for n in range(coeffs.n_max + 1):
@@ -105,8 +135,87 @@ def test_shapiro_fit_matches_closed_form():
                 assert fitted == ZERO, (n, s)
 
 
+def _fits(op, n_max):
+    """The fit of the family of `op` with its a_0 stripped, and the
+    sequential-solve reference; None on a degenerate spectrum."""
+    table = deltas_from_operator(normalize(op)[0], n_max)
+    try:
+        system = eigensystem(table)
+    except DegenerateSpectrum:
+        return None
+    return fit_recurrence(system, table), fit_recurrence_by_sequential_solve(system)
+
+
+product_form_coeffs = st.lists(small_scalars, min_size=1, max_size=5).filter(lambda c: c[-1])
+
+# every a_{i,j} nonzero (its real part is), orders 3-4: dense rows from n = 2N
+dense_scalars = st.builds(
+    GaussianRational,
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)),
+    small_fractions,
+)
+
+
+@st.composite
+def dense_operators(draw):
+    order = draw(st.integers(3, 4))
+    polys = [Poly()]
+    for i in range(1, order + 1):
+        polys.append(Poly(draw(st.lists(dense_scalars, min_size=i + 1, max_size=i + 1))))
+    return BochnerOperator(polys)
+
+
+@given(bochner_operators(), st.integers(2, 14))
+@settings(max_examples=60, deadline=None)
+def test_fit_matches_sequential_solve(op, n_max):
+    fits = _fits(op, n_max)
+    assume(fits is not None)
+    fitted, reference = fits
+    assert fitted == reference
+
+
+@given(dense_operators(), st.integers(8, 14))
+@settings(max_examples=40, deadline=None)
+def test_dense_fit_matches_sequential_solve(op, n_max):
+    fits = _fits(op, n_max)
+    assume(fits is not None)
+    fitted, reference = fits
+    assert fitted == reference
+
+
+@given(product_form_coeffs, st.integers(2, 20))
+@settings(max_examples=40, deadline=None)
+def test_product_form_fit_matches_sequential_solve_without_inverse(c, n_max):
+    # at most N nonzeros per row: the transposed route never runs
+    with patch.object(recurrence, "dot_over", wraps=recurrence.dot_over) as spy:
+        fitted, reference = _fits(to_bochner(ShapiroOperator(c)), n_max)
+    assert fitted == reference
+    assert spy.call_count == 0
+
+
+@pytest.mark.parametrize(
+    "op",
+    [hermite_operator(), jacobi_operator(Fraction(3, 7), Fraction(-2, 5))],
+    ids=["hermite", "jacobi"],
+)
+def test_classical_fit_matches_sequential_solve_without_inverse(op):
+    with patch.object(recurrence, "dot_over", wraps=recurrence.dot_over) as spy:
+        fitted, reference = _fits(op, 40)
+    assert fitted == reference
+    assert spy.call_count == 0
+
+
+def test_dense_fit_runs_the_inverse_route():
+    # a generic order-4 family has dense rows from row 8 on
+    op = random_bochner(Random(4040), 4, distinct_to=20)
+    with patch.object(recurrence, "dot_over", wraps=recurrence.dot_over) as spy:
+        fitted, reference = _fits(op, 20)
+    assert fitted == reference
+    assert spy.call_count > 0
+
+
 def test_bandwidth_hermite_three_term():
-    coeffs = fit_recurrence(hermite_system(20))
+    coeffs = hermite_fit(hermite_system(20))
     assert bandwidth(coeffs, 8) == 1
 
 
@@ -115,7 +224,8 @@ def test_bandwidth_shapiro_orders():
         op = ShapiroOperator([GaussianRational(1)] * order)
         polys = [shapiro_poly(shapiro_delta1_column(op, 17), m) for m in range(18)]
         lambdas = [GaussianRational(m) for m in range(18)]
-        coeffs = fit_recurrence(EigenSystem(lambdas, polys))
+        table = deltas_from_operator(to_bochner(op), 17)
+        coeffs = fit_recurrence(EigenSystem(lambdas, polys), table)
         assert bandwidth(coeffs, 10) == order - 1
 
 
@@ -124,13 +234,13 @@ def test_bandwidth_generic_operator_has_no_band():
     op = random_bochner(rng, 4, distinct_to=26)
     table = deltas_from_operator(op, 26)
     system = eigensystem(table)
-    coeffs = fit_recurrence(system)
+    coeffs = fit_recurrence(system, table)
     assert coeffs.n_max == 25
     assert bandwidth(coeffs, 10) is None
 
 
 def test_bandwidth_window_validation():
-    coeffs = fit_recurrence(hermite_system(6))
+    coeffs = hermite_fit(hermite_system(6))
     with pytest.raises(DomainError):
         bandwidth(coeffs, 9)
 

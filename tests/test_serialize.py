@@ -98,8 +98,8 @@ def test_delta_table_round_trip():
 
 
 def test_alpha_table_round_trip():
-    system = eigensystem(deltas_from_operator(hermite_operator(), 7))
-    coeffs = fit_recurrence(system)
+    table = deltas_from_operator(hermite_operator(), 7)
+    coeffs = fit_recurrence(eigensystem(table), table)
     assert alpha_table_from_list(alpha_table_to_list(coeffs)) == coeffs
 
 
