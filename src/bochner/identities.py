@@ -270,9 +270,18 @@ def sweep(identities=None, overrides: Mapping | None = None):
 
     Returns (checked, skipped, failures, per_id) where `failures` is a list
     of (identity, params, residual) triples for nonzero residuals and
-    `per_id` maps each identity to its (checked, skipped) counts.
+    `per_id` maps each identity to its (checked, skipped) counts.  An
+    override of a name that is no integer parameter of any chosen identity
+    raises DomainError.
     """
     chosen = IDENTITY_IDS if identities is None else tuple(identities)
+    swept = {name for identity in chosen for name in _lookup(identity).grid}
+    for name in overrides or {}:
+        if name not in swept:
+            raise DomainError(
+                f"range variable {name!r} is not an integer parameter of any identity "
+                f"swept ({', '.join(chosen)})"
+            )
     checked = 0
     skipped = 0
     failures = []

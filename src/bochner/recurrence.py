@@ -35,7 +35,8 @@ entries of a row; d is built once, on first use, and only up to row n + 1.
 A family with an (N+1)-term recurrence has at most N nonzeros per row, so
 n >= 2N gives 2 nnz <= 2N <= n < n + 1 and the rule never fires on it: the
 classical and product-form fits keep the cost of the sequential solve.
-`relation_residual` re-expands a row symbolically and reads neither route.
+`relation_residual` re-expands a row symbolically, over Gaussian-integer
+numerators, and reads neither route.
 """
 from __future__ import annotations
 
@@ -43,7 +44,7 @@ from typing import Sequence
 
 from .errors import DomainError, InsufficientData
 from .operators import DeltaTable
-from .polynomials import Poly, _fused_poly
+from .polynomials import Poly, _combination
 from .scalars import GaussianRational, ONE, ZERO, dot, dot_over
 from .spectral import EigenSystem
 
@@ -170,15 +171,18 @@ def _extend_inverse(
 def relation_residual(polys: Sequence[Poly], alpha_row: Sequence, n: int) -> Poly:
     """P_{n+1} - x P_n + sum_k alpha_row[k] P_k, which is zero iff row n holds.
 
-    A symbolic oracle that never reads a delta table: each coefficient of the
-    residual is one fused `dot` over the pairs (1, P_{n+1}[m]),
-    (-1, P_n[m-1]) and (alpha_k, P_k[m]) for the nonzero alpha_k.
+    A symbolic oracle that never reads a delta table.  It runs the kernel of
+    `apply_operator`: each P_k is lifted to Gaussian-integer numerators over
+    its own denominator once, and kept, so checking every row of a family
+    lifts each polynomial once; the weights 1, -1 and the nonzero alpha_k
+    are put over one denominator per call.  Each residual coefficient is
+    then a sum of integer products, and only a nonzero one is reduced.
     """
     if n + 1 >= len(polys):
         raise InsufficientData(f"need polynomials up to degree {n + 1}")
-    terms = [(0, ONE, polys[n + 1].coeffs), (1, _MINUS_ONE, polys[n].coeffs)]
-    terms += [(0, a, polys[k].coeffs) for k, a in enumerate(alpha_row) if a]
-    return _fused_poly(terms)
+    groups = [(polys[n + 1], 0, [(0, ONE)]), (polys[n], 0, [(1, _MINUS_ONE)])]
+    groups += [(polys[k], 0, [(0, a)]) for k, a in enumerate(alpha_row) if a]
+    return _combination(groups)
 
 
 def bandwidth(coeffs: RecurrenceCoeffs, n_start: int):

@@ -25,6 +25,11 @@ a difference of eigenvalues, with one reduction per coefficient.  The
 divisor is not reduced first: its gcd would be one more reduction, and the
 final one cancels whatever it shares with the sum anyway.  `dot` followed
 by `-` and `/` would reduce the sum, the difference and the quotient.
+
+`lift` puts a list of scalars over the lcm of their denominators, as
+Gaussian-integer numerators, and `from_parts` turns such a numerator pair
+back into a scalar with one reduction.  The symbolic oracles in
+`polynomials` sum integer products between the two, with no gcd per term.
 """
 from __future__ import annotations
 
@@ -289,6 +294,33 @@ def _accumulate(pairs):
                 p, q = p * e + tp * d, q * e + tq * d
             d *= e
     return p, q, d
+
+
+def lift(values, over=None):
+    """(D, ps, qs) with values[k] / over[k] = (ps[k] + qs[k]*i)/D.
+
+    `values` are scalars, ints or Fractions, and `over` holds one positive
+    int per value, all 1 when omitted.  D is the lcm of d_k * over[k], d_k
+    the denominator of values[k]; D = 1 for no values.  A linear combination
+    of lifted values is a sum of integer products with no gcd per term;
+    `from_parts` reduces a result once.
+    """
+    values = [v if v.__class__ is GaussianRational else _operand(v) for v in values]
+    dens = [v._d for v in values] if over is None else [v._d * e for v, e in zip(values, over)]
+    d = math.lcm(*set(dens))
+    scales = [d // e for e in dens]
+    return (
+        d,
+        [v._p * s for v, s in zip(values, scales)],
+        [v._q * s for v, s in zip(values, scales)],
+    )
+
+
+def from_parts(p: int, q: int, d: int) -> GaussianRational:
+    """The scalar (p + q*i)/d for integers p, q and d > 0, reduced once."""
+    if not (p or q):
+        return ZERO
+    return _reduced(p, q, d)
 
 
 def dot(pairs) -> GaussianRational:

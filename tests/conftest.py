@@ -288,6 +288,34 @@ def bochner_operators(draw):
     return BochnerOperator(polys)
 
 
+# every a_{i,j} nonzero (its real part is)
+dense_scalars = st.builds(
+    GaussianRational,
+    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)),
+    small_fractions,
+)
+
+
+@st.composite
+def dense_operators(draw):
+    """Operators of order 3-4 with a_0 = 0 and every a_{i,j}, j <= i,
+    nonzero: their families have dense recurrence rows from n = 2N on."""
+    order = draw(st.integers(3, 4))
+    polys = [Poly()]
+    for i in range(1, order + 1):
+        polys.append(Poly(draw(st.lists(dense_scalars, min_size=i + 1, max_size=i + 1))))
+    return BochnerOperator(polys)
+
+
+# a prime far above every denominator the strategies here give at small
+# degrees, and the near-miss shifts 1/q and i/q by it
+LARGE_PRIME = 2**61 - 1
+NEAR_MISSES = (
+    GaussianRational(Fraction(1, LARGE_PRIME)),
+    GaussianRational(0, Fraction(1, LARGE_PRIME)),
+)
+
+
 def int_max_str_digits():
     """Python's process-wide int/str digit limit, or None on releases before
     3.10.7, which have no limit."""

@@ -9,6 +9,7 @@ import pytest
 
 import bochner.cli
 import bochner.inverse
+import bochner.polynomials
 import bochner.spectral
 from bochner import (
     DeltaTable,
@@ -460,6 +461,39 @@ def test_lemmas_unknown_identity_exits_2(capsys):
 def test_lemmas_malformed_range_exits_2(capsys):
     code, _, err = run_cli(capsys, "lemmas", "--id", "kym", "--range", "k=3")
     assert code == 2
+
+
+def test_lemmas_range_of_an_unknown_variable_exits_2(capsys):
+    code, out, err = run_cli(capsys, "lemmas", "--id", "1_lema1", "--range", "M=0:2")
+    assert code == 2 and out == ""
+    assert "'M'" in err
+    # s is a parameter of 31tilde, but a rational one that no range sweeps
+    code, out, err = run_cli(capsys, "lemmas", "--id", "31tilde", "--range", "s=0:2")
+    assert code == 2 and "'s'" in err
+    # a variable of one selected identity is enough
+    code, payload, _ = run_json(
+        capsys, "lemmas", "--id", "kym", "--id", "1_lema1", "--range", "k=1:2"
+    )
+    assert code == 0 and payload["failures"] == []
+
+
+def test_verify_shapiro_lifts_each_polynomial_once(capsys, monkeypatch):
+    # the oracles lift a polynomial's stored coefficient tuple, and weights
+    # as fresh lists: a tuple seen twice is a polynomial lifted again
+    lifted = []
+    real = bochner.polynomials.lift
+
+    def spy(values, over=None):
+        lifted.append(values)
+        return real(values, over)
+
+    monkeypatch.setattr(bochner.polynomials, "lift", spy)
+    code, payload, _ = run_json(capsys, "verify", "--shapiro=1,-1/2,11/3,1", "--nmax", "12")
+    assert code == 0 and set(payload["checks"].values()) == {"ok"}
+    polys = [values for values in lifted if isinstance(values, tuple)]
+    # P_0..P_12 of the family, and P_0..P_13 of the closed form
+    assert len(polys) == 27
+    assert len({id(values) for values in polys}) == len(polys)
 
 
 def test_direct_delta_export(capsys):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from bochner import (
     BochnerOperator,
@@ -22,8 +22,11 @@ from bochner import (
 from bochner.scalars import ZERO
 from bochner.spectral import check_spectrum
 from conftest import (
+    LARGE_PRIME,
+    NEAR_MISSES,
     apply_operator_by_poly_chain,
     bochner_operators,
+    dense_operators,
     is_eigenpair_by_poly_chain,
     small_scalars as complex_scalars,
 )
@@ -200,3 +203,58 @@ def test_is_eigenpair_holds_exactly_for_true_pairs(op, n):
     assert is_eigenpair_by_poly_chain(op, p, lam)
     assert not is_eigenpair(op, p, lam + 1)
     assert not is_eigenpair_by_poly_chain(op, p, lam + 1)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+
+
+@st.composite
+def coprime_polys(draw):
+    """Polynomials of up to 16 coefficients over pairwise coprime
+    denominators, the lcm of which is their product; about half of them
+    non-real."""
+    dens = draw(st.permutations(PRIMES))[: draw(st.integers(0, len(PRIMES)))]
+    numerators = st.integers(-(10**12), 10**12)
+    coeffs = []
+    for den in dens:
+        im = Fraction(draw(numerators), den) if draw(st.booleans()) else 0
+        coeffs.append(GaussianRational(Fraction(draw(numerators), den), im))
+    return Poly(coeffs)
+
+
+@given(dense_operators(), coprime_polys())
+@settings(max_examples=60, deadline=None)
+def test_apply_operator_matches_poly_chain_on_dense_operators(op, p):
+    assert apply_operator(op, p) == apply_operator_by_poly_chain(op, p)
+
+
+@given(dense_operators(), coprime_polys(), complex_scalars)
+@settings(max_examples=60, deadline=None)
+def test_is_eigenpair_matches_poly_chain_on_dense_operators(op, p, value):
+    assert is_eigenpair(op, p, value) == is_eigenpair_by_poly_chain(op, p, value)
+
+
+def denominators(values):
+    return {part.denominator for value in values for part in (value.re, value.im)}
+
+
+@given(dense_operators() | bochner_operators(), st.integers(1, 9), st.data())
+@settings(max_examples=40, deadline=None)
+def test_is_eigenpair_reports_a_near_miss(op, n, data):
+    # P_m + c x^k with c = 1/q or i/q and k < m: L leaves
+    # (lambda_k - lambda_m) c x^k and lower terms, so the pair fails in the
+    # last place it can, and for a real operator only in the part c has
+    p, lam = eigenpair(op, n)
+    assume(p.degree)
+    q = LARGE_PRIME
+    assume(all(d % q for d in denominators(p.coeffs)))
+    k = data.draw(st.integers(0, p.degree - 1))
+    shift = data.draw(st.sampled_from(NEAR_MISSES))
+    coeffs = list(p.coeffs)
+    coeffs[k] = coeffs[k] + shift
+    near = Poly(coeffs)
+    assert is_eigenpair(op, p, lam)
+    assert not is_eigenpair(op, near, lam)
+    assert not is_eigenpair_by_poly_chain(op, near, lam)
+    residual = apply_operator(op, near) - lam * near
+    assert residual and residual == apply_operator_by_poly_chain(op, near) - lam * near

@@ -29,12 +29,14 @@ from bochner.recurrence import relation_residual
 from bochner.scalars import ONE, ZERO
 from bochner.shapiro import ShapiroOperator, shapiro_alpha, shapiro_delta1_column, shapiro_poly
 from conftest import (
+    LARGE_PRIME,
+    NEAR_MISSES,
     bochner_operators,
+    dense_operators,
     fit_recurrence_by_sequential_solve,
     monic_hermite,
     random_bochner,
     relation_residual_by_poly_chain,
-    small_fractions,
     small_scalars,
 )
 
@@ -148,23 +150,6 @@ def _fits(op, n_max):
 
 product_form_coeffs = st.lists(small_scalars, min_size=1, max_size=5).filter(lambda c: c[-1])
 
-# every a_{i,j} nonzero (its real part is), orders 3-4: dense rows from n = 2N
-dense_scalars = st.builds(
-    GaussianRational,
-    st.builds(Fraction, st.integers(-9, 9).filter(bool), st.integers(1, 6)),
-    small_fractions,
-)
-
-
-@st.composite
-def dense_operators(draw):
-    order = draw(st.integers(3, 4))
-    polys = [Poly()]
-    for i in range(1, order + 1):
-        polys.append(Poly(draw(st.lists(dense_scalars, min_size=i + 1, max_size=i + 1))))
-    return BochnerOperator(polys)
-
-
 @given(bochner_operators(), st.integers(2, 14))
 @settings(max_examples=60, deadline=None)
 def test_fit_matches_sequential_solve(op, n_max):
@@ -253,3 +238,27 @@ def test_relation_residual_matches_poly_chain(data):
     polys = [Poly(data.draw(st.lists(small_scalars, max_size=m + 2))) for m in range(n + 2)]
     row = data.draw(st.lists(small_scalars, min_size=n + 1, max_size=n + 1))
     assert relation_residual(polys, row, n) == relation_residual_by_poly_chain(polys, row, n)
+
+
+@given(dense_operators(), st.integers(2, 12), st.data())
+@settings(max_examples=30, deadline=None)
+def test_relation_residual_reports_a_near_miss(op, n_max, data):
+    # alpha(n, k) + c, c = 1/q or i/q, leaves exactly c P_k
+    table = deltas_from_operator(op, n_max)
+    try:
+        system = eigensystem(table)
+    except DegenerateSpectrum:
+        assume(False)
+    coeffs = fit_recurrence(system, table)
+    n = data.draw(st.integers(0, coeffs.n_max))
+    k = data.draw(st.integers(0, n))
+    q = LARGE_PRIME
+    parts = [part for p in system.polys for c in p.coeffs for part in (c.re, c.im)]
+    assume(all(part.denominator % q for part in parts))
+    row = list(coeffs.rows[n])
+    assert not relation_residual(system.polys, row, n)
+    shift = data.draw(st.sampled_from(NEAR_MISSES))
+    row[k] = row[k] + shift
+    residual = relation_residual(system.polys, row, n)
+    assert residual == relation_residual_by_poly_chain(system.polys, row, n)
+    assert residual == shift * system.polys[k]

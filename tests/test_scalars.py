@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from bochner import (
     parse_scalar,
     scalar,
 )
-from bochner.scalars import I, ONE, ZERO, comb, dot, dot_over, factorial
+from bochner.scalars import I, ONE, ZERO, comb, dot, dot_over, factorial, from_parts, lift
 
 
 def test_binom_basic():
@@ -396,3 +397,54 @@ def test_dot_over_rejects_inexact_factors():
         dot_over([(ONE, 0.5)], 1, 0)
     with pytest.raises(TypeError):
         dot_over([(ONE, ONE)], 1.5, 0)
+
+
+@st.composite
+def lift_cases(draw):
+    """Values over one family of denominators, and either no divisors or
+    one positive divisor per value from the same family."""
+    dens = DENOMINATORS[draw(st.sampled_from(sorted(DENOMINATORS)))]
+    values = [draw_factor(draw, dens) for _ in range(draw(st.integers(0, 6)))]
+    size = len(values)
+    over = draw(st.none() | st.lists(st.sampled_from(dens), min_size=size, max_size=size))
+    return values, over
+
+
+@given(lift_cases())
+def test_lift_puts_values_over_the_lcm_of_their_denominators(case):
+    values, over = case
+    divisors = over or [1] * len(values)
+    d, ps, qs = lift(values, over)
+    expected = 1
+    for value, e in zip(values, divisors):
+        re, im = parts(value)
+        expected = math.lcm(expected, math.lcm(re.denominator, im.denominator) * e)
+    assert d == expected
+    assert len(ps) == len(qs) == len(values)
+    for value, e, p, q in zip(values, divisors, ps, qs):
+        re, im = parts(value)
+        assert (Fraction(p, d), Fraction(q, d)) == (re / e, im / e)
+        assert_parts(from_parts(p * e, q * e, d), re, im)
+
+
+def test_lift_of_nothing_is_over_one():
+    assert lift([]) == (1, [], [])
+    assert lift((), []) == (1, [], [])
+
+
+def test_lift_examples():
+    # the lcm, not the product or the last denominator
+    assert lift([Fraction(1, 4), GaussianRational(Fraction(1, 6), Fraction(1, 10)), 3]) == (
+        60, [15, 10, 180], [0, 6, 0]
+    )
+    assert lift([Fraction(1, 2), Fraction(1, 3)], [3, 1]) == (6, [1, 2], [0, 0])
+    with pytest.raises(TypeError):
+        lift([0.5])
+
+
+@pytest.mark.parametrize(
+    "p,q,d",
+    [(0, 0, 7), (6, -4, 8), (-3, 0, 9), (0, 10, 4), (5, 7, 1), (2**80 * 3, 2**81, 2**82 * 9)],
+)
+def test_from_parts_reduces_once(p, q, d):
+    assert_parts(from_parts(p, q, d), Fraction(p, d), Fraction(q, d))
