@@ -68,7 +68,14 @@ from .spectral import (
     lambda_via_N2_identity,
 )
 
-PRESET_NAMES = ("hermite", "laguerre", "jacobi", "shapiro")
+# the parameter flags each preset reads; giving it any other is an input error
+_PRESET_PARAMS = {
+    "hermite": (),
+    "laguerre": ("alpha",),
+    "jacobi": ("alpha", "beta"),
+    "shapiro": ("shapiro",),
+}
+PRESET_NAMES = tuple(_PRESET_PARAMS)
 _SCALAR_FLAGS = ("--alpha", "--beta", "--shapiro")
 # a scalar argument that starts with a minus sign: "-2/5", "-i", "-3/4,1"
 _NEGATIVE_SCALAR = re.compile(r"-[\di]")
@@ -117,7 +124,14 @@ def _load_json(path: str):
         raise ParseError(f"{path} nests JSON too deeply to parse") from None
 
 
+def _reject_unused_parameters(args, source: str, taken) -> None:
+    for param in ("alpha", "beta", "shapiro"):
+        if getattr(args, param) is not None and param not in taken:
+            raise ParseError(f"{source} takes no --{param}")
+
+
 def _preset_operator(name: str, args):
+    _reject_unused_parameters(args, f"the {name} preset", _PRESET_PARAMS[name])
     if name == "hermite":
         return hermite_operator(), None
     if name == "laguerre":
@@ -128,15 +142,13 @@ def _preset_operator(name: str, args):
         if args.alpha is None or args.beta is None:
             raise ParseError("jacobi preset requires --alpha and --beta")
         return jacobi_operator(parse_scalar(args.alpha), parse_scalar(args.beta)), None
-    if name == "shapiro":
-        if args.shapiro is None:
-            raise ParseError("shapiro preset requires --shapiro c1,c2,...,cN")
-        items = [piece for piece in args.shapiro.split(",") if piece.strip()]
-        if not items:
-            raise ParseError("empty coefficient list")
-        product_op = ShapiroOperator([parse_scalar(piece) for piece in items])
-        return to_bochner(product_op), product_op
-    raise ParseError(f"unknown preset {name!r}")
+    if args.shapiro is None:
+        raise ParseError("shapiro preset requires --shapiro c1,c2,...,cN")
+    items = [piece for piece in args.shapiro.split(",") if piece.strip()]
+    if not items:
+        raise ParseError("empty coefficient list")
+    product_op = ShapiroOperator([parse_scalar(piece) for piece in items])
+    return to_bochner(product_op), product_op
 
 
 def _operator_from_args(args):
@@ -144,6 +156,7 @@ def _operator_from_args(args):
     if args.operator is not None:
         if args.preset is not None or args.shapiro is not None:
             raise ParseError("give exactly one operator source")
+        _reject_unused_parameters(args, "an --operator document", ())
         doc = _load_json(args.operator)
         return operator_from_dict(doc), None
     if args.preset is not None or args.shapiro is not None:
@@ -182,23 +195,20 @@ def run_direct(args) -> int:
     op, _ = _operator_from_args(args)
     normalized, shift = normalize(op)
     table = deltas_from_operator(normalized, args.nmax)
-    # --det alone emits the determinant route only; the recursion runs for
-    # plain output and for the --check comparison
-    system = eigensystem(table) if args.check or not args.det else None
-    by_det = eigenpoly_coeff_det(table, args.nmax) if args.det or args.check else None
-    emitted = by_det if args.det else system
-    lambdas = [lam + shift for lam in emitted.lambdas]
+    system = eigensystem(table)
+    lambdas = [lam + shift for lam in system.lambdas]
     payload = {
         "lambda": [format_scalar(v) for v in lambdas],
-        "P": [poly_to_list(p) for p in emitted.polys],
+        "P": [poly_to_list(p) for p in system.polys],
     }
     if args.deltas:
         payload["delta"] = delta_table_to_list(table)
     if args.decimal:
         payload["lambda_decimal"] = [_scalar_decimal(v, args.decimal) for v in lambdas]
-        payload["P_decimal"] = _decimal_rows((p.coeffs for p in emitted.polys), args.decimal)
+        payload["P_decimal"] = _decimal_rows((p.coeffs for p in system.polys), args.decimal)
     status = 0
     if args.check:
+        by_det = eigenpoly_coeff_det(table, args.nmax)
         mismatches = _direct_mismatches(op, system, by_det, shift)
         payload["check"] = "ok" if not mismatches else "failed"
         if mismatches:
@@ -283,11 +293,7 @@ def run_verify(args) -> int:
         delta1 = shapiro_delta1_column(product_op, nmax + 1)
         alpha = shapiro_alpha(product_op, delta1, nmax)
         checks["product_form_recurrence"] = bool(verify_shapiro_recurrence(alpha, delta1))
-        checks["product_form_alpha_match"] = all(
-            coeffs.alpha(n, n - s) == alpha.alpha(n, n - s)
-            for n in range(coeffs.n_max + 1)
-            for s in range(min(product_op.order - 1, n) + 1)
-        )
+        checks["product_form_alpha_match"] = coeffs.rows == alpha.rows[: coeffs.n_max + 1]
     payload = {
         "nmax": nmax,
         "checks": {name: ("ok" if good else "fail") for name, good in checks.items()},
@@ -419,11 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the eigen-equation oracle and the determinant cross-check",
     )
     p_direct.add_argument(
-        "--det",
-        action="store_true",
-        help="compute coefficients by the determinant route instead of the recursion",
-    )
-    p_direct.add_argument(
         "--deltas",
         action="store_true",
         help="include the triangular delta table in the output",
@@ -463,8 +464,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("inverse", help="reconstruct an operator from eigen-data")
     p_inv.add_argument("--data", required=True, metavar="FILE", help="eigen-data JSON document")
-    p_inv.add_argument("--order", type=int, help="order to test")
-    p_inv.add_argument(
+    target = p_inv.add_mutually_exclusive_group()
+    target.add_argument("--order", type=int, help="order to test")
+    target.add_argument(
         "--search",
         action="store_true",
         help="report the smallest order that fits the data",

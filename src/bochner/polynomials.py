@@ -61,10 +61,6 @@ class Poly:
         return p
 
     @classmethod
-    def constant(cls, value) -> "Poly":
-        return cls((value,))
-
-    @classmethod
     def monomial(cls, power: int, coefficient=1) -> "Poly":
         if power < 0:
             raise DomainError(f"negative power {power}")
@@ -87,13 +83,6 @@ class Poly:
         if not self.coeffs:
             return self
         return Poly._raw((ZERO,) + self.coeffs)
-
-    def evaluate(self, point) -> GaussianRational:
-        value = ZERO
-        x = scalar(point)
-        for c in reversed(self.coeffs):
-            value = value * x + c
-        return value
 
     # -- arithmetic -------------------------------------------------------
 

@@ -30,11 +30,11 @@ same table:
       alpha(n, k) = sum_{j >= k-1} b(n, j) d(j+1, k).
 
 Row n takes the transposed route when the delta table is tagged with its
-order N, n >= 2N and 2 nnz(row n-1) > n + 1, where nnz counts the nonzero
-entries of a row; d is built once, on first use, and only up to row n + 1.
-A family with an (N+1)-term recurrence has at most N nonzeros per row, so
-n >= 2N gives 2 nnz <= 2N <= n < n + 1 and the rule never fires on it: the
-classical and product-form fits keep the cost of the sequential solve.
+order N and row n-1 has more than N nonzero entries, that is, once the
+family has left the (N+1)-term band; d is built once, on first use, and
+only up to row n + 1.  A family with an (N+1)-term recurrence has at most
+N nonzeros per row, so the classical and product-form fits never leave the
+sequential solve.
 `relation_residual` re-expands a row symbolically, over Gaussian-integer
 numerators, and reads neither route.
 """
@@ -94,16 +94,15 @@ def fit_recurrence(system: EigenSystem, table: DeltaTable) -> RecurrenceCoeffs:
     fitted row.
 
     Row n is the sequential solve, matching the x^(n-j) coefficients of
-    P_n and P_{n+1} for j = 0, 1, ..., unless the table carries its order N,
-    n >= 2N and more than half of row n-1 (2 nnz > n + 1) is nonzero; then
-    every entry is alpha(n, k) = sum_{j >= k-1} b(n, j) d(j+1, k), with the
-    inverse connection coefficients
+    P_n and P_{n+1} for j = 0, 1, ..., unless the table carries its order N
+    and row n-1 has more than N nonzero entries, i.e. the family has left
+    the (N+1)-term band; then every entry is
+    alpha(n, k) = sum_{j >= k-1} b(n, j) d(j+1, k), with the inverse
+    connection coefficients
 
         d(m, k) = sum_{j=1}^{min(N, m-k)} delta(m, j) d(m-j, k) / (lambda_k - lambda_m)
 
-    built as far as row n + 1 needs.  A family with at most N nonzeros per
-    row (an (N+1)-term recurrence) never meets the rule, since
-    2 nnz <= 2N <= n there.
+    built as far as row n + 1 needs.
     """
     if system.n_max < 1:
         raise InsufficientData("need polynomials at least up to degree 1")
@@ -121,7 +120,7 @@ def fit_recurrence(system: EigenSystem, table: DeltaTable) -> RecurrenceCoeffs:
     rows = []
     nnz = 0
     for n in range(system.n_max):
-        if order is not None and n >= 2 * order and 2 * nnz > n + 1:
+        if order is not None and nnz > order:
             _extend_inverse(table, lams, inverse, n + 1)
             b = coeffs[n]
             row = [

@@ -16,6 +16,7 @@ from bochner import (
     EigenSystem,
     GaussianRational,
     Poly,
+    RecurrenceCoeffs,
     hermite_operator,
     laguerre_operator,
 )
@@ -53,16 +54,6 @@ def test_direct_hermite_preset(capsys):
     assert payload["check"] == "ok"
 
 
-def test_direct_det_route_matches(capsys):
-    code_a, default, _ = run_json(capsys, "direct", "--preset", "hermite", "--nmax", "6")
-    code_b, via_det, _ = run_json(
-        capsys, "direct", "--preset", "hermite", "--nmax", "6", "--det"
-    )
-    assert code_a == code_b == 0
-    assert default["P"] == via_det["P"]
-    assert default["lambda"] == via_det["lambda"]
-
-
 def test_direct_bochner_violation_exits_2(tmp_path, capsys):
     path = write_json(tmp_path / "bad.json", {"N": 1, "a": [[], ["0", "0", "1"]]})
     code, out, err = run_cli(capsys, "direct", "--operator", path)
@@ -78,10 +69,10 @@ def test_direct_degenerate_spectrum_exits_3(tmp_path, capsys):
     assert "degenerate" in err.lower()
 
 
-ROUTES = [(), ("--det",), ("--check",), ("--det", "--check")]
+ROUTES = [(), ("--check",)]
 
 
-@pytest.mark.parametrize("flags", ROUTES, ids=["plain", "det", "check", "det-check"])
+@pytest.mark.parametrize("flags", ROUTES, ids=["plain", "check"])
 def test_direct_degenerate_spectrum_exits_3_on_every_route(tmp_path, capsys, flags):
     path = write_json(tmp_path / "deg.json", {"N": 2, "a": [[], [], ["0", "0", "1"]]})
     code, out, err = run_cli(capsys, "direct", "--operator", path, *flags)
@@ -90,7 +81,7 @@ def test_direct_degenerate_spectrum_exits_3_on_every_route(tmp_path, capsys, fla
     assert err.startswith("degenerate spectrum:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flags", ROUTES, ids=["plain", "det", "check", "det-check"])
+@pytest.mark.parametrize("flags", ROUTES, ids=["plain", "check"])
 def test_direct_checks_the_spectrum_once_per_route(capsys, monkeypatch, flags):
     calls = []
     real = bochner.spectral.check_spectrum
@@ -106,8 +97,12 @@ def test_direct_checks_the_spectrum_once_per_route(capsys, monkeypatch, flags):
     assert calls == [9] * (2 if "--check" in flags else 1)
 
 
-@pytest.mark.parametrize("flags,descents", [(("--det",), 0), ((), 9)], ids=["det", "plain"])
-def test_direct_det_runs_no_recursion(capsys, monkeypatch, flags, descents):
+@pytest.mark.parametrize(
+    "flags,status,descents", [(("--det",), 2, 0), ((), 0, 9)], ids=["det", "plain"]
+)
+def test_direct_det_runs_no_recursion(capsys, monkeypatch, flags, status, descents):
+    """`direct` runs the recursion once, and has no `--det` option: argparse
+    refuses it before any route runs."""
     calls = []
     real = bochner.spectral._descend
 
@@ -116,9 +111,16 @@ def test_direct_det_runs_no_recursion(capsys, monkeypatch, flags, descents):
         return real(table, lams, n)
 
     monkeypatch.setattr(bochner.spectral, "_descend", counted)
-    code, _, _ = run_cli(capsys, "direct", "--preset", "hermite", "--nmax", "8", *flags)
-    assert code == 0
+    try:
+        code = main(["direct", "--preset", "hermite", "--nmax", "8", *flags])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == status
     assert len(calls) == descents
+    if flags:
+        assert out == ""
+        assert err.rstrip().endswith("error: unrecognized arguments: --det")
 
 
 def test_direct_det_check_builds_the_determinant_system_once(capsys, monkeypatch):
@@ -130,9 +132,7 @@ def test_direct_det_check_builds_the_determinant_system_once(capsys, monkeypatch
         return real(table, n_max)
 
     monkeypatch.setattr(bochner.cli, "eigenpoly_coeff_det", counted)
-    code, payload, _ = run_json(
-        capsys, "direct", "--preset", "hermite", "--nmax", "8", "--det", "--check"
-    )
+    code, payload, _ = run_json(capsys, "direct", "--preset", "hermite", "--nmax", "8", "--check")
     assert code == 0
     assert payload["check"] == "ok"
     assert calls == [8]
@@ -275,6 +275,25 @@ def test_verify_order_2_below_nmax_2_exits_2(capsys, source):
     assert err == "error: the order-2 eigenvalue identity needs --nmax at least 2, got 1\n"
 
 
+@pytest.mark.parametrize("s", [1, 2], ids=["in-band", "off-band"])
+def test_verify_alpha_match_covers_the_whole_row(capsys, monkeypatch, s):
+    """An order-2 product form has alpha(n, n-s) = 0 for s >= 2; the match
+    against the closed form reads every entry of a fitted row, so a nonzero
+    off the band fails it as an entry inside the band does."""
+    real = bochner.cli.fit_recurrence
+
+    def bumped(system, table):
+        coeffs = real(system, table)
+        rows = [list(row) for row in coeffs.rows]
+        rows[6][6 - s] += 1
+        return RecurrenceCoeffs(rows)
+
+    monkeypatch.setattr(bochner.cli, "fit_recurrence", bumped)
+    code, payload, _ = run_json(capsys, "verify", "--shapiro", "2/3,-1/5", "--nmax", "8")
+    assert code == 1
+    assert payload["checks"]["product_form_alpha_match"] == "fail"
+
+
 def bump_det_coefficient(monkeypatch, n, i):
     """Make the CLI's determinant route return b(n, n-i) off by one, and
     every other coefficient as computed."""
@@ -306,16 +325,6 @@ def test_direct_check_locates_one_determinant_mismatch(capsys, monkeypatch, eige
     if eigen_fails:
         expected.insert(0, {"n": 5, "check": "eigen-equation"})
     assert payload["mismatches"] == expected
-
-
-def test_direct_det_decimal_renders_the_determinant_route(capsys, monkeypatch):
-    bump_det_coefficient(monkeypatch, 2, 2)
-    code, payload, _ = run_json(
-        capsys, "direct", "--preset", "hermite", "--nmax", "3", "--det", "--decimal", "4"
-    )
-    assert code == 0
-    assert payload["P"][2] == ["1/2", "0", "1"]
-    assert payload["P_decimal"][2] == ["0.5", "0", "1"]
 
 
 def test_verify_reports_a_determinant_mismatch(capsys, monkeypatch):
@@ -565,6 +574,69 @@ def test_inverse_search_on_too_little_data_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            ("direct", "--preset", "hermite", "--shapiro", "1,2"),
+            "the hermite preset takes no --shapiro",
+        ),
+        (("direct", "--preset", "hermite", "--alpha", "0"), "the hermite preset takes no --alpha"),
+        (
+            ("recurrence", "--preset", "laguerre", "--alpha", "0", "--beta", "1"),
+            "the laguerre preset takes no --beta",
+        ),
+        (
+            ("verify", "--preset", "jacobi", "--alpha", "1", "--beta", "2", "--shapiro", "1"),
+            "the jacobi preset takes no --shapiro",
+        ),
+        (("verify", "--shapiro", "1,2", "--alpha", "1/2"), "the shapiro preset takes no --alpha"),
+        (("preset", "hermite", "--beta", "0"), "the hermite preset takes no --beta"),
+        (
+            ("preset", "shapiro", "--shapiro", "1", "--alpha", "0"),
+            "the shapiro preset takes no --alpha",
+        ),
+        # refused before the file is read
+        (
+            ("direct", "--operator", "/nonexistent.json", "--beta", "1"),
+            "an --operator document takes no --beta",
+        ),
+    ],
+    ids=[
+        "hermite-shapiro",
+        "hermite-alpha",
+        "laguerre-beta",
+        "jacobi-shapiro",
+        "shapiro-alpha",
+        "preset-hermite",
+        "preset-shapiro",
+        "operator-beta",
+    ],
+)
+def test_parameter_the_source_does_not_take_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_shapiro_preset_takes_its_coefficient_list(capsys):
+    expected = run_cli(capsys, "direct", "--shapiro", "1,2", "--nmax", "3")
+    assert expected[0] == 0
+    argv = ("direct", "--preset", "shapiro", "--shapiro", "1,2", "--nmax", "3")
+    assert run_cli(capsys, *argv) == expected
+
+
+def test_inverse_order_and_search_together_exit_2(tmp_path, capsys):
+    path = write_json(tmp_path / "hermite.json", hermite_data_doc(4))
+    with pytest.raises(SystemExit) as info:
+        main(["inverse", "--data", path, "--search", "--order", "1"])
+    out, err = capsys.readouterr()
+    assert info.value.code == 2
+    assert out == ""
+    assert err.rstrip().endswith("error: argument --order: not allowed with argument --search")
 
 
 def test_negative_scalar_flags_attach_with_equals(capsys):

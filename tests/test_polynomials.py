@@ -71,13 +71,6 @@ def test_arithmetic():
     assert (p + (-p)) == Poly()
 
 
-def test_evaluate():
-    p = Poly([1, -3, 2])  # 2x^2 - 3x + 1
-    assert p.evaluate(2) == 3
-    assert p.evaluate(Fraction(1, 2)) == 0
-    assert Poly().evaluate(7) == ZERO
-
-
 def test_is_monic():
     assert X.is_monic()
     assert not Poly([2, 2]).is_monic()

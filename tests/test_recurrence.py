@@ -27,6 +27,7 @@ from bochner import (
 from bochner import recurrence
 from bochner.recurrence import relation_residual
 from bochner.scalars import ONE, ZERO
+from bochner.serialize import operator_from_dict
 from bochner.shapiro import ShapiroOperator, shapiro_alpha, shapiro_delta1_column, shapiro_poly
 from conftest import (
     LARGE_PRIME,
@@ -197,6 +198,43 @@ def test_dense_fit_runs_the_inverse_route():
         fitted, reference = _fits(op, 20)
     assert fitted == reference
     assert spy.call_count > 0
+
+
+# dense non-real documents of orders 3 and 4 (every a_i of full degree)
+DENSE_DOCUMENTS = {
+    "order3": {
+        "N": 3,
+        "a": [[], ["1/2", "-3"], ["2", "1+1*i", "-1/3*i"], ["0", "1", "-2", "1+1*i"]],
+    },
+    "order4": {
+        "N": 4,
+        "a": [
+            [],
+            ["1/2", "-3"],
+            ["2", "1+1*i", "-1/3*i"],
+            ["0", "1", "-2", "1+1*i"],
+            ["1", "-1/2", "3*i", "2", "1/2+1*i"],
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "op",
+    [operator_from_dict(doc) for doc in DENSE_DOCUMENTS.values()]
+    + [random_bochner(Random(4040), 4, distinct_to=20), random_bochner(Random(33), 3)],
+    ids=[*DENSE_DOCUMENTS, "random-order4", "random-order3"],
+)
+def test_dense_fit_leaves_the_sequential_solve_once_out_of_band(op):
+    """Row n takes the transposed route exactly when row n-1 holds more than
+    N nonzeros; on a dense family that starts before row 2N."""
+    with patch.object(recurrence, "_extend_inverse", wraps=recurrence._extend_inverse) as spy:
+        fitted, reference = _fits(op, 20)
+    assert fitted == reference
+    transposed = [call.args[3] - 1 for call in spy.call_args_list]
+    out_of_band = [n for n in range(1, 20) if sum(map(bool, fitted.rows[n - 1])) > op.order]
+    assert transposed == out_of_band
+    assert op.order < transposed[0] < 2 * op.order
 
 
 def test_bandwidth_hermite_three_term():
