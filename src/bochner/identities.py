@@ -35,7 +35,6 @@ Identity ids (parameters, domain):
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import DomainError, ParseError
@@ -261,8 +260,21 @@ def iter_grid(identity: str, overrides: Mapping | None = None) -> Iterator[dict]
         PROBE_VALUES if name in entry.scalar_names else range(grid[name][0], grid[name][1] + 1)
         for name in entry.names
     ]
-    for values in product(*axes):
-        yield dict(zip(entry.names, values))
+    if all(axes):
+        for values in _points(axes):
+            yield dict(zip(entry.names, values))
+
+
+def _points(axes):
+    """The points of the grid over `axes` in `itertools.product` order, the
+    last axis fastest, reading each axis as it goes: `product` would first
+    copy every axis, a wide range included, into a tuple."""
+    if not axes:
+        yield ()
+        return
+    for value in axes[0]:
+        for tail in _points(axes[1:]):
+            yield (value,) + tail
 
 
 def sweep(identities=None, overrides: Mapping | None = None):

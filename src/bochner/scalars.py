@@ -20,11 +20,19 @@ sums over a running common denominator, at most one gcd per term, and the
 total is reduced once.  A chain of `+` and `*` would reduce every product
 and every partial sum.
 
-`dot_over` is the eigenpolynomial recursion's step, a sum of products over
-a difference of eigenvalues, with one reduction per coefficient.  The
-divisor is not reduced first: its gcd would be one more reduction, and the
-final one cancels whatever it shares with the sum anyway.  `dot` followed
-by `-` and `/` would reduce the sum, the difference and the quotient.
+`descend` is the eigenpolynomial recursion: it runs the whole descent of
+one polynomial on integer triples.  `lift_band` puts the band of a delta
+table and its spectrum over one common denominator once per table, so the
+denominator cancels from every quotient, and the unknowns stay reduced
+(p, q, d) integers in local lists.  A step with one term, a real entry and a
+real gap cancels those two small integers against the reduced neighbour,
+with no gcd of two large numbers; every other step takes one reduction.
+
+`dot_over` is a sum of products over a difference of two scalars, reduced
+once; it serves the inverse connection coefficients of the recurrence fit.
+The divisor is not reduced first: its gcd would be one more reduction, and
+the final one cancels whatever it shares with the sum anyway.  It and
+`descend` share that final quotient-and-reduce step, `_quotient`.
 
 `lift` puts a list of scalars over the lcm of their denominators, as
 Gaussian-integer numerators, and `from_parts` turns such a numerator pair
@@ -334,9 +342,8 @@ def dot_over(pairs, top, low) -> GaussianRational:
 
     The divisor is never reduced on its own: from the triples of `top` and
     `low` it is (u_p + u_q*i)/(d_top d_low), and the unreduced sum (P, Q, D)
-    times its inverse goes through one `_reduced`.  A real divisor moves its
-    sign to the numerator; a non-real one is multiplied by its conjugate.
-    A sum of zero terms returns ZERO with no division.
+    times its inverse goes through one `_quotient`.  A sum of zero terms
+    returns ZERO with no division.
     """
     if top.__class__ is not GaussianRational:
         top = _operand(top)
@@ -351,17 +358,147 @@ def dot_over(pairs, top, low) -> GaussianRational:
     if not (p or q):
         return ZERO
     e = d_top * d_low
-    if not u_q:
-        if u_p < 0:
-            u_p, e = -u_p, -e
-        # (P + Q i) e / (D u_p)
-        return _reduced(p * e, q * e, d * u_p)
-    # (P + Q i) (u_p - u_q i) e / (D (u_p^2 + u_q^2))
-    return _reduced(
-        (p * u_p + q * u_q) * e,
-        (q * u_p - p * u_q) * e,
-        d * (u_p * u_p + u_q * u_q),
-    )
+    return _exact(*_quotient(p * e, q * e, d, u_p, u_q))
+
+
+def _quotient(p, q, d, u_p, u_q):
+    """The reduced triple of (p + q*i) / (d (u_p + u_q*i)), for d > 0 and a
+    nonzero Gaussian integer u_p + u_q*i, with one gcd.
+
+    A real divisor moves its sign to the numerator; a non-real one is
+    multiplied by its conjugate.
+    """
+    if u_q:
+        p, q, d = p * u_p + q * u_q, q * u_p - p * u_q, d * (u_p * u_p + u_q * u_q)
+    elif u_p < 0:
+        p, q, d = -p, -q, -d * u_p
+    else:
+        d *= u_p
+    g = _gcd(d, p, q)
+    if g != 1:
+        return p // g, q // g, d // g
+    return p, q, d
+
+
+def lift_band(rows, lams):
+    """The band of a delta table and its spectrum over one common
+    denominator D, read once for every `descend` over them.
+
+    `rows` holds delta rows 0..n (each row m up to its last stored column,
+    any rows past n are ignored) and `lams` the eigenvalues lambda_0..lambda_n.
+    Returns (columns, lam_p, lam_q) with lambda_m = (lam_p[m] + lam_q[m]*i)/D
+    and, for each column k >= 1 of the band that holds a nonzero entry, in
+    increasing k, a triple (k, ps, qs) with delta(m, k) = (ps[m] + qs[m]*i)/D;
+    entries of rows m < k are 0.
+    """
+    size = len(lams)
+    rows = rows[:size]
+    width = max(len(row) for row in rows) - 1
+    values = list(lams)
+    for k in range(1, width + 1):
+        values += [row[k] if k < len(row) else ZERO for row in rows]
+    _, ps, qs = lift(values)
+    columns = []
+    for k in range(1, width + 1):
+        col_p, col_q = ps[k * size:(k + 1) * size], qs[k * size:(k + 1) * size]
+        if any(col_p) or any(col_q):
+            columns.append((k, col_p, col_q))
+    return columns, ps[:size], qs[:size]
+
+
+def descend(band, n: int) -> tuple:
+    """The coefficients b(n, 0), ..., b(n, n) = 1 of the monic P_n, by the
+    descending recursion
+
+        b(n, j) (lambda_n - lambda_j) = sum_{k >= 1} delta(j + k, k) b(n, j + k)
+
+    over a `lift_band` of rows 0..n whose spectrum has no collision.
+
+    The common denominator D cancels from every quotient, so each step
+    divides a sum of Gaussian-integer multiples of reduced triples by the
+    Gaussian integer lambda_n - lambda_j, on local integer lists; only the
+    output coefficients become scalars.  A term with a zero entry or a zero
+    neighbour is skipped, and each coefficient is reduced once.  A step
+    with one term, a real entry and a real gap cancels the entry and the
+    gap against the neighbour's triple, as `__mul__` does for a real
+    factor: the neighbour is reduced, so only what it shares with those
+    two small integers can cancel, and no gcd of two large numbers is
+    taken.  Every other step is summed over a running common denominator
+    and reduced by `_quotient`.
+    """
+    columns, lam_p, lam_q = band
+    ps = [0] * (n + 1)
+    qs = [0] * (n + 1)
+    ds = [1] * (n + 1)
+    ps[n] = 1
+    top_p, top_q = lam_p[n], lam_q[n]
+    for j in range(n - 1, -1, -1):
+        count = 0
+        for k, col_p, col_q in columns:
+            m = j + k
+            if m > n:
+                break
+            a, c = col_p[m], col_q[m]
+            p, q = ps[m], qs[m]
+            if not (a or c) or not (p or q):
+                continue
+            if not count:
+                count = 1
+                first, a1, c1 = m, a, c
+                continue
+            if count == 1:
+                p1, q1, sd = ps[first], qs[first], ds[first]
+                if c1:
+                    sp, sq = a1 * p1 - c1 * q1, a1 * q1 + c1 * p1
+                else:
+                    sp, sq = a1 * p1, a1 * q1
+            count += 1
+            if c:
+                tp, tq = a * p - c * q, a * q + c * p
+            else:
+                tp, tq = a * p, a * q
+            e = ds[m]
+            if e == sd:
+                sp += tp
+                sq += tq
+            else:
+                g = _gcd(sd, e)
+                if g > 1:
+                    e //= g
+                    s = sd // g
+                else:
+                    s = sd
+                sp, sq, sd = sp * e + tp * s, sq * e + tq * s, sd * e
+        if not count:
+            continue
+        u_p, u_q = top_p - lam_p[j], top_q - lam_q[j]
+        if count == 1:
+            p, q, d = ps[first], qs[first], ds[first]
+            if not (c1 or u_q):
+                g = _gcd(a1, u_p)
+                if g > 1:
+                    a1 //= g
+                    u_p //= g
+                g = _gcd(a1, d)
+                if g > 1:
+                    a1 //= g
+                    d //= g
+                g = _gcd(u_p, p, q)
+                if g > 1:
+                    u_p //= g
+                    p //= g
+                    q //= g
+                if u_p < 0:
+                    a1, u_p = -a1, -u_p
+                ps[j], qs[j], ds[j] = a1 * p, a1 * q, d * u_p
+                continue
+            if c1:
+                sp, sq = a1 * p - c1 * q, a1 * q + c1 * p
+            else:
+                sp, sq = a1 * p, a1 * q
+            sd = d
+        ps[j], qs[j], ds[j] = _quotient(sp, sq, sd, u_p, u_q)
+    return tuple(map(_exact, ps, qs, ds))
 
 
 def _operand(value):

@@ -15,7 +15,9 @@ has degree N in n, one difference table over the column, which stops by
 itself at level N + 1, serves every entry.  `shapiro_alpha` builds the whole
 table at once, and `verify --shapiro` builds it once for both of its
 product-form checks; `verify_shapiro_recurrence` checks the resulting
-(N+1)-term relation as an exact polynomial identity.  These read delta1
+(N+1)-term relation as an exact polynomial identity, on P_0, ..., P_{n+1}
+built as one family by `shapiro_family`, each P_m from P_{m-1} with one
+scalar product per coefficient.  These read delta1
 from a column computed once by `shapiro_delta1_column`, from the closed
 form above and never from an operator's delta table, so they stay an
 independent check of that table.
@@ -108,6 +110,26 @@ def shapiro_poly(delta1, n: int) -> Poly:
     return Poly(coeffs)
 
 
+def shapiro_family(delta1, last: int) -> list[Poly]:
+    """P_0, ..., P_last, the monic eigenpolynomials of degrees up to `last`,
+    as one family read off the column delta1(0..last).
+
+    The coefficients of `shapiro_poly` satisfy
+    b(m, j) = b(m-1, j) delta1(m) / (m - j) for j < m, so each P_m is P_{m-1}
+    times one scalar per coefficient, with the monic top appended.
+    """
+    if last < 0:
+        raise DomainError(f"negative degree {last}")
+    _need(delta1, last)
+    coeffs = (ONE,)
+    polys = [Poly._raw(coeffs)]
+    for m in range(1, last + 1):
+        value = delta1[m]
+        coeffs = tuple([b * (value / (m - j)) for j, b in enumerate(coeffs)] + [ONE])
+        polys.append(Poly._raw(coeffs))
+    return polys
+
+
 def shapiro_alpha(op: ShapiroOperator, delta1, n_max: int) -> RecurrenceCoeffs:
     """The closed-form recurrence table, rows 0..n_max: for 0 <= s <= min(N-1, n)
 
@@ -162,7 +184,7 @@ def verify_shapiro_recurrence(alpha: RecurrenceCoeffs, delta1) -> RecurrenceChec
     n_max = alpha.n_max
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
-    polys = [shapiro_poly(delta1, m) for m in range(n_max + 2)]
+    polys = shapiro_family(delta1, n_max + 1)
     for n, row in enumerate(alpha.rows):
         residual = relation_residual(polys, row, n)
         if residual:

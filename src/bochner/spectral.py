@@ -6,10 +6,11 @@ The default is the linear recursion
 
     b(n, n-i) = sum_{k} delta(n-i+k, k) b(n, n-i+k) / (lambda_n - lambda_{n-i})
 
-descending from the monic top coefficient.  Each coefficient is reduced
-once, as a quotient (`scalars.dot_over`): the sum and the difference of
-eigenvalues are left unreduced, since the quotient's one gcd cancels
-whatever a gcd of either would.  The second expresses each
+descending from the monic top coefficient.  Its step is the integer kernel
+`scalars.descend`, which runs the whole descent of one polynomial: the
+band and the spectrum are lifted over one common denominator once per
+table (`scalars.lift_band`), that denominator cancels from every quotient,
+and each coefficient is reduced once.  The second expresses each
 b(n, n-i) as an i x i upper Hessenberg determinant and exists to cross-check
 the first.  The i x i matrix of b(n, n-i) is the leading submatrix of the
 n x n matrix of b(n, 0), so the determinant route builds one matrix per
@@ -42,7 +43,7 @@ from .errors import (
 from .hessenberg import hessenberg_determinant
 from .operators import DeltaTable
 from .polynomials import Poly
-from .scalars import GaussianRational, ONE, ZERO, comb, dot, dot_over, scalar
+from .scalars import GaussianRational, ONE, ZERO, comb, descend, dot, lift_band, scalar
 
 
 def check_spectrum(lambdas: Sequence[GaussianRational]) -> None:
@@ -127,21 +128,8 @@ def eigenpoly_recursive(table: DeltaTable, n: int) -> Poly:
     """The unique monic eigenpolynomial of degree n, by descending recursion."""
     if n < 0:
         raise DomainError(f"negative degree {n}")
-    return _descend(table, _lambda_prefix(table, n), n)
-
-
-def _descend(table: DeltaTable, lams: Sequence[GaussianRational], n: int) -> Poly:
-    """P_n by the recursion, given a validated spectrum lams[0..n] and rows
-    0..n of the table; only the band k <= order is read."""
-    rows = table.rows
-    width = _band(table, n)
-    b = [ZERO] * (n + 1)
-    b[n] = ONE
-    top = lams[n]
-    for i in range(1, n + 1):
-        pairs = ((rows[n - i + k][k], b[n - i + k]) for k in range(1, min(i, width) + 1))
-        b[n - i] = dot_over(pairs, top, lams[n - i])
-    return Poly._raw(tuple(b))
+    lams = _lambda_prefix(table, n)
+    return Poly._raw(descend(lift_band(table.rows, lams), n))
 
 
 def eigenpoly_coeff_det(table: DeltaTable, n_max: int) -> EigenSystem:
@@ -224,5 +212,6 @@ def eigensystem(table: DeltaTable, n_max: int | None = None) -> EigenSystem:
     """Eigenvalues and eigenpolynomials up to degree n_max (table depth by default)."""
     top = table.n_max if n_max is None else n_max
     lams = _lambda_prefix(table, top)
-    polys = tuple(_descend(table, lams, m) for m in range(top + 1))
+    band = lift_band(table.rows, lams)
+    polys = tuple(Poly._raw(descend(band, m)) for m in range(top + 1))
     return EigenSystem._raw(tuple(lams), polys)

@@ -27,7 +27,7 @@ from bochner import (
     laguerre_operator,
     reconstruct,
 )
-from bochner.scalars import ONE, ZERO, comb, dot, factorial, scalar
+from bochner.scalars import ONE, ZERO, comb, dot, dot_over, factorial, scalar
 
 
 def monic_hermite(n_max):
@@ -155,6 +155,24 @@ def eigensystem_by_plain_arithmetic(table, n_max):
             for k in range(1, i + 1):
                 total = total + table.value(n - i + k, k) * b[n - i + k]
             b[n - i] = total / (lams[n] - lams[n - i])
+        polys.append(Poly(b))
+    return EigenSystem(lams, polys)
+
+
+def eigensystem_by_dot_over(table, n_max):
+    """Reference recursion: each b(n, n-i) as one `dot_over` over the band
+    k <= order of the table, the sum and the difference of eigenvalues left
+    unreduced and the quotient reduced once."""
+    lams = [table.value(m, 0) for m in range(n_max + 1)]
+    rows = table.rows
+    polys = []
+    for n in range(n_max + 1):
+        width = n if table.order is None else min(n, table.order)
+        b = [ZERO] * (n + 1)
+        b[n] = ONE
+        for i in range(1, n + 1):
+            pairs = ((rows[n - i + k][k], b[n - i + k]) for k in range(1, min(i, width) + 1))
+            b[n - i] = dot_over(pairs, lams[n], lams[n - i])
         polys.append(Poly(b))
     return EigenSystem(lams, polys)
 

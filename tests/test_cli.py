@@ -104,20 +104,21 @@ def test_direct_det_runs_no_recursion(capsys, monkeypatch, flags, status, descen
     """`direct` runs the recursion once, and has no `--det` option: argparse
     refuses it before any route runs."""
     calls = []
-    real = bochner.spectral._descend
+    real = bochner.spectral.descend
 
-    def counted(table, lams, n):
+    def counted(band, n):
         calls.append(n)
-        return real(table, lams, n)
+        return real(band, n)
 
-    monkeypatch.setattr(bochner.spectral, "_descend", counted)
+    monkeypatch.setattr(bochner.spectral, "descend", counted)
     try:
         code = main(["direct", "--preset", "hermite", "--nmax", "8", *flags])
     except SystemExit as exc:
         code = exc.code
     out, err = capsys.readouterr()
     assert code == status
-    assert len(calls) == descents
+    # one descent per degree, in order
+    assert calls == list(range(descents))
     if flags:
         assert out == ""
         assert err.rstrip().endswith("error: unrecognized arguments: --det")

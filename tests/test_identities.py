@@ -1,9 +1,18 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from bochner import DomainError, GaussianRational, lemma_residual
-from bochner.identities import in_domain, iter_grid, sweep
+from bochner.identities import (
+    IDENTITY_IDS,
+    PROBE_VALUES,
+    _lookup,
+    in_domain,
+    iter_grid,
+    sweep,
+)
 from bochner.scalars import ZERO, comb
 
 
@@ -120,3 +129,31 @@ def test_default_grid_sizes():
     assert sum(1 for _ in iter_grid("kym")) == 144
     count_8 = sum(1 for p in iter_grid("8_tilde") if in_domain("8_tilde", p))
     assert count_8 == 91 * 15
+
+
+def test_grid_points_in_product_order():
+    # the lazy walk gives the points itertools.product gives, in its order
+    for identity in IDENTITY_IDS:
+        entry = _lookup(identity)
+        lows = {name: low for name, (low, _) in entry.grid.items()}
+        overrides = {name: (low, low + 2) for name, low in lows.items()}
+        axes = [
+            range(lows[name], lows[name] + 3) if name in lows else PROBE_VALUES
+            for name in entry.names
+        ]
+        expected = [dict(zip(entry.names, values)) for values in product(*axes)]
+        assert list(iter_grid(identity, overrides)) == expected, identity
+    assert list(iter_grid("kym", {"m": (3, 2)})) == []
+
+
+def test_wide_range_yields_its_first_point_at_once():
+    # product() would copy the 10^12 + 1 values of m into a tuple first
+    points = iter_grid("kym", {"k": (1, 2), "m": (0, 10**12)})
+    tracemalloc.start()
+    try:
+        first, second = next(points), next(points)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (first, second) == ({"k": 1, "m": 0}, {"k": 1, "m": 1})
+    assert peak < 64 * 1024

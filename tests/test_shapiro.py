@@ -23,7 +23,7 @@ from bochner import (
 )
 from bochner.recurrence import relation_residual
 from bochner.scalars import ONE, ZERO
-from bochner.shapiro import RecurrenceCheck, shapiro_poly
+from bochner.shapiro import RecurrenceCheck, shapiro_family, shapiro_poly
 from conftest import (
     random_rational,
     shapiro_alpha_by_binomial_sum,
@@ -244,3 +244,22 @@ def test_check_result_is_falsy_with_location():
     assert not failed
     assert failed.failed_n == 3 and failed.failed_power == 1
     assert RecurrenceCheck(True)
+
+
+@given(st.lists(small_scalars, min_size=1, max_size=5).filter(lambda c: c[-1]), st.integers(0, 20))
+@example([GaussianRational(Fraction(1, 2), Fraction(1, 3)), GaussianRational(0, 1)], 20)
+@example([GaussianRational(Fraction(-3, 2)), GaussianRational(Fraction(5, 7))], 20)
+@settings(max_examples=100, deadline=None)
+def test_family_matches_shapiro_poly(c, last):
+    delta1 = shapiro_delta1_column(ShapiroOperator(c), last)
+    assert shapiro_family(delta1, last) == [shapiro_poly(delta1, m) for m in range(last + 1)]
+
+
+def test_family_reads_only_the_column():
+    with pytest.raises(InsufficientData):
+        shapiro_family([ZERO, ONE], 2)
+    with pytest.raises(DomainError):
+        shapiro_family([ZERO], -1)
+    # a column that is no delta1 of any operator still gives the products
+    column = [ZERO, GaussianRational(2), ZERO, GaussianRational(0, 3)]
+    assert shapiro_family(column, 3) == [shapiro_poly(column, m) for m in range(4)]

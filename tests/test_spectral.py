@@ -2,7 +2,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from bochner import (
     BochnerOperator,
@@ -25,11 +25,17 @@ from bochner import (
     jacobi_operator,
     lambda_via_N2_identity,
     laguerre_operator,
+    ShapiroOperator,
+    to_bochner,
 )
+from bochner import scalars
 from bochner.scalars import ZERO
 from bochner.spectral import check_spectrum
 from conftest import (
+    NEAR_MISSES,
     delta_extend_by_plain_sum,
+    dense_operators,
+    eigensystem_by_dot_over,
     eigensystem_by_plain_arithmetic,
     random_bochner,
     random_gaussian,
@@ -274,3 +280,167 @@ def test_hermite_odd_offset_coefficients_are_zero():
             assert poly.coeff(n - i) == ZERO, (n, i)
         for i in range(0, n + 1, 2):
             assert poly.coeff(n - i) != ZERO, (n, i)
+
+
+# -- the integer kernel against the one-`dot_over`-per-coefficient route ----
+
+
+def assert_dot_over_route(table, n_max):
+    # scalars compare by their stored triples, so a coefficient the kernel
+    # leaves unreduced differs from the reference
+    system = eigensystem(table, n_max)
+    assert system == eigensystem_by_dot_over(table, n_max)
+    assert eigenpoly_recursive(table, n_max) == system.polys[n_max]
+
+
+def distinct_spectrum_or_reject(table):
+    try:
+        check_spectrum([row[0] for row in table.rows])
+    except DegenerateSpectrum:
+        assume(False)
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=40)
+
+
+@given(st.sampled_from(["laguerre", "jacobi"]), rationals, rationals, st.integers(0, 30))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_dot_over_on_presets(family, alpha, beta, n_max):
+    op = laguerre_operator(alpha) if family == "laguerre" else jacobi_operator(alpha, beta)
+    table = deltas_from_operator(op, n_max)
+    distinct_spectrum_or_reject(table)
+    assert_dot_over_route(table, n_max)
+
+
+@given(st.lists(small_scalars, min_size=1, max_size=5).filter(lambda c: c[-1]), st.integers(0, 24))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_dot_over_on_product_forms(c, n_max):
+    # eigenvalues 0, 1, 2, ... and one band column: every step has one term
+    table = deltas_from_operator(to_bochner(ShapiroOperator(c)), n_max)
+    assert_dot_over_route(table, n_max)
+
+
+@given(dense_operators(), st.integers(0, 14))
+@settings(max_examples=30, deadline=None)
+def test_kernel_matches_dot_over_on_dense_operators(op, n_max):
+    table = deltas_from_operator(op, n_max)
+    distinct_spectrum_or_reject(table)
+    assert_dot_over_route(table, n_max)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_dot_over_on_untagged_tables(data):
+    n_max = data.draw(st.integers(0, 9))
+    lams = data.draw(
+        st.lists(small_scalars.filter(bool), min_size=n_max, max_size=n_max, unique=True)
+    )
+    rows = [[ZERO]] + [
+        [lam] + data.draw(st.lists(small_scalars, min_size=n, max_size=n))
+        for n, lam in enumerate(lams, start=1)
+    ]
+    assert_dot_over_route(DeltaTable(rows), n_max)
+
+
+@given(
+    st.sampled_from(["hermite", "laguerre", "jacobi", "order3"]),
+    st.sampled_from(NEAR_MISSES),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_kernel_matches_dot_over_on_near_miss_tables(family, shift, data):
+    """One band entry delta(m, k), k >= 1, moved by 1/q or i/q: the lifted
+    band gets the large prime q in its common denominator."""
+    op = {
+        "hermite": hermite_operator(),
+        "laguerre": laguerre_operator(Fraction(7, 3)),
+        "jacobi": jacobi_operator(Fraction(5, 2), Fraction(-2, 7)),
+        "order3": BochnerOperator(
+            [Poly(), Poly([Fraction(1, 2), -3]), Poly([2, 1, Fraction(-1, 3)]), Poly([0, 1, -2, 1])]
+        ),
+    }[family]
+    n_max = 16
+    rows = [list(row) for row in deltas_from_operator(op, n_max).rows]
+    m = data.draw(st.integers(1, n_max))
+    k = data.draw(st.integers(1, len(rows[m]) - 1))
+    rows[m][k] += shift
+    assert_dot_over_route(DeltaTable(rows, order=op.order), n_max)
+
+
+def count_quotients(monkeypatch):
+    calls = []
+    real = scalars._quotient
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scalars, "_quotient", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "op,steps",
+    [
+        (hermite_operator(), 0),
+        (laguerre_operator(Fraction(7, 3)), 0),
+        # every step below the top two has two nonzero terms
+        (jacobi_operator(Fraction(5, 2), Fraction(-2, 7)), sum(n - 1 for n in range(2, 21))),
+    ],
+    ids=["hermite", "laguerre", "jacobi"],
+)
+def test_kernel_cross_cancels_single_real_terms(monkeypatch, op, steps):
+    """A step with one nonzero term on real data takes no `_quotient`: the
+    entry and the gap are cancelled against the reduced neighbour."""
+    table = deltas_from_operator(op, 20)
+    expected = eigensystem_by_dot_over(table, 20)
+    calls = count_quotients(monkeypatch)
+    assert eigensystem(table) == expected
+    assert len(calls) == steps
+
+
+@pytest.mark.parametrize(
+    "rows,poly",
+    [
+        # b(3, 2) = 2 and b(3, 1) = (3 * 2 - 6) / -2 = 0, so b(3, 0) has
+        # one nonzero term, delta(2, 2) b(3, 2); b(3, 1) sums two
+        ([[0], [-1, 5], [-2, 3, 7], [-3, -2, -6]], [Fraction(-14, 3), 0, 2, 1]),
+        # delta(2, 1) = 0, so b(3, 1) = -6 / -2 has one nonzero term and
+        # b(3, 0) = (5 * 3 + 7 * 2) / -3 sums two
+        ([[0], [-1, 5], [-2, 0, 7], [-3, -2, -6]], [Fraction(-29, 3), 3, 2, 1]),
+    ],
+    ids=["zero-neighbour", "zero-entry"],
+)
+def test_kernel_skips_zero_terms(monkeypatch, rows, poly):
+    """A term with a zero neighbour or a zero entry is skipped, so a step
+    left with one nonzero real term is cross-cancelled: of the three steps
+    of P_3 only the one with two nonzero terms takes a quotient."""
+    table = DeltaTable(rows, order=2)
+    expected = eigensystem_by_dot_over(table, 3).polys[3]
+    calls = count_quotients(monkeypatch)
+    assert eigenpoly_recursive(table, 3) == expected == Poly(poly)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "op,kept",
+    [
+        (hermite_operator(), [2]),
+        (laguerre_operator(Fraction(7, 3)), [1]),
+        (jacobi_operator(Fraction(5, 2), Fraction(-2, 7)), [1, 2]),
+    ],
+    ids=["hermite", "laguerre", "jacobi"],
+)
+def test_lift_band_keeps_the_nonzero_columns(op, kept):
+    table = deltas_from_operator(op, 12)
+    lams = [row[0] for row in table.rows]
+    columns, lam_p, lam_q = scalars.lift_band(table.rows, lams)
+    assert [k for k, _, _ in columns] == kept
+    # one common denominator: every entry over lambda_1 is the lifted ratio
+    lam_1 = scalars.from_parts(lam_p[1], lam_q[1], 1)
+    for k, col_p, col_q in columns:
+        for m in range(13):
+            lifted = scalars.from_parts(col_p[m], col_q[m], 1) / lam_1
+            assert lifted == table.value(m, k) / lams[1], (m, k)
+    for m in range(13):
+        assert scalars.from_parts(lam_p[m], lam_q[m], 1) / lam_1 == lams[m] / lams[1]
