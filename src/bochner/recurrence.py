@@ -22,19 +22,19 @@ same table:
 
       d(m, k) (lambda_k - lambda_m) = sum_{j=1}^{min(N, m-k)} delta(m, j) d(m-j, k),
 
-  one `dot_over` per entry over the band that the eigenpolynomial recursion
-  reads (it is that recursion transposed).  Expanding x P_n = sum_j
-  b(n, j) x^(j+1) then gives each entry as one `dot`, independent of every
-  other alpha:
+  the eigenpolynomial recursion transposed.  Over the reversed band
+  (`scalars.mirror_band`) it is that recursion itself, so each column
+  d(k..M, k) is one `descend`.  Expanding x P_n = sum_j b(n, j) x^(j+1)
+  then gives each entry as one `dot`, independent of every other alpha:
 
       alpha(n, k) = sum_{j >= k-1} b(n, j) d(j+1, k).
 
 Row n takes the transposed route when the delta table is tagged with its
 order N and row n-1 has more than N nonzero entries, that is, once the
-family has left the (N+1)-term band; d is built once, on first use, and
-only up to row n + 1.  A family with an (N+1)-term recurrence has at most
-N nonzeros per row, so the classical and product-form fits never leave the
-sequential solve.
+family has left the (N+1)-term band; every column of d is built once, on
+the first such row, through row M = system.n_max, which the last row reads.
+A family with an (N+1)-term recurrence has at most N nonzeros per row, so
+the classical and product-form fits never leave the sequential solve.
 `relation_residual` re-expands a row symbolically, over Gaussian-integer
 numerators, and reads neither route.
 """
@@ -45,7 +45,7 @@ from typing import Sequence
 from .errors import DomainError, InsufficientData
 from .operators import DeltaTable
 from .polynomials import Poly, _combination
-from .scalars import GaussianRational, ONE, ZERO, dot, dot_over
+from .scalars import GaussianRational, ONE, ZERO, descend, dot, lift_band, mirror_band
 from .spectral import EigenSystem
 
 _MINUS_ONE = -ONE
@@ -102,7 +102,7 @@ def fit_recurrence(system: EigenSystem, table: DeltaTable) -> RecurrenceCoeffs:
 
         d(m, k) = sum_{j=1}^{min(N, m-k)} delta(m, j) d(m-j, k) / (lambda_k - lambda_m)
 
-    built as far as row n + 1 needs.
+    built once, column by column, as `descend` over the mirrored band.
     """
     if system.n_max < 1:
         raise InsufficientData("need polynomials at least up to degree 1")
@@ -116,18 +116,16 @@ def fit_recurrence(system: EigenSystem, table: DeltaTable) -> RecurrenceCoeffs:
             raise DomainError(f"delta({m}, 0) is not the eigenvalue lambda_{m} of the family")
     coeffs = [p.coeffs for p in system.polys]
     order = table.order
-    inverse = []
+    top = system.n_max
+    inverse = None
     rows = []
     nnz = 0
-    for n in range(system.n_max):
+    for n in range(top):
         if order is not None and nnz > order:
-            _extend_inverse(table, lams, inverse, n + 1)
-            b = coeffs[n]
-            row = [
-                dot((b[j], inverse[j + 1][k]) for j in range(max(k - 1, 0), n + 1))
-                for k in range(n + 1)
-            ]
-            nnz = sum(map(bool, row))
+            if inverse is None:
+                band = mirror_band(lift_band(table.rows, lams))
+                inverse = [descend(band, top - k)[::-1] for k in range(top + 1)]
+            row = _transposed_row(coeffs[n], inverse)
         else:
             row = [ZERO] * (n + 1)
             # (i, alpha(n, i)) for the nonzero entries solved so far
@@ -141,30 +139,17 @@ def fit_recurrence(system: EigenSystem, table: DeltaTable) -> RecurrenceCoeffs:
                 row[k] = value
                 if value:
                     found.append((k, value))
-            nnz = len(found)
+        nnz = sum(map(bool, row))
         rows.append(row)
     return RecurrenceCoeffs(rows)
 
 
-def _extend_inverse(
-    table: DeltaTable, lams: Sequence[GaussianRational], inverse: list, m_max: int
-) -> None:
-    """Append rows of d(m, k) to `inverse` until it reaches row m_max; only
-    the band j <= order of the table is read."""
-    rows = table.rows
-    for m in range(len(inverse), m_max + 1):
-        delta = rows[m]
-        top = len(delta) - 1
-        d = [
-            dot_over(
-                ((delta[j], inverse[m - j][k]) for j in range(1, min(top, m - k) + 1)),
-                lams[k],
-                lams[m],
-            )
-            for k in range(m)
-        ]
-        d.append(ONE)
-        inverse.append(d)
+def _transposed_row(b, inverse) -> list:
+    """Row n of the alpha table from the coefficients b(n, 0..n) of P_n and
+    the columns inverse[k] = d(k..M, k): alpha(n, k) is one `dot` of
+    b(n, k-1..n) with d(k..n+1, k), b(n, -1) = 0."""
+    b = (ZERO, *b)
+    return [dot(zip(b[k:], inverse[k])) for k in range(len(b) - 1)]
 
 
 def relation_residual(polys: Sequence[Poly], alpha_row: Sequence, n: int) -> Poly:
@@ -176,7 +161,12 @@ def relation_residual(polys: Sequence[Poly], alpha_row: Sequence, n: int) -> Pol
     lifts each polynomial once; the weights 1, -1 and the nonzero alpha_k
     are put over one denominator per call.  Each residual coefficient is
     then a sum of integer products, and only a nonzero one is reduced.
+    The row must hold the n + 1 entries alpha(n, 0..n).
     """
+    if n < 0:
+        raise DomainError(f"negative row {n}")
+    if len(alpha_row) != n + 1:
+        raise DomainError(f"row {n} must have {n + 1} entries, got {len(alpha_row)}")
     if n + 1 >= len(polys):
         raise InsufficientData(f"need polynomials up to degree {n + 1}")
     groups = [(polys[n + 1], 0, [(0, ONE)]), (polys[n], 0, [(1, _MINUS_ONE)])]

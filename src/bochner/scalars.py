@@ -27,12 +27,9 @@ denominator cancels from every quotient, and the unknowns stay reduced
 (p, q, d) integers in local lists.  A step with one term, a real entry and a
 real gap cancels those two small integers against the reduced neighbour,
 with no gcd of two large numbers; every other step takes one reduction.
-
-`dot_over` is a sum of products over a difference of two scalars, reduced
-once; it serves the inverse connection coefficients of the recurrence fit.
-The divisor is not reduced first: its gcd would be one more reduction, and
-the final one cancels whatever it shares with the sum anyway.  It and
-`descend` share that final quotient-and-reduce step, `_quotient`.
+`mirror_band` reverses a lifted band, so that `descend` over it runs the
+transposed recursion of the inverse connection coefficients of the
+recurrence fit; `descend` is the one loop that walks a band.
 
 `lift` puts a list of scalars over the lcm of their denominators, as
 Gaussian-integer numerators, and `from_parts` turns such a numerator pair
@@ -337,30 +334,6 @@ def dot(pairs) -> GaussianRational:
     return _reduced(*_accumulate(pairs))
 
 
-def dot_over(pairs, top, low) -> GaussianRational:
-    """dot(pairs) / (top - low), reduced once.
-
-    The divisor is never reduced on its own: from the triples of `top` and
-    `low` it is (u_p + u_q*i)/(d_top d_low), and the unreduced sum (P, Q, D)
-    times its inverse goes through one `_quotient`.  A sum of zero terms
-    returns ZERO with no division.
-    """
-    if top.__class__ is not GaussianRational:
-        top = _operand(top)
-    if low.__class__ is not GaussianRational:
-        low = _operand(low)
-    p, q, d = _accumulate(pairs)
-    d_top, d_low = top._d, low._d
-    u_p = top._p * d_low - low._p * d_top
-    u_q = top._q * d_low - low._q * d_top
-    if not (u_p or u_q):
-        raise ZeroDivisionError("division by zero scalar")
-    if not (p or q):
-        return ZERO
-    e = d_top * d_low
-    return _exact(*_quotient(p * e, q * e, d, u_p, u_q))
-
-
 def _quotient(p, q, d, u_p, u_q):
     """The reduced triple of (p + q*i) / (d (u_p + u_q*i)), for d > 0 and a
     nonzero Gaussian integer u_p + u_q*i, with one gcd.
@@ -404,6 +377,25 @@ def lift_band(rows, lams):
         if any(col_p) or any(col_q):
             columns.append((k, col_p, col_q))
     return columns, ps[:size], qs[:size]
+
+
+def mirror_band(band):
+    """The band of `lift_band` read from its last row M up: row s of the
+    mirror is row M - s, so each kept column (k, ps, qs) becomes
+    (k, [0]*k + ps[k:][::-1], [0]*k + qs[k:][::-1]) and the spectrum is
+    reversed, lambda'_s = lambda_{M-s}.
+
+    With j' = M - m, the mirror's entry col'_k[j' + k] is delta(m, k), so
+    descend(mirror_band(band), M - k)[::-1] solves
+
+        d(m, k) (lambda_k - lambda_m) = sum_{j >= 1} delta(m, j) d(m - j, k)
+
+    upward from d(k, k) = 1: the inverse connection coefficients
+    d(k, k), ..., d(M, k), with x^m = sum_k d(m, k) P_k.
+    """
+    columns, lam_p, lam_q = band
+    mirrored = [(k, [0] * k + ps[k:][::-1], [0] * k + qs[k:][::-1]) for k, ps, qs in columns]
+    return mirrored, lam_p[::-1], lam_q[::-1]
 
 
 def descend(band, n: int) -> tuple:

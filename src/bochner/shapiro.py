@@ -95,26 +95,11 @@ def _need(delta1, last: int) -> None:
         )
 
 
-def shapiro_poly(delta1, n: int) -> Poly:
-    """The degree-n monic eigenpolynomial, built from the coefficient
-    products of the column delta1(0..n)."""
-    if n < 0:
-        raise DomainError(f"negative degree {n}")
-    _need(delta1, n)
-    coeffs = [ZERO] * (n + 1)
-    running = ONE
-    coeffs[n] = ONE
-    for i in range(1, n + 1):
-        running = running * delta1[n - i + 1]
-        coeffs[n - i] = running * Fraction(1, factorial(i))
-    return Poly(coeffs)
-
-
 def shapiro_family(delta1, last: int) -> list[Poly]:
     """P_0, ..., P_last, the monic eigenpolynomials of degrees up to `last`,
     as one family read off the column delta1(0..last).
 
-    The coefficients of `shapiro_poly` satisfy
+    The coefficients b(m, m-i) = delta1(m) ... delta1(m-i+1) / i! satisfy
     b(m, j) = b(m-1, j) delta1(m) / (m - j) for j < m, so each P_m is P_{m-1}
     times one scalar per coefficient, with the monic top appended.
     """

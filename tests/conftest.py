@@ -27,7 +27,7 @@ from bochner import (
     laguerre_operator,
     reconstruct,
 )
-from bochner.scalars import ONE, ZERO, comb, dot, dot_over, factorial, scalar
+from bochner.scalars import ONE, ZERO, comb, dot, factorial, scalar
 
 
 def monic_hermite(n_max):
@@ -159,10 +159,10 @@ def eigensystem_by_plain_arithmetic(table, n_max):
     return EigenSystem(lams, polys)
 
 
-def eigensystem_by_dot_over(table, n_max):
-    """Reference recursion: each b(n, n-i) as one `dot_over` over the band
-    k <= order of the table, the sum and the difference of eigenvalues left
-    unreduced and the quotient reduced once."""
+def eigensystem_by_dot_quotient(table, n_max):
+    """Reference recursion: each b(n, n-i) as one `dot` over the band
+    k <= order of the table, divided by the difference of eigenvalues with
+    one `/`."""
     lams = [table.value(m, 0) for m in range(n_max + 1)]
     rows = table.rows
     polys = []
@@ -172,9 +172,43 @@ def eigensystem_by_dot_over(table, n_max):
         b[n] = ONE
         for i in range(1, n + 1):
             pairs = ((rows[n - i + k][k], b[n - i + k]) for k in range(1, min(i, width) + 1))
-            b[n - i] = dot_over(pairs, lams[n], lams[n - i])
+            b[n - i] = dot(pairs) / (lams[n] - lams[n - i])
         polys.append(Poly(b))
     return EigenSystem(lams, polys)
+
+
+def inverse_connection_by_dot(table, lams, m_max):
+    """Reference inverse connection coefficients, x^m = sum_k d(m, k) P_k:
+    rows d(m, 0..m) for m <= m_max, upward from d(m, m) = 1, each entry one
+    `dot` over the band of row m divided with one `/`:
+
+        d(m, k) = sum_{j=1}^{min(N, m-k)} delta(m, j) d(m-j, k) / (lambda_k - lambda_m)."""
+    rows = table.rows
+    inverse = []
+    for m in range(m_max + 1):
+        delta = rows[m]
+        top = len(delta) - 1
+        d = [
+            dot((delta[j], inverse[m - j][k]) for j in range(1, min(top, m - k) + 1))
+            / (lams[k] - lams[m])
+            for k in range(m)
+        ]
+        d.append(ONE)
+        inverse.append(d)
+    return inverse
+
+
+def shapiro_poly(delta1, n):
+    """Reference product-form eigenpolynomial of degree n, on its own:
+    b(n, n-i) = delta1(n) ... delta1(n-i+1) / i!, from the column
+    delta1(0..n)."""
+    coeffs = [ZERO] * (n + 1)
+    running = ONE
+    coeffs[n] = ONE
+    for i in range(1, n + 1):
+        running = running * delta1[n - i + 1]
+        coeffs[n - i] = running * Fraction(1, factorial(i))
+    return Poly(coeffs)
 
 
 def apply_operator_by_poly_chain(op, p):
@@ -323,6 +357,12 @@ def dense_operators(draw):
     for i in range(1, order + 1):
         polys.append(Poly(draw(st.lists(dense_scalars, min_size=i + 1, max_size=i + 1))))
     return BochnerOperator(polys)
+
+
+# an order-3 operator whose band has an all-zero interior column: delta(m, 1)
+# vanishes, so a lifted band keeps only the columns [2, 3], and its dense
+# recurrence rows leave the sequential solve from row 5
+INTERIOR_ZERO_COLUMN = {"N": 3, "a": [[], ["0", "1"], ["1", "0", "1"], ["1/3", "0", "0", "2+1*i"]]}
 
 
 # a prime far above every denominator the strategies here give at small

@@ -39,9 +39,8 @@ from bochner import (
 from bochner.cli import main as cli_main
 from bochner.inverse import first_order_violation
 from bochner.scalars import ZERO
-from bochner.shapiro import shapiro_poly
 from bochner.spectral import check_spectrum
-from conftest import monic_hermite, random_rational
+from conftest import monic_hermite, random_rational, shapiro_poly
 
 
 @pytest.fixture(scope="module")

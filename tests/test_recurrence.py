@@ -24,20 +24,23 @@ from bochner import (
     normalize,
     to_bochner,
 )
-from bochner import recurrence
+from bochner import recurrence, scalars
 from bochner.recurrence import relation_residual
 from bochner.scalars import ONE, ZERO
 from bochner.serialize import operator_from_dict
-from bochner.shapiro import ShapiroOperator, shapiro_alpha, shapiro_delta1_column, shapiro_poly
+from bochner.shapiro import ShapiroOperator, shapiro_alpha, shapiro_delta1_column
 from conftest import (
+    INTERIOR_ZERO_COLUMN,
     LARGE_PRIME,
     NEAR_MISSES,
     bochner_operators,
     dense_operators,
     fit_recurrence_by_sequential_solve,
+    inverse_connection_by_dot,
     monic_hermite,
     random_bochner,
     relation_residual_by_poly_chain,
+    shapiro_poly,
     small_scalars,
 )
 
@@ -173,7 +176,7 @@ def test_dense_fit_matches_sequential_solve(op, n_max):
 @settings(max_examples=40, deadline=None)
 def test_product_form_fit_matches_sequential_solve_without_inverse(c, n_max):
     # at most N nonzeros per row: the transposed route never runs
-    with patch.object(recurrence, "dot_over", wraps=recurrence.dot_over) as spy:
+    with patch.object(recurrence, "mirror_band", wraps=recurrence.mirror_band) as spy:
         fitted, reference = _fits(to_bochner(ShapiroOperator(c)), n_max)
     assert fitted == reference
     assert spy.call_count == 0
@@ -185,7 +188,7 @@ def test_product_form_fit_matches_sequential_solve_without_inverse(c, n_max):
     ids=["hermite", "jacobi"],
 )
 def test_classical_fit_matches_sequential_solve_without_inverse(op):
-    with patch.object(recurrence, "dot_over", wraps=recurrence.dot_over) as spy:
+    with patch.object(recurrence, "mirror_band", wraps=recurrence.mirror_band) as spy:
         fitted, reference = _fits(op, 40)
     assert fitted == reference
     assert spy.call_count == 0
@@ -194,7 +197,7 @@ def test_classical_fit_matches_sequential_solve_without_inverse(op):
 def test_dense_fit_runs_the_inverse_route():
     # a generic order-4 family has dense rows from row 8 on
     op = random_bochner(Random(4040), 4, distinct_to=20)
-    with patch.object(recurrence, "dot_over", wraps=recurrence.dot_over) as spy:
+    with patch.object(recurrence, "mirror_band", wraps=recurrence.mirror_band) as spy:
         fitted, reference = _fits(op, 20)
     assert fitted == reference
     assert spy.call_count > 0
@@ -222,19 +225,49 @@ DENSE_DOCUMENTS = {
 @pytest.mark.parametrize(
     "op",
     [operator_from_dict(doc) for doc in DENSE_DOCUMENTS.values()]
-    + [random_bochner(Random(4040), 4, distinct_to=20), random_bochner(Random(33), 3)],
-    ids=[*DENSE_DOCUMENTS, "random-order4", "random-order3"],
+    + [
+        random_bochner(Random(4040), 4, distinct_to=20),
+        random_bochner(Random(33), 3),
+        operator_from_dict(INTERIOR_ZERO_COLUMN),
+    ],
+    ids=[*DENSE_DOCUMENTS, "random-order4", "random-order3", "interior-zero-column"],
 )
 def test_dense_fit_leaves_the_sequential_solve_once_out_of_band(op):
     """Row n takes the transposed route exactly when row n-1 holds more than
     N nonzeros; on a dense family that starts before row 2N."""
-    with patch.object(recurrence, "_extend_inverse", wraps=recurrence._extend_inverse) as spy:
+    with patch.object(recurrence, "_transposed_row", wraps=recurrence._transposed_row) as spy:
         fitted, reference = _fits(op, 20)
     assert fitted == reference
-    transposed = [call.args[3] - 1 for call in spy.call_args_list]
+    # the route is called with b(n, 0..n)
+    transposed = [len(call.args[0]) - 1 for call in spy.call_args_list]
     out_of_band = [n for n in range(1, 20) if sum(map(bool, fitted.rows[n - 1])) > op.order]
     assert transposed == out_of_band
     assert op.order < transposed[0] < 2 * op.order
+
+
+@pytest.mark.parametrize(
+    "op",
+    [operator_from_dict(doc) for doc in DENSE_DOCUMENTS.values()]
+    + [random_bochner(Random(700 + order), order) for order in (3, 4, 5)]
+    + [operator_from_dict(INTERIOR_ZERO_COLUMN)],
+    ids=[*DENSE_DOCUMENTS, "random-order3", "random-order4", "random-order5", "interior-zero-column"],
+)
+def test_mirrored_band_gives_the_inverse_connection_coefficients(op):
+    """descend over the mirrored band, read backwards, is the column
+    d(k..M, k) of the one-quotient-per-entry reference, value and reduced
+    triple."""
+    top = 16
+    table = deltas_from_operator(op, top)
+    lams = [row[0] for row in table.rows]
+    reference = inverse_connection_by_dot(table, lams, top)
+    band = scalars.mirror_band(scalars.lift_band(table.rows, lams))
+    for k in range(top + 1):
+        column = scalars.descend(band, top - k)[::-1]
+        assert len(column) == top + 1 - k
+        for m, value in enumerate(column, start=k):
+            expected = reference[m][k]
+            assert value == expected, (m, k)
+            assert (value._p, value._q, value._d) == (expected._p, expected._q, expected._d)
 
 
 def test_bandwidth_hermite_three_term():
@@ -266,6 +299,21 @@ def test_bandwidth_window_validation():
     coeffs = hermite_fit(hermite_system(6))
     with pytest.raises(DomainError):
         bandwidth(coeffs, 9)
+
+
+def test_relation_residual_needs_a_row_of_n_plus_one_entries():
+    polys = monic_hermite(6)
+    with pytest.raises(DomainError):
+        relation_residual(polys, [], -1)
+    # a row n = 2 with entries past alpha(2, 2), and one that runs past P_6
+    with pytest.raises(DomainError):
+        relation_residual(polys, [ONE] * 5, 2)
+    with pytest.raises(DomainError):
+        relation_residual(polys, [ONE] * 10, 2)
+    with pytest.raises(DomainError):
+        relation_residual(polys, [ONE] * 2, 2)
+    # P_3 = x P_2 - P_1
+    assert not relation_residual(polys, [ZERO, ONE, ZERO], 2)
 
 
 @given(st.data())

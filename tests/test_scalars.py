@@ -13,7 +13,7 @@ from bochner import (
     parse_scalar,
     scalar,
 )
-from bochner.scalars import I, ONE, ZERO, comb, dot, dot_over, factorial, from_parts, lift
+from bochner.scalars import ONE, ZERO, comb, dot, factorial, from_parts, lift
 
 
 def test_binom_basic():
@@ -313,16 +313,6 @@ def factor_lists(draw):
     return [(draw_factor(draw, dens), draw_factor(draw, dens)) for _ in range(size)]
 
 
-@st.composite
-def quotient_cases(draw):
-    """Pairs with the two scalars of a divisor top - low, all over one
-    family of denominators."""
-    dens = DENOMINATORS[draw(st.sampled_from(sorted(DENOMINATORS)))]
-    size = draw(st.integers(0, 4))
-    pairs = [(draw_factor(draw, dens), draw_factor(draw, dens)) for _ in range(size)]
-    return pairs, draw_factor(draw, dens), draw_factor(draw, dens)
-
-
 @given(factor_lists())
 def test_dot_matches_the_naive_sum(pairs):
     naive = sum((a * b for a, b in pairs), ZERO)
@@ -341,62 +331,6 @@ def test_dot_of_nothing_is_zero():
 def test_dot_rejects_inexact_factors():
     with pytest.raises(TypeError):
         dot([(ONE, 0.5)])
-
-
-@given(quotient_cases())
-def test_dot_over_matches_the_quotient(case):
-    pairs, top, low = case
-    (tr, ti), (lr, li) = parts(top), parts(low)
-    divisor = tr - lr, ti - li
-    if divisor == (0, 0):
-        with pytest.raises(ZeroDivisionError):
-            dot_over(pairs, top, low)
-        return
-    expected = dot(pairs) / (top - low)
-    total_re, total_im = parts(dot(pairs))
-    for result in (dot_over(pairs, top, low), dot_over(iter(pairs), top, low)):
-        assert result == expected and hash(result) == hash(expected)
-        assert_parts(result, *quotient((total_re, total_im), divisor))
-    # a purely imaginary sum, which random pairs seldom give
-    assert_parts(dot_over([(I, total_re)], top, low), *quotient((0, total_re), divisor))
-    # zero factors add nothing, and a sum that cancels is zero
-    zeros = [(ZERO, ONE), (2, 0), (Fraction(0), GaussianRational(0, 1))]
-    assert_parts(dot_over(pairs + zeros, top, low), *parts(expected))
-    cancelled = pairs + [(-scalar(a), b) for a, b in pairs]
-    assert_parts(dot_over(cancelled, top, low), Fraction(0), Fraction(0))
-
-
-@pytest.mark.parametrize(
-    "pairs,top,low,re,im",
-    [
-        # a negative real divisor moves its sign to the numerator
-        ([(3, GaussianRational(1, 2))], Fraction(1, 2), Fraction(5, 6), Fraction(-9), Fraction(-18)),
-        # a purely imaginary sum over a non-real divisor
-        ([(GaussianRational(0, 2), 1)], GaussianRational(1, 1), 0, Fraction(1), Fraction(1)),
-        # shared denominators cancel in the single reduction
-        ([(Fraction(1, 6), Fraction(1, 10))], Fraction(1, 15), Fraction(1, 10), Fraction(-1, 2), Fraction(0)),
-        ([], 1, 2, Fraction(0), Fraction(0)),
-    ],
-    ids=["negative-real", "imaginary-sum", "shared-denominators", "empty"],
-)
-def test_dot_over_examples(pairs, top, low, re, im):
-    assert_parts(dot_over(pairs, top, low), re, im)
-
-
-def test_dot_over_by_zero_divisor():
-    z = GaussianRational(Fraction(1, 3), 2)
-    for pairs in ([], [(ZERO, z)], [(z, z)]):
-        with pytest.raises(ZeroDivisionError):
-            dot_over(pairs, z, GaussianRational(Fraction(2, 6), 2))
-    with pytest.raises(ZeroDivisionError):
-        dot_over([(1, 1)], 3, Fraction(6, 2))
-
-
-def test_dot_over_rejects_inexact_factors():
-    with pytest.raises(TypeError):
-        dot_over([(ONE, 0.5)], 1, 0)
-    with pytest.raises(TypeError):
-        dot_over([(ONE, ONE)], 1.5, 0)
 
 
 @st.composite

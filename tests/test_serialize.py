@@ -26,8 +26,8 @@ from bochner.serialize import (
     poly_from_list,
     poly_to_list,
 )
-from bochner.shapiro import shapiro_delta1_column, shapiro_poly
-from conftest import int_max_str_digits, random_bochner
+from bochner.shapiro import shapiro_delta1_column
+from conftest import int_max_str_digits, random_bochner, shapiro_poly
 
 
 def test_poly_round_trip():

@@ -23,11 +23,12 @@ from bochner import (
 )
 from bochner.recurrence import relation_residual
 from bochner.scalars import ONE, ZERO
-from bochner.shapiro import RecurrenceCheck, shapiro_family, shapiro_poly
+from bochner.shapiro import RecurrenceCheck, shapiro_family
 from conftest import (
     random_rational,
     shapiro_alpha_by_binomial_sum,
     shapiro_delta1_by_plain_sum,
+    shapiro_poly,
     small_scalars,
 )
 
@@ -93,7 +94,7 @@ def test_short_column_is_refused():
     op = ShapiroOperator([1, 1])
     delta1 = shapiro_delta1_column(op, 5)
     with pytest.raises(InsufficientData):
-        shapiro_poly(delta1, 6)
+        shapiro_family(delta1, 6)
     with pytest.raises(InsufficientData):
         shapiro_alpha(op, delta1, 5)  # reads delta1(6)
     alpha = shapiro_alpha(op, shapiro_delta1_column(op, 6), 5)
@@ -103,21 +104,21 @@ def test_short_column_is_refused():
 
 def test_coeff_examples():
     third = shapiro_delta1_column(ShapiroOperator([Fraction(3, 7)]), 4)
-    assert shapiro_poly(third, 4).coeff(4) == ONE
+    assert shapiro_family(third, 4)[4].coeff(4) == ONE
     unit = shapiro_delta1_column(ShapiroOperator([1]), 3)
-    assert shapiro_poly(unit, 3).coeff(1) == GaussianRational(3)  # delta1(3) delta1(2) / 2
+    assert shapiro_family(unit, 3)[3].coeff(1) == GaussianRational(3)  # delta1(3) delta1(2) / 2
     pure2 = shapiro_delta1_column(ShapiroOperator([0, 1]), 2)
-    assert shapiro_poly(pure2, 2).coeff(1) == GaussianRational(2)
+    assert shapiro_family(pure2, 2)[2].coeff(1) == GaussianRational(2)
 
 
 def test_unit_coefficient_family_is_binomial():
     # with c = (1,) the eigenpolynomials collapse to (x + 1)^n
-    delta1 = shapiro_delta1_column(ShapiroOperator([1]), 6)
+    family = shapiro_family(shapiro_delta1_column(ShapiroOperator([1]), 6), 6)
     for n in range(7):
         power = Poly([1])
         for _ in range(n):
             power = power * Poly([1, 1])
-        assert shapiro_poly(delta1, n) == power
+        assert family[n] == power
 
 
 def test_coeff_matches_spectral_recursion():
@@ -125,12 +126,12 @@ def test_coeff_matches_spectral_recursion():
     for order in (1, 2, 3):
         op = ShapiroOperator(random_c_vector(rng, order))
         table = deltas_from_operator(to_bochner(op), 12)
-        delta1 = shapiro_delta1_column(op, 12)
+        family = shapiro_family(shapiro_delta1_column(op, 12), 12)
         for n in range(13):
             poly = eigenpoly_recursive(table, n)
-            assert shapiro_poly(delta1, n) == poly
+            assert family[n] == poly
             for i in range(n + 1):
-                assert shapiro_poly(delta1, n).coeff(n - i) == poly.coeff(n - i)
+                assert family[n].coeff(n - i) == poly.coeff(n - i)
 
 
 def test_alpha_closed_forms():

@@ -30,12 +30,14 @@ from bochner import (
 )
 from bochner import scalars
 from bochner.scalars import ZERO
+from bochner.serialize import operator_from_dict
 from bochner.spectral import check_spectrum
 from conftest import (
+    INTERIOR_ZERO_COLUMN,
     NEAR_MISSES,
     delta_extend_by_plain_sum,
     dense_operators,
-    eigensystem_by_dot_over,
+    eigensystem_by_dot_quotient,
     eigensystem_by_plain_arithmetic,
     random_bochner,
     random_gaussian,
@@ -282,14 +284,14 @@ def test_hermite_odd_offset_coefficients_are_zero():
             assert poly.coeff(n - i) != ZERO, (n, i)
 
 
-# -- the integer kernel against the one-`dot_over`-per-coefficient route ----
+# -- the integer kernel against one `dot` over the gap per coefficient -----
 
 
 def assert_dot_over_route(table, n_max):
     # scalars compare by their stored triples, so a coefficient the kernel
     # leaves unreduced differs from the reference
     system = eigensystem(table, n_max)
-    assert system == eigensystem_by_dot_over(table, n_max)
+    assert system == eigensystem_by_dot_quotient(table, n_max)
     assert eigenpoly_recursive(table, n_max) == system.polys[n_max]
 
 
@@ -393,7 +395,7 @@ def test_kernel_cross_cancels_single_real_terms(monkeypatch, op, steps):
     """A step with one nonzero term on real data takes no `_quotient`: the
     entry and the gap are cancelled against the reduced neighbour."""
     table = deltas_from_operator(op, 20)
-    expected = eigensystem_by_dot_over(table, 20)
+    expected = eigensystem_by_dot_quotient(table, 20)
     calls = count_quotients(monkeypatch)
     assert eigensystem(table) == expected
     assert len(calls) == steps
@@ -416,7 +418,7 @@ def test_kernel_skips_zero_terms(monkeypatch, rows, poly):
     left with one nonzero real term is cross-cancelled: of the three steps
     of P_3 only the one with two nonzero terms takes a quotient."""
     table = DeltaTable(rows, order=2)
-    expected = eigensystem_by_dot_over(table, 3).polys[3]
+    expected = eigensystem_by_dot_quotient(table, 3).polys[3]
     calls = count_quotients(monkeypatch)
     assert eigenpoly_recursive(table, 3) == expected == Poly(poly)
     assert len(calls) == 1
@@ -428,8 +430,9 @@ def test_kernel_skips_zero_terms(monkeypatch, rows, poly):
         (hermite_operator(), [2]),
         (laguerre_operator(Fraction(7, 3)), [1]),
         (jacobi_operator(Fraction(5, 2), Fraction(-2, 7)), [1, 2]),
+        (operator_from_dict(INTERIOR_ZERO_COLUMN), [2, 3]),
     ],
-    ids=["hermite", "laguerre", "jacobi"],
+    ids=["hermite", "laguerre", "jacobi", "interior-zero-column"],
 )
 def test_lift_band_keeps_the_nonzero_columns(op, kept):
     table = deltas_from_operator(op, 12)
