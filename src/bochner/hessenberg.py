@@ -1,52 +1,47 @@
-"""Determinants of upper Hessenberg matrices, as a chain of leading minors.
+"""Determinants of upper Hessenberg matrices with subdiagonal -1, as a chain
+of leading minors.
 
-An upper Hessenberg matrix has zeros below the first subdiagonal, so its
-determinant expands along the last column into determinants of leading
-principal submatrices:
+Both Hessenberg determinants of the paper (an eigenpolynomial coefficient,
+and a delta of prescribed eigen-data) are written here with every
+subdiagonal entry equal to -1.  Expanding det(H_m) along its last column,
+the product of subdiagonal entries in each term then cancels its cofactor
+sign, so that (0-based, det(H_0) = 1)
 
-    det(H_m) = h[m][m] det(H_{m-1})
-             + sum_{j<m} (-1)^(m-j) h[j][m] (prod_{l=j}^{m-1} h[l+1][l]) det(H_{j-1})
+    det(H_{c+1}) = sum_{j<=c} h[j][c] det(H_j).
 
-(1-based indices, det(H_0) = 1).  The expansion of an m x m matrix thus
-produces every leading minor det(H_0), ..., det(H_m) on the way, in O(m^2)
-exact operations instead of the factorial cost of a general cofactor
-expansion, and `hessenberg_determinant` returns that whole chain.  Callers
-whose determinants are nested leading submatrices of one matrix (every
+Each minor is one sum over its column's entries, and the expansion of an
+m x m matrix produces every leading minor det(H_0), ..., det(H_m) on the
+way; `hessenberg_determinant` returns that whole chain.  Callers whose
+determinants are nested leading submatrices of one matrix (every
 coefficient of one eigenpolynomial, every delta on one diagonal) pay for a
-single expansion.  Each column's sum starts at its first nonzero entry
-above the diagonal, so for a matrix that is zero above its w-th
-superdiagonal the expansion does O(m w) multiplications, plus one zero test
-per entry above the band.
+single expansion.  A column is given by its entries from its first
+possibly nonzero row down to the diagonal, so a matrix that is zero above
+its w-th superdiagonal costs O(m w) multiplications.  The sum is plain
+scalar `*` and `+`, so neither cross-check shares a summation kernel with
+the recursion it checks.
 """
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from .errors import DomainError
-from .scalars import GaussianRational, ONE
+from .scalars import GaussianRational, ONE, ZERO
 
 
 def hessenberg_determinant(
-    matrix: Sequence[Sequence[GaussianRational]],
+    columns: Sequence[Sequence[GaussianRational]],
 ) -> list[GaussianRational]:
     """The leading principal minors det(H_0) = 1, det(H_1), ..., det(H_m) of
-    a square upper Hessenberg matrix; the last is its determinant."""
-    size = len(matrix)
-    for row in matrix:
-        if len(row) != size:
-            raise DomainError("matrix is not square")
+    the m x m upper Hessenberg matrix with subdiagonal -1 whose column c
+    holds `columns[c]` in rows c + 1 - len(columns[c]) .. c and zeros above;
+    the last minor is its determinant."""
     prefix = [ONE]
-    for m in range(1, size + 1):
-        top = 0
-        while top < m - 1 and not matrix[top][m - 1]:
-            top += 1
-        acc = matrix[m - 1][m - 1] * prefix[m - 1]
-        subdiagonal_product = ONE
-        sign = 1
-        for j in range(m - 1, top, -1):
-            subdiagonal_product = subdiagonal_product * matrix[j][j - 1]
-            sign = -sign
-            term = matrix[j - 1][m - 1] * subdiagonal_product * prefix[j - 1]
-            acc = acc + term if sign > 0 else acc - term
-        prefix.append(acc)
+    for c, column in enumerate(columns):
+        top = c + 1 - len(column)
+        if top < 0:
+            raise DomainError(f"column {c} has {len(column)} entries, at most {c + 1} fit")
+        terms = [h * minor for h, minor in zip(column, prefix[top:]) if h]
+        prefix.append(reduce(add, terms) if terms else ZERO)
     return prefix

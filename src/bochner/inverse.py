@@ -2,9 +2,9 @@
 prescribed eigenvalues and monic eigenpolynomials, when one exists.
 
 From the data alone a delta table is defined: delta(n, 0) = lambda_n, and
-for 1 <= k <= n a k x k Hessenberg determinant in the lambdas and the
-polynomial coefficients.  Expanding that determinant along its last column
-collapses it to the linear recursion
+for 1 <= k <= n a k x k Hessenberg determinant, with subdiagonal -1, in the
+lambdas and the polynomial coefficients.  Expanding that determinant along
+its last column collapses it to the linear recursion
 
     delta(n, k) = (lambda_n - lambda_{n-k}) b(n, n-k)
                   - sum_{j=1}^{k-1} delta(n-k+j, j) b(n, n-k+j)
@@ -44,7 +44,7 @@ from .errors import (
 from .hessenberg import hessenberg_determinant
 from .operators import BochnerOperator, DeltaTable, operator_from_deltas
 from .polynomials import is_eigenpair
-from .scalars import ONE, ZERO, dot
+from .scalars import ZERO, dot
 from .spectral import EigenSystem, delta_extend
 
 
@@ -52,14 +52,11 @@ def deltas_from_eigendata_det(data: EigenSystem, n_max: int) -> DeltaTable:
     """The full delta table of the data up to row n_max, straight from the
     determinant definition, one Hessenberg expansion per diagonal.
 
-    For the diagonal base = n - k the matrix has unit subdiagonal; column c
-    holds, top to bottom, (lambda_base - lambda_{base+c}) b(base+c, base) in
-    the first row and b(base+c, base+j-1) in row j >= 2.  Its leading k x k
-    minor is (-1)^k delta(base + k, k): the first row carries the negated gap
-    lambda_{n-k} - lambda_n of the recursion, and with a +1 subdiagonal the
-    cofactor signs (-1)^(k-j) of the last-column expansion do not cancel, so
-    by induction on k every term of the expansion is (-1)^k times the
-    matching term of the recursion.
+    For the diagonal base = n - k the matrix has subdiagonal -1; column c
+    holds, top to bottom, (lambda_{base+c} - lambda_base) b(base+c, base) in
+    the first row and -b(base+c, base+j-1) in row j >= 2.  Expanding its
+    leading k x k minor along the last column is the recursion for
+    delta(base + k, k) term by term.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
@@ -68,17 +65,14 @@ def deltas_from_eigendata_det(data: EigenSystem, n_max: int) -> DeltaTable:
     lams = data.lambdas
     rows = [[lams[n]] + [ZERO] * n for n in range(n_max + 1)]
     for base in range(n_max):
-        size = n_max - base
-        matrix = [
-            [(lams[base] - lams[base + c]) * data.coeff(base + c, base) for c in range(1, size + 1)]
-        ]
-        for j in range(2, size + 1):
-            row = [ZERO] * (j - 2) + [ONE]
-            row += [data.coeff(base + c, base + j - 1) for c in range(j, size + 1)]
-            matrix.append(row)
-        chain = hessenberg_determinant(matrix)
-        for k in range(1, size + 1):
-            rows[base + k][k] = chain[k] if k % 2 == 0 else -chain[k]
+        columns = []
+        for c in range(1, n_max - base + 1):
+            b = data.polys[base + c].coeffs
+            columns.append(
+                [(lams[base + c] - lams[base]) * b[base]] + [-v for v in b[base + 1 : base + c]]
+            )
+        for k, minor in enumerate(hessenberg_determinant(columns)[1:], 1):
+            rows[base + k][k] = minor
     return DeltaTable(rows)
 
 

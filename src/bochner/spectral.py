@@ -11,23 +11,25 @@ descending from the monic top coefficient.  Its step is the integer kernel
 band and the spectrum are lifted over one common denominator once per
 table (`scalars.lift_band`), that denominator cancels from every quotient,
 and each coefficient is reduced once.  The second expresses each
-b(n, n-i) as an i x i upper Hessenberg determinant and exists to cross-check
-the first.  The i x i matrix of b(n, n-i) is the leading submatrix of the
-n x n matrix of b(n, 0), so the determinant route builds one matrix per
-degree and reads b(n, n-1), ..., b(n, 0) off the chain of nested leading
-minors of a single expansion (`eigenpoly_coeff_det`).  It never reads the
-recursion's output.  `delta_extend` continues any delta column from its
-first few entries, which pins down the whole spectrum of an order-N
-operator by rows 0..N of the table.
+b(n, n-i) as an i x i upper Hessenberg determinant with subdiagonal -1 and
+exists to cross-check the first.  The i x i matrix of b(n, n-i) is the
+leading submatrix of the n x n matrix of b(n, 0), so the determinant route
+builds one matrix per degree, as its band columns, and reads
+b(n, n-1), ..., b(n, 0) off the chain of nested leading minors of a single
+expansion (`eigenpoly_coeff_det`).  It never reads the recursion's output,
+and sums with plain scalar arithmetic, not the recursion's kernel.
+`delta_extend` continues any delta column from its first few entries, which
+pins down the whole spectrum of an order-N operator by rows 0..N of the
+table.
 
 An operator of order N has delta(n, k) = 0 for every k > N, so both routes
 read only the band k <= N of a table tagged with its order: the recursion
-costs O(n N) scalar steps per eigenpolynomial, and the determinant matrix
-gets its zeros past the band without a table lookup, so the Hessenberg
-expansion's work is bounded by the band too.  An untagged table is read as
-a full triangle.  `eigensystem` and `eigenpoly_coeff_det` each validate the
-spectrum once for all degrees, before any division, and build their
-`EigenSystem` without validating it again.
+costs O(n N) scalar steps per eigenpolynomial, and each determinant column
+holds at most N entries, so the Hessenberg expansion's work is bounded by
+the band too.  An untagged table is read as a full triangle.  `eigensystem`
+and `eigenpoly_coeff_det` each validate the degree and the spectrum once for
+all degrees, before any division, and build their `EigenSystem` without
+validating it again.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ from .errors import (
 from .hessenberg import hessenberg_determinant
 from .operators import DeltaTable
 from .polynomials import Poly
-from .scalars import GaussianRational, ONE, ZERO, comb, descend, dot, lift_band, scalar
+from .scalars import GaussianRational, ZERO, comb, descend, dot, lift_band, scalar
 
 
 def check_spectrum(lambdas: Sequence[GaussianRational]) -> None:
@@ -112,6 +114,8 @@ class EigenSystem:
 
 def _lambda_prefix(table: DeltaTable, n: int) -> list[GaussianRational]:
     """lambda_0..lambda_n from the k = 0 column, validated as a spectrum."""
+    if n < 0:
+        raise DomainError(f"negative degree {n}")
     if table.n_max < n:
         raise InsufficientData(f"need delta rows up to {n}, table holds {table.n_max}")
     lams = [table.value(m, 0) for m in range(n + 1)]
@@ -119,15 +123,8 @@ def _lambda_prefix(table: DeltaTable, n: int) -> list[GaussianRational]:
     return lams
 
 
-def _band(table: DeltaTable, n: int) -> int:
-    """Last column k that can be nonzero in rows up to n."""
-    return n if table.order is None else min(n, table.order)
-
-
 def eigenpoly_recursive(table: DeltaTable, n: int) -> Poly:
     """The unique monic eigenpolynomial of degree n, by descending recursion."""
-    if n < 0:
-        raise DomainError(f"negative degree {n}")
     lams = _lambda_prefix(table, n)
     return Poly._raw(descend(lift_band(table.rows, lams), n))
 
@@ -136,34 +133,34 @@ def eigenpoly_coeff_det(table: DeltaTable, n_max: int) -> EigenSystem:
     """Eigenvalues and eigenpolynomials up to degree n_max by the
     determinant route, one Hessenberg expansion per degree.
 
-    For degree n the matrix is n x n: entry (j, c) on or above the diagonal
-    is delta(n+1-j, c+1-j) divided by (lambda_n - lambda_{n-c}), zero past
-    the band, and the subdiagonal is -1.  Its leading i x i minor is
-    b(n, n-i), so the expansion's chain of minors is the whole polynomial.
+    For degree n the matrix is n x n with subdiagonal -1: entry (j, c) on or
+    above the diagonal (1-based) is delta(n+1-j, c+1-j) divided by
+    (lambda_n - lambda_{n-c}), and zero past the band.  Its leading i x i
+    minor is b(n, n-i), so the expansion's chain of minors is the whole
+    polynomial, read from b(n, n) = 1 down.
     """
     lams = _lambda_prefix(table, n_max)
-    polys = []
-    for n in range(n_max + 1):
-        chain = hessenberg_determinant(_coeff_matrix(table, lams, n))
-        polys.append(Poly(chain[::-1]))
-    return EigenSystem._raw(tuple(lams), tuple(polys))
+    polys = tuple(
+        Poly._raw(tuple(hessenberg_determinant(_coeff_matrix(table, lams, n))[::-1]))
+        for n in range(n_max + 1)
+    )
+    return EigenSystem._raw(tuple(lams), polys)
 
 
 def _coeff_matrix(table: DeltaTable, lams: Sequence[GaussianRational], n: int):
-    """The n x n Hessenberg matrix whose leading i x i minor is b(n, n-i)."""
+    """The band columns of the n x n Hessenberg matrix whose leading i x i
+    minor is b(n, n-i): column c holds delta(n-c+k, k) / (lambda_n -
+    lambda_{n-c}) for k from the band's last column down to 1, top to bottom.
+    A table tagged with its order clips its rows at the band, so row n's
+    length bounds every column."""
     rows = table.rows
-    width = _band(table, n)
-    matrix = []
-    for j in range(1, n + 1):
-        row = [ZERO] * n
-        if j >= 2:
-            row[j - 2] = -ONE
-        for c in range(j, min(n, j - 1 + width) + 1):
-            d = rows[n + 1 - j][c + 1 - j]
-            if d:
-                row[c - 1] = d / (lams[n] - lams[n - c])
-        matrix.append(row)
-    return matrix
+    width = len(rows[n]) - 1
+    columns = []
+    for c in range(1, n + 1):
+        gap = lams[n] - lams[n - c]
+        entries = (rows[n - c + k][k] for k in range(min(c, width), 0, -1))
+        columns.append([d / gap if d else d for d in entries])
+    return columns
 
 
 def delta_extend(seed: DeltaTable, n: int, k: int, order: int | None = None) -> GaussianRational:

@@ -101,6 +101,16 @@ def test_eigenpoly_recursive_needs_rows(hermite_table):
         eigenpoly_recursive(hermite_table, 13)
 
 
+def test_negative_degree_is_a_domain_error(hermite_table):
+    # every route validates its degree once, with the spectrum prefix
+    with pytest.raises(DomainError):
+        eigensystem(hermite_table, -1)
+    with pytest.raises(DomainError):
+        eigenpoly_coeff_det(hermite_table, -3)
+    with pytest.raises(DomainError):
+        eigenpoly_recursive(hermite_table, -1)
+
+
 def test_coeff_det_hermite(hermite_table):
     assert eigenpoly_coeff_det(hermite_table, 2).coeff(2, 0) == GaussianRational(Fraction(-1, 2))
 
@@ -287,7 +297,7 @@ def test_hermite_odd_offset_coefficients_are_zero():
 # -- the integer kernel against one `dot` over the gap per coefficient -----
 
 
-def assert_dot_over_route(table, n_max):
+def assert_dot_quotient_route(table, n_max):
     # scalars compare by their stored triples, so a coefficient the kernel
     # leaves unreduced differs from the reference
     system = eigensystem(table, n_max)
@@ -307,32 +317,32 @@ rationals = st.fractions(min_value=-9, max_value=9, max_denominator=40)
 
 @given(st.sampled_from(["laguerre", "jacobi"]), rationals, rationals, st.integers(0, 30))
 @settings(max_examples=60, deadline=None)
-def test_kernel_matches_dot_over_on_presets(family, alpha, beta, n_max):
+def test_kernel_matches_dot_quotient_on_presets(family, alpha, beta, n_max):
     op = laguerre_operator(alpha) if family == "laguerre" else jacobi_operator(alpha, beta)
     table = deltas_from_operator(op, n_max)
     distinct_spectrum_or_reject(table)
-    assert_dot_over_route(table, n_max)
+    assert_dot_quotient_route(table, n_max)
 
 
 @given(st.lists(small_scalars, min_size=1, max_size=5).filter(lambda c: c[-1]), st.integers(0, 24))
 @settings(max_examples=60, deadline=None)
-def test_kernel_matches_dot_over_on_product_forms(c, n_max):
+def test_kernel_matches_dot_quotient_on_product_forms(c, n_max):
     # eigenvalues 0, 1, 2, ... and one band column: every step has one term
     table = deltas_from_operator(to_bochner(ShapiroOperator(c)), n_max)
-    assert_dot_over_route(table, n_max)
+    assert_dot_quotient_route(table, n_max)
 
 
 @given(dense_operators(), st.integers(0, 14))
 @settings(max_examples=30, deadline=None)
-def test_kernel_matches_dot_over_on_dense_operators(op, n_max):
+def test_kernel_matches_dot_quotient_on_dense_operators(op, n_max):
     table = deltas_from_operator(op, n_max)
     distinct_spectrum_or_reject(table)
-    assert_dot_over_route(table, n_max)
+    assert_dot_quotient_route(table, n_max)
 
 
 @given(st.data())
 @settings(max_examples=60, deadline=None)
-def test_kernel_matches_dot_over_on_untagged_tables(data):
+def test_kernel_matches_dot_quotient_on_untagged_tables(data):
     n_max = data.draw(st.integers(0, 9))
     lams = data.draw(
         st.lists(small_scalars.filter(bool), min_size=n_max, max_size=n_max, unique=True)
@@ -341,7 +351,7 @@ def test_kernel_matches_dot_over_on_untagged_tables(data):
         [lam] + data.draw(st.lists(small_scalars, min_size=n, max_size=n))
         for n, lam in enumerate(lams, start=1)
     ]
-    assert_dot_over_route(DeltaTable(rows), n_max)
+    assert_dot_quotient_route(DeltaTable(rows), n_max)
 
 
 @given(
@@ -350,7 +360,7 @@ def test_kernel_matches_dot_over_on_untagged_tables(data):
     st.data(),
 )
 @settings(max_examples=40, deadline=None)
-def test_kernel_matches_dot_over_on_near_miss_tables(family, shift, data):
+def test_kernel_matches_dot_quotient_on_near_miss_tables(family, shift, data):
     """One band entry delta(m, k), k >= 1, moved by 1/q or i/q: the lifted
     band gets the large prime q in its common denominator."""
     op = {
@@ -366,7 +376,7 @@ def test_kernel_matches_dot_over_on_near_miss_tables(family, shift, data):
     m = data.draw(st.integers(1, n_max))
     k = data.draw(st.integers(1, len(rows[m]) - 1))
     rows[m][k] += shift
-    assert_dot_over_route(DeltaTable(rows, order=op.order), n_max)
+    assert_dot_quotient_route(DeltaTable(rows, order=op.order), n_max)
 
 
 def count_quotients(monkeypatch):
