@@ -208,7 +208,7 @@ def run_direct(args) -> int:
         payload["P_decimal"] = _decimal_rows((p.coeffs for p in system.polys), args.decimal)
     status = 0
     if args.check:
-        by_det = eigenpoly_coeff_det(table, args.nmax)
+        by_det = eigenpoly_coeff_det(table)
         mismatches = _direct_mismatches(op, system, by_det, shift)
         payload["check"] = "ok" if not mismatches else "failed"
         if mismatches:
@@ -264,14 +264,14 @@ def run_verify(args) -> int:
     order = normalized.order
     table = deltas_from_operator(normalized, nmax)
     system = eigensystem(table)
-    by_det = eigenpoly_coeff_det(table, nmax)
+    by_det = eigenpoly_coeff_det(table)
     failed = {m["check"] for m in _direct_mismatches(op, system, by_det, shift)}
     checks = {
         "eigen_equation": "eigen-equation" not in failed,
         "determinant_vs_recursion": "determinant" not in failed,
     }
     checks["delta_extension"] = all(
-        delta_extend(table, n, k) == table.value(n, k)
+        delta_extend(table, n, k, order) == table.value(n, k)
         for n in range(order + 1, nmax + 1)
         for k in range(order + 1)
     )
@@ -291,7 +291,7 @@ def run_verify(args) -> int:
         # delta1 from the closed form, never from `table`, so the match below
         # stays an independent check of the table
         delta1 = shapiro_delta1_column(product_op, nmax + 1)
-        alpha = shapiro_alpha(product_op, delta1, nmax)
+        alpha = shapiro_alpha(product_op, delta1)
         checks["product_form_recurrence"] = bool(verify_shapiro_recurrence(alpha, delta1))
         checks["product_form_alpha_match"] = coeffs.rows == alpha.rows[: coeffs.n_max + 1]
     payload = {
@@ -311,8 +311,8 @@ def run_inverse(args) -> int:
         raise InsufficientData(f"--search needs data at least to degree 2, got {data.n_max}")
     table = None
     if args.check:
-        table = deltas_from_eigendata_rec(data, data.n_max)
-        by_det = deltas_from_eigendata_det(data, data.n_max)
+        table = deltas_from_eigendata_rec(data)
+        by_det = deltas_from_eigendata_det(data)
         if by_det != table:
             n, k = next(
                 (n, k)

@@ -48,9 +48,9 @@ from .scalars import ZERO, dot
 from .spectral import EigenSystem, delta_extend
 
 
-def deltas_from_eigendata_det(data: EigenSystem, n_max: int) -> DeltaTable:
-    """The full delta table of the data up to row n_max, straight from the
-    determinant definition, one Hessenberg expansion per diagonal.
+def deltas_from_eigendata_det(data: EigenSystem) -> DeltaTable:
+    """The full delta table of the data up to its top degree, straight from
+    the determinant definition, one Hessenberg expansion per diagonal.
 
     For the diagonal base = n - k the matrix has subdiagonal -1; column c
     holds, top to bottom, (lambda_{base+c} - lambda_base) b(base+c, base) in
@@ -58,10 +58,7 @@ def deltas_from_eigendata_det(data: EigenSystem, n_max: int) -> DeltaTable:
     leading k x k minor along the last column is the recursion for
     delta(base + k, k) term by term.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max}")
-    if n_max > data.n_max:
-        raise InsufficientData(f"data reaches degree {data.n_max}, need {n_max}")
+    n_max = data.n_max
     lams = data.lambdas
     rows = [[lams[n]] + [ZERO] * n for n in range(n_max + 1)]
     for base in range(n_max):
@@ -76,16 +73,12 @@ def deltas_from_eigendata_det(data: EigenSystem, n_max: int) -> DeltaTable:
     return DeltaTable(rows)
 
 
-def deltas_from_eigendata_rec(data: EigenSystem, n_max: int) -> DeltaTable:
-    """The full delta table of the data up to row n_max, by the recursion."""
-    if n_max < 0:
-        raise DomainError(f"n_max must be nonnegative, got {n_max}")
-    if n_max > data.n_max:
-        raise InsufficientData(f"data reaches degree {data.n_max}, need {n_max}")
+def deltas_from_eigendata_rec(data: EigenSystem) -> DeltaTable:
+    """The full delta table of the data up to its top degree, by the recursion."""
     lams = data.lambdas
     rows = []
-    for n in range(n_max + 1):
-        b = data.polys[n].coeffs
+    for n, p in enumerate(data.polys):
+        b = p.coeffs
         minus_b = [-c for c in b]
         lam = lams[n]
         row = [lam]
@@ -98,21 +91,19 @@ def deltas_from_eigendata_rec(data: EigenSystem, n_max: int) -> DeltaTable:
     return DeltaTable(rows)
 
 
-def first_order_violation(table: DeltaTable, order: int, n_max: int):
+def first_order_violation(table: DeltaTable, order: int):
     """First (n, k) at which the finite-order criterion breaks, or None.
 
-    Rows order+1 .. n_max must match the extension from rows 0..order for
-    k <= order and vanish for k > order.
+    Rows order+1 .. table.n_max must match the extension from rows 0..order
+    for k <= order and vanish for k > order.
     """
     if order < 1:
         raise DomainError(f"order must be positive, got {order}")
-    if n_max <= order:
+    if table.n_max <= order:
         raise InsufficientData(
-            f"need rows beyond the order to test it: n_max={n_max}, order={order}"
+            f"need rows beyond the order to test it: n_max={table.n_max}, order={order}"
         )
-    if table.n_max < n_max:
-        raise InsufficientData(f"table holds rows up to {table.n_max}, need {n_max}")
-    for n in range(order + 1, n_max + 1):
+    for n in range(order + 1, table.n_max + 1):
         for k in range(n + 1):
             actual = table.value(n, k)
             if k <= order:
@@ -127,9 +118,10 @@ def first_order_violation(table: DeltaTable, order: int, n_max: int):
 def reconstruct(data: EigenSystem, order: int, table: DeltaTable | None = None) -> BochnerOperator:
     """The operator of the given order with the prescribed eigen-data.
 
-    `table` is the data's delta table up to row data.n_max, when the caller
-    has already built it by `deltas_from_eigendata_rec`; by default it is
-    built here.
+    `table` is the data's delta table, when the caller has already built it
+    by `deltas_from_eigendata_rec`; by default it is built here.  A table of
+    another depth than the data's is refused: a shallower one would test
+    the criterion on a shorter window.
 
     Raises NoFiniteOrderOperator when the finite-order criterion fails on the
     data's window.  On success the operator (with trailing zero coefficients
@@ -146,8 +138,12 @@ def reconstruct(data: EigenSystem, order: int, table: DeltaTable | None = None) 
             f"need data at least to degree {order + 1}, got {data.n_max}"
         )
     if table is None:
-        table = deltas_from_eigendata_rec(data, data.n_max)
-    violation = first_order_violation(table, order, data.n_max)
+        table = deltas_from_eigendata_rec(data)
+    elif table.n_max < data.n_max:
+        raise InsufficientData(f"table holds rows up to {table.n_max}, need {data.n_max}")
+    elif table.n_max > data.n_max:
+        raise DomainError(f"table holds rows up to {table.n_max}, data only to {data.n_max}")
+    violation = first_order_violation(table, order)
     if violation is not None:
         raise NoFiniteOrderOperator(order, violation)
     op = operator_from_deltas(table, order)

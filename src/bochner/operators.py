@@ -94,27 +94,28 @@ class BochnerOperator:
 class DeltaTable:
     """Triangular table delta(n, k) for 0 <= k <= n <= n_max.
 
-    When tagged with an operator order, rows are clipped at that order and
-    the zero tail delta(n, k) = 0 for order < k <= n is implicit.  Entries
-    with k > n are zero by convention and never stored.
+    The table is a band: its width w is the length of the last row less
+    one, and row n holds the min(n, w) + 1 entries delta(n, 0..min(n, w)).
+    An operator's table is cut at its order N, so delta(n, k) = 0 for
+    N < k <= n is implicit; a table no deeper than N, and any full
+    triangle, is a band of width n_max.  Entries with k > n are zero by
+    convention and never stored.
     """
 
-    __slots__ = ("rows", "order")
+    __slots__ = ("rows",)
 
-    def __init__(self, rows, order=None):
-        if order is not None and order < 1:
-            raise DomainError(f"order tag must be positive, got {order}")
-        stored = []
-        for n, row in enumerate(rows):
-            entries = tuple(scalar(v) for v in row)
-            expected = n + 1 if order is None else min(n, order) + 1
+    def __init__(self, rows):
+        stored = [tuple(scalar(v) for v in row) for row in rows]
+        width = len(stored[-1]) - 1 if stored else 0
+        if len(stored) > 1 and width < 1:
+            raise DomainError("a table past row 0 needs a band of width at least 1")
+        for n, entries in enumerate(stored):
+            expected = min(n, width) + 1
             if len(entries) != expected:
                 raise DomainError(
                     f"row {n} must have {expected} entries, got {len(entries)}"
                 )
-            stored.append(entries)
         self.rows = tuple(stored)
-        self.order = order
 
     @property
     def n_max(self) -> int:
@@ -125,21 +126,20 @@ class DeltaTable:
             raise DomainError(f"negative table index ({n}, {k})")
         if k > n:
             return ZERO
-        if self.order is not None and k > self.order:
-            return ZERO
         if n >= len(self.rows):
             raise InsufficientData(
                 f"table holds rows up to {self.n_max}, row {n} requested"
             )
-        return self.rows[n][k]
+        row = self.rows[n]
+        return row[k] if k < len(row) else ZERO
 
     def __eq__(self, other):
         if not isinstance(other, DeltaTable):
             return NotImplemented
-        return self.rows == other.rows and self.order == other.order
+        return self.rows == other.rows
 
     def __repr__(self):
-        return f"DeltaTable(n_max={self.n_max}, order={self.order})"
+        return f"DeltaTable(n_max={self.n_max})"
 
 
 def normalize(op: BochnerOperator):
@@ -173,7 +173,7 @@ def deltas_from_operator(op: BochnerOperator, n_max: int) -> DeltaTable:
                     total = total + (comb(n, i) * factorial(i)) * a
             row.append(total)
         rows.append(row)
-    return DeltaTable(rows, order=order)
+    return DeltaTable(rows)
 
 
 def _difference_levels(values: list) -> list[list]:

@@ -29,12 +29,14 @@ same table:
 
       alpha(n, k) = sum_{j >= k-1} b(n, j) d(j+1, k).
 
-Row n takes the transposed route when the delta table is tagged with its
-order N and row n-1 has more than N nonzero entries, that is, once the
-family has left the (N+1)-term band; every column of d is built once, on
-the first such row, through row M = system.n_max, which the last row reads.
-A family with an (N+1)-term recurrence has at most N nonzeros per row, so
-the classical and product-form fits never leave the sequential solve.
+Row n takes the transposed route when row n-1 has more nonzero entries
+than the delta table's band is wide, that is, once the family of an
+order-N operator has left the (N+1)-term band; every column of d is built
+once, on the first such row, through row M = system.n_max, which the last
+row reads.  A family with an (N+1)-term recurrence has at most N nonzeros
+per row, so the classical and product-form fits never leave the sequential
+solve, and neither does a fit on a table no deeper than its order or on a
+full triangle, whose band is as wide as the table is deep.
 `relation_residual` re-expands a row symbolically, over Gaussian-integer
 numerators, and reads neither route.
 """
@@ -94,9 +96,9 @@ def fit_recurrence(system: EigenSystem, table: DeltaTable) -> RecurrenceCoeffs:
     fitted row.
 
     Row n is the sequential solve, matching the x^(n-j) coefficients of
-    P_n and P_{n+1} for j = 0, 1, ..., unless the table carries its order N
-    and row n-1 has more than N nonzero entries, i.e. the family has left
-    the (N+1)-term band; then every entry is
+    P_n and P_{n+1} for j = 0, 1, ..., unless row n-1 has more nonzero
+    entries than the table's band width N, i.e. the family has left the
+    (N+1)-term band; then every entry is
     alpha(n, k) = sum_{j >= k-1} b(n, j) d(j+1, k), with the inverse
     connection coefficients
 
@@ -115,13 +117,13 @@ def fit_recurrence(system: EigenSystem, table: DeltaTable) -> RecurrenceCoeffs:
         if table.rows[m][0] != lam:
             raise DomainError(f"delta({m}, 0) is not the eigenvalue lambda_{m} of the family")
     coeffs = [p.coeffs for p in system.polys]
-    order = table.order
+    width = len(table.rows[-1]) - 1
     top = system.n_max
     inverse = None
     rows = []
     nnz = 0
     for n in range(top):
-        if order is not None and nnz > order:
+        if nnz > width:
             if inverse is None:
                 band = mirror_band(lift_band(table.rows, lams))
                 inverse = [descend(band, top - k)[::-1] for k in range(top + 1)]

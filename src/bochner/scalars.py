@@ -56,17 +56,22 @@ class GaussianRational:
     gcd(p, q, d) = 1.
 
     Immutable and hashable; equality is componentwise.  Mixed arithmetic with
-    `int` and `Fraction` is supported.  Floats are rejected outright so that
-    no inexact value can enter a computation.  `re` and `im` give the parts
+    `int` and `Fraction` is supported.  The constructor takes `int` and
+    `Fraction` parts only: floats are refused so that no inexact value can
+    enter a computation, and text is read by the one scalar grammar of
+    `parse_scalar` (or `scalar`), never here.  `re` and `im` give the parts
     as reduced `Fraction`s.
     """
 
     __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, re=0, im=0):
-        if isinstance(re, float) or isinstance(im, float):
-            raise DomainError("floating-point input is not allowed; use int, Fraction or a string")
-        re, im = Fraction(re), Fraction(im)
+        for part in (re, im):
+            if not isinstance(part, (int, Fraction)):
+                raise DomainError(
+                    f"scalar parts must be int or Fraction, got {type(part).__name__};"
+                    " parse text with scalar() or parse_scalar()"
+                )
         b, e = re.denominator, im.denominator
         # over lcm(b, e) the triple is reduced: each prime of the lcm divides,
         # to the lcm's full power, the denominator of a part whose numerator

@@ -97,8 +97,8 @@ def _rows_from_list(rows, name: str) -> list[list[GaussianRational]]:
     return parsed
 
 
-def delta_table_from_list(rows, order=None) -> DeltaTable:
-    return DeltaTable(_rows_from_list(rows, "delta"), order=order)
+def delta_table_from_list(rows) -> DeltaTable:
+    return DeltaTable(_rows_from_list(rows, "delta"))
 
 
 def alpha_table_to_list(coeffs: RecurrenceCoeffs) -> list[list[str]]:

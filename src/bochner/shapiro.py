@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InsufficientData, InvalidOperator
+from .errors import DomainError, InvalidOperator
 from .operators import BochnerOperator, _difference_levels
 from .polynomials import Poly
 from .recurrence import RecurrenceCoeffs, relation_residual
@@ -88,49 +88,36 @@ def shapiro_delta1_column(op: ShapiroOperator, last: int) -> list[GaussianRation
     return [shapiro_delta1(op, n) for n in range(last + 1)]
 
 
-def _need(delta1, last: int) -> None:
-    if len(delta1) <= last:
-        raise InsufficientData(
-            f"delta1 column reaches {len(delta1) - 1}, index {last} needed"
-        )
-
-
-def shapiro_family(delta1, last: int) -> list[Poly]:
-    """P_0, ..., P_last, the monic eigenpolynomials of degrees up to `last`,
-    as one family read off the column delta1(0..last).
+def shapiro_family(delta1) -> list[Poly]:
+    """P_0, ..., P_last, the monic eigenpolynomials read off the column
+    delta1(0..last), one per entry.
 
     The coefficients b(m, m-i) = delta1(m) ... delta1(m-i+1) / i! satisfy
     b(m, j) = b(m-1, j) delta1(m) / (m - j) for j < m, so each P_m is P_{m-1}
     times one scalar per coefficient, with the monic top appended.
     """
-    if last < 0:
-        raise DomainError(f"negative degree {last}")
-    _need(delta1, last)
-    coeffs = (ONE,)
-    polys = [Poly._raw(coeffs)]
-    for m in range(1, last + 1):
-        value = delta1[m]
+    coeffs = ()
+    polys = []
+    for m, value in enumerate(delta1):
         coeffs = tuple([b * (value / (m - j)) for j, b in enumerate(coeffs)] + [ONE])
         polys.append(Poly._raw(coeffs))
     return polys
 
 
-def shapiro_alpha(op: ShapiroOperator, delta1, n_max: int) -> RecurrenceCoeffs:
-    """The closed-form recurrence table, rows 0..n_max: for 0 <= s <= min(N-1, n)
+def shapiro_alpha(op: ShapiroOperator, delta1) -> RecurrenceCoeffs:
+    """The closed-form recurrence table of op's column delta1(0..n_max+1),
+    rows 0..n_max: for 0 <= s <= min(N-1, n)
 
         alpha(n, n-s) = (delta1(n) ... delta1(n-s+1) / (s+1)!)
                         * (-1)^(s+1) Delta^(s+1) delta1(n-s),
 
     with the empty product at s = 0, and every other entry zero.  The
     products run along s; every difference is read from one difference
-    table of op's column delta1(0..n_max+1), zero past its last level.
+    table of the column, zero past its last level.
     """
-    if n_max < 0:
-        raise DomainError(f"negative index {n_max}")
-    _need(delta1, n_max + 1)
-    levels = _difference_levels(delta1[: n_max + 2])
+    levels = _difference_levels(delta1)
     rows = []
-    for n in range(n_max + 1):
+    for n in range(len(delta1) - 1):
         row = [ZERO] * (n + 1)
         product = ONE
         for s in range(min(op.order - 1, n) + 1):
@@ -150,12 +137,11 @@ class RecurrenceCheck:
     the first offending row and coefficient.
     """
 
-    ok: bool
     failed_n: int | None = None
     failed_power: int | None = None
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self.failed_n is None
 
 
 def verify_shapiro_recurrence(alpha: RecurrenceCoeffs, delta1) -> RecurrenceCheck:
@@ -169,11 +155,11 @@ def verify_shapiro_recurrence(alpha: RecurrenceCoeffs, delta1) -> RecurrenceChec
     n_max = alpha.n_max
     if n_max < 1:
         raise DomainError(f"n_max must be at least 1, got {n_max}")
-    polys = shapiro_family(delta1, n_max + 1)
+    polys = shapiro_family(delta1)
     for n, row in enumerate(alpha.rows):
         residual = relation_residual(polys, row, n)
         if residual:
             for power, value in enumerate(residual.coeffs):
                 if value:
-                    return RecurrenceCheck(False, n, power)
-    return RecurrenceCheck(True)
+                    return RecurrenceCheck(n, power)
+    return RecurrenceCheck()

@@ -22,13 +22,13 @@ and sums with plain scalar arithmetic, not the recursion's kernel.
 pins down the whole spectrum of an order-N operator by rows 0..N of the
 table.
 
-An operator of order N has delta(n, k) = 0 for every k > N, so both routes
-read only the band k <= N of a table tagged with its order: the recursion
-costs O(n N) scalar steps per eigenpolynomial, and each determinant column
-holds at most N entries, so the Hessenberg expansion's work is bounded by
-the band too.  An untagged table is read as a full triangle.  `eigensystem`
-and `eigenpoly_coeff_det` each validate the degree and the spectrum once for
-all degrees, before any division, and build their `EigenSystem` without
+An operator of order N has delta(n, k) = 0 for every k > N, and its table
+stores only that band, so both routes read the band k <= N and nothing
+else: the recursion costs O(n N) scalar steps per eigenpolynomial, and each
+determinant column holds at most N entries, so the Hessenberg expansion's
+work is bounded by the band too.  `eigensystem` and `eigenpoly_coeff_det`
+run to the depth of their table; each validates the spectrum once for all
+degrees, before any division, and builds its `EigenSystem` without
 validating it again.
 """
 from __future__ import annotations
@@ -129,8 +129,8 @@ def eigenpoly_recursive(table: DeltaTable, n: int) -> Poly:
     return Poly._raw(descend(lift_band(table.rows, lams), n))
 
 
-def eigenpoly_coeff_det(table: DeltaTable, n_max: int) -> EigenSystem:
-    """Eigenvalues and eigenpolynomials up to degree n_max by the
+def eigenpoly_coeff_det(table: DeltaTable) -> EigenSystem:
+    """Eigenvalues and eigenpolynomials up to the table's depth by the
     determinant route, one Hessenberg expansion per degree.
 
     For degree n the matrix is n x n with subdiagonal -1: entry (j, c) on or
@@ -139,10 +139,10 @@ def eigenpoly_coeff_det(table: DeltaTable, n_max: int) -> EigenSystem:
     minor is b(n, n-i), so the expansion's chain of minors is the whole
     polynomial, read from b(n, n) = 1 down.
     """
-    lams = _lambda_prefix(table, n_max)
+    lams = _lambda_prefix(table, table.n_max)
     polys = tuple(
         Poly._raw(tuple(hessenberg_determinant(_coeff_matrix(table, lams, n))[::-1]))
-        for n in range(n_max + 1)
+        for n in range(table.n_max + 1)
     )
     return EigenSystem._raw(tuple(lams), polys)
 
@@ -151,8 +151,7 @@ def _coeff_matrix(table: DeltaTable, lams: Sequence[GaussianRational], n: int):
     """The band columns of the n x n Hessenberg matrix whose leading i x i
     minor is b(n, n-i): column c holds delta(n-c+k, k) / (lambda_n -
     lambda_{n-c}) for k from the band's last column down to 1, top to bottom.
-    A table tagged with its order clips its rows at the band, so row n's
-    length bounds every column."""
+    Row n's length bounds every column."""
     rows = table.rows
     width = len(rows[n]) - 1
     columns = []
@@ -163,7 +162,7 @@ def _coeff_matrix(table: DeltaTable, lams: Sequence[GaussianRational], n: int):
     return columns
 
 
-def delta_extend(seed: DeltaTable, n: int, k: int, order: int | None = None) -> GaussianRational:
+def delta_extend(seed: DeltaTable, n: int, k: int, order: int) -> GaussianRational:
     """Extend a delta column beyond the seed rows.
 
     For an operator of the given order, delta(n, k) with n > order is a fixed
@@ -172,26 +171,24 @@ def delta_extend(seed: DeltaTable, n: int, k: int, order: int | None = None) -> 
         delta(n, k) = sum_{i=k}^{order} (-1)^(order-i) C(n, i) C(n-i-1, order-i) delta(i, k)
 
     and delta(n, k) = 0 whenever k exceeds the order.  The seed must hold
-    rows 0..order; `order` defaults to the seed's tag.
+    rows 0..order.  The order is the caller's: a seed no deeper than it is
+    a band of its own depth, which would extend at the wrong order.
     """
     if k < 0 or n < 0:
         raise DomainError(f"negative position ({n}, {k})")
-    big_n = order if order is not None else seed.order
-    if big_n is None:
-        raise InsufficientData("seed table carries no order tag and none was given")
-    if k > big_n:
+    if k > order:
         return ZERO
-    if n <= big_n:
+    if n <= order:
         raise DomainError(
-            f"extension applies to rows beyond the order; got n={n} <= {big_n}"
+            f"extension applies to rows beyond the order; got n={n} <= {order}"
         )
-    if seed.n_max < big_n:
+    if seed.n_max < order:
         raise InsufficientData(
-            f"seed must hold rows up to {big_n}, it holds {seed.n_max}"
+            f"seed must hold rows up to {order}, it holds {seed.n_max}"
         )
     return dot(
-        ((-1) ** (big_n - i) * comb(n, i) * comb(n - i - 1, big_n - i), seed.value(i, k))
-        for i in range(k, big_n + 1)
+        ((-1) ** (order - i) * comb(n, i) * comb(n - i - 1, order - i), seed.value(i, k))
+        for i in range(k, order + 1)
     )
 
 
@@ -205,10 +202,9 @@ def lambda_via_N2_identity(lambda1, lambda2, n: int) -> GaussianRational:
     return (-n * (n - 2)) * l1 + Fraction(n * (n - 1), 2) * l2
 
 
-def eigensystem(table: DeltaTable, n_max: int | None = None) -> EigenSystem:
-    """Eigenvalues and eigenpolynomials up to degree n_max (table depth by default)."""
-    top = table.n_max if n_max is None else n_max
-    lams = _lambda_prefix(table, top)
+def eigensystem(table: DeltaTable) -> EigenSystem:
+    """Eigenvalues and eigenpolynomials up to the table's depth."""
+    lams = _lambda_prefix(table, table.n_max)
     band = lift_band(table.rows, lams)
-    polys = tuple(Poly._raw(descend(band, m)) for m in range(top + 1))
+    polys = tuple(Poly._raw(descend(band, m)) for m in range(table.n_max + 1))
     return EigenSystem._raw(tuple(lams), polys)

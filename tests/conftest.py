@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from bochner import (
     BochnerOperator,
+    DeltaTable,
     EigenSystem,
     GaussianRational,
     NoFiniteOrderOperator,
@@ -133,6 +134,15 @@ def search_order_by_order(data):
     return None, None, failure
 
 
+def full_triangle(table):
+    """The table's entries as a full triangle with explicit zeros, the
+    shape the inverse problem builds from eigen-data: a band as wide as the
+    table is deep."""
+    return DeltaTable(
+        [[table.value(n, k) for k in range(n + 1)] for n in range(table.n_max + 1)]
+    )
+
+
 def coefficient_by_binomial_sum(table, n, k):
     """Reference inversion: the x^(n-k) coefficient of a_n as the binomial
     sum (1/n!) sum_{i=k}^{n} (-1)^(n-i) C(n, i) delta(i, k)."""
@@ -160,14 +170,14 @@ def eigensystem_by_plain_arithmetic(table, n_max):
 
 
 def eigensystem_by_dot_quotient(table, n_max):
-    """Reference recursion: each b(n, n-i) as one `dot` over the band
-    k <= order of the table, divided by the difference of eigenvalues with
-    one `/`."""
+    """Reference recursion: each b(n, n-i) as one `dot` over the band of
+    the table, the stored entries of each row, divided by the difference of
+    eigenvalues with one `/`."""
     lams = [table.value(m, 0) for m in range(n_max + 1)]
     rows = table.rows
     polys = []
     for n in range(n_max + 1):
-        width = n if table.order is None else min(n, table.order)
+        width = len(rows[n]) - 1
         b = [ZERO] * (n + 1)
         b[n] = ONE
         for i in range(1, n + 1):
@@ -326,18 +336,40 @@ small_scalars = st.one_of(
 )
 
 
+# the degrees through which `bochner_operators` keeps the spectrum usable
+USABLE_TO = 14
+
+
 @st.composite
 def bochner_operators(draw):
     """Operators sum_{i=0}^{N} a_i d^i of order 1-4 with complex coefficients,
-    deg a_i <= i, a nonzero a_0 as often as not, and some zero coefficient
-    polynomials."""
+    deg a_i <= i, a nonzero a_0 as often as not, some zero coefficient
+    polynomials, and a usable spectrum through degree USABLE_TO.
+
+    With R(n) = sum_{i >= 2} n!/(n-i)! a_{i,i}, the eigenvalues of the
+    normalized operator are lambda_n = n a_{1,1} + R(n), so lambda_n = lambda_m
+    (lambda_0 = 0 covers a vanishing lambda_n) exactly when a_{1,1} is
+    (R(m) - R(n)) / (n - m).  a_1 is drawn last, and its drawn a_{1,1} is
+    moved by the least integer that takes it off those finitely many values.
+    """
     order = draw(st.integers(1, 4))
     polys = [Poly([draw(small_scalars.filter(bool))]) if draw(st.booleans()) else Poly()]
-    for i in range(1, order + 1):
-        polys.append(Poly(draw(st.lists(small_scalars, max_size=i + 1))))
-    if not polys[order]:
-        polys[order] = Poly.monomial(order, draw(small_scalars.filter(bool)))
-    return BochnerOperator(polys)
+    higher = [Poly(draw(st.lists(small_scalars, max_size=i + 1))) for i in range(2, order + 1)]
+    if order > 1 and not higher[-1]:
+        higher[-1] = Poly.monomial(order, draw(small_scalars.filter(bool)))
+    a1_0, a1_1 = draw(st.lists(small_scalars, min_size=2, max_size=2))
+
+    def rest(n):
+        return sum((comb(n, i) * factorial(i) * a.coeff(i) for i, a in enumerate(higher, 2)), ZERO)
+
+    tail = [rest(n) for n in range(USABLE_TO + 1)]
+    forbidden = {
+        (tail[m] - tail[n]) / (n - m) for n in range(1, USABLE_TO + 1) for m in range(n)
+    }
+    while a1_1 in forbidden:
+        a1_1 = a1_1 + 1
+    polys.append(Poly([a1_0, a1_1]))
+    return BochnerOperator(polys + higher)
 
 
 # every a_{i,j} nonzero (its real part is)

@@ -128,9 +128,9 @@ def test_direct_det_check_builds_the_determinant_system_once(capsys, monkeypatch
     calls = []
     real = bochner.cli.eigenpoly_coeff_det
 
-    def counted(table, n_max):
-        calls.append(n_max)
-        return real(table, n_max)
+    def counted(table):
+        calls.append(table.n_max)
+        return real(table)
 
     monkeypatch.setattr(bochner.cli, "eigenpoly_coeff_det", counted)
     code, payload, _ = run_json(capsys, "direct", "--preset", "hermite", "--nmax", "8", "--check")
@@ -255,9 +255,9 @@ def test_verify_shapiro_builds_the_alpha_table_once(capsys, monkeypatch):
     calls = []
     real = bochner.cli.shapiro_alpha
 
-    def counted(op, delta1, n_max):
-        calls.append(n_max)
-        return real(op, delta1, n_max)
+    def counted(op, delta1):
+        calls.append(len(delta1) - 2)  # the table's last row reads delta1(n_max + 1)
+        return real(op, delta1)
 
     monkeypatch.setattr(bochner.cli, "shapiro_alpha", counted)
     code, payload, _ = run_json(capsys, "verify", "--shapiro=1,-2,3,1/2", "--nmax", "20")
@@ -300,8 +300,8 @@ def bump_det_coefficient(monkeypatch, n, i):
     every other coefficient as computed."""
     real = bochner.cli.eigenpoly_coeff_det
 
-    def bumped(table, n_max):
-        system = real(table, n_max)
+    def bumped(table):
+        system = real(table)
         polys = list(system.polys)
         coeffs = list(polys[n].coeffs)
         coeffs[n - i] = coeffs[n - i] + 1
@@ -341,8 +341,8 @@ def test_verify_reports_a_determinant_mismatch(capsys, monkeypatch):
 def test_inverse_check_locates_a_delta_mismatch(tmp_path, capsys, monkeypatch):
     real = bochner.cli.deltas_from_eigendata_det
 
-    def bumped(data, n_max):
-        rows = [list(row) for row in real(data, n_max).rows]
+    def bumped(data):
+        rows = [list(row) for row in real(data).rows]
         rows[6][4] = rows[6][4] + 1
         return DeltaTable(rows)
 

@@ -55,8 +55,8 @@ def forward_data(op, n_max):
 
 def test_delta_paths_agree_on_classical_data():
     for data in (hermite_data(15), laguerre_data(15)):
-        table = deltas_from_eigendata_rec(data, 15)
-        by_det = deltas_from_eigendata_det(data, 15)
+        table = deltas_from_eigendata_rec(data)
+        by_det = deltas_from_eigendata_det(data)
         for n in range(16):
             for k in range(n + 1):
                 assert by_det.value(n, k) == table.value(n, k), (n, k)
@@ -66,8 +66,8 @@ def test_delta_paths_agree_on_random_operator():
     rng = Random(808)
     op = random_bochner(rng, 3, distinct_to=12)
     data = forward_data(op, 12)
-    table = deltas_from_eigendata_rec(data, 12)
-    by_det = deltas_from_eigendata_det(data, 12)
+    table = deltas_from_eigendata_rec(data)
+    by_det = deltas_from_eigendata_det(data)
     for n in range(13):
         for k in range(n + 1):
             assert by_det.value(n, k) == table.value(n, k)
@@ -75,7 +75,7 @@ def test_delta_paths_agree_on_random_operator():
 
 def test_rec_table_matches_forward_table():
     data = hermite_data(10)
-    backward = deltas_from_eigendata_rec(data, 10)
+    backward = deltas_from_eigendata_rec(data)
     forward = deltas_from_operator(hermite_operator(), 10)
     for n in range(11):
         for k in range(n + 1):
@@ -95,38 +95,39 @@ def test_rec_table_matches_plain_sum(data):
         for n in range(n_max + 1)
     ]
     system = EigenSystem(lams, polys)
-    rows = deltas_from_eigendata_rec(system, n_max).rows
+    rows = deltas_from_eigendata_rec(system).rows
     assert [list(row) for row in rows] == deltas_from_eigendata_by_plain_sum(system, n_max)
 
 
 def test_first_degree_delta_from_shifted_polynomial():
     c = GaussianRational(3)
     data = EigenSystem([ZERO, GaussianRational(-2)], [Poly([1]), Poly([-c, 1])])
-    table = deltas_from_eigendata_rec(data, 1)
+    table = deltas_from_eigendata_rec(data)
     # delta(1, 1) = lambda_1 b(1, 0)
     assert table.value(1, 1) == GaussianRational(6)
-    assert deltas_from_eigendata_det(data, 1).value(1, 1) == GaussianRational(6)
+    assert deltas_from_eigendata_det(data).value(1, 1) == GaussianRational(6)
 
 
 def test_degenerate_data_only():
     data = EigenSystem([ZERO], [Poly([1])])
-    table = deltas_from_eigendata_rec(data, 0)
+    table = deltas_from_eigendata_rec(data)
     assert table.n_max == 0
     assert table.value(0, 0) == ZERO
 
 
 def test_delta_beyond_row_is_zero():
     data = hermite_data(6)
-    assert deltas_from_eigendata_det(data, 6).value(3, 7) == ZERO
+    assert deltas_from_eigendata_det(data).value(3, 7) == ZERO
 
 
 def test_det_table_window():
+    # both tables run to the data's top degree
     data = hermite_data(6)
-    assert deltas_from_eigendata_det(data, 0) == deltas_from_eigendata_rec(data, 0)
-    with pytest.raises(InsufficientData):
-        deltas_from_eigendata_det(data, 7)
-    with pytest.raises(DomainError):
-        deltas_from_eigendata_det(data, -1)
+    for top in (0, 1, 6):
+        window = EigenSystem(data.lambdas[: top + 1], data.polys[: top + 1])
+        table = deltas_from_eigendata_det(window)
+        assert table.n_max == top
+        assert table == deltas_from_eigendata_rec(window)
 
 
 def test_delta_paths_agree_on_data_of_no_operator():
@@ -134,38 +135,38 @@ def test_delta_paths_agree_on_data_of_no_operator():
     polys = list(monic_hermite(9))
     polys[5] = polys[5] + Poly([1])
     data = EigenSystem([GaussianRational(-2 * n) for n in range(10)], polys)
-    assert deltas_from_eigendata_det(data, 9) == deltas_from_eigendata_rec(data, 9)
+    assert deltas_from_eigendata_det(data) == deltas_from_eigendata_rec(data)
 
 
 def test_hermite_det_entry():
-    data = hermite_data(8)
-    assert deltas_from_eigendata_det(data, 4).value(4, 2) == GaussianRational(12)
+    data = hermite_data(4)
+    assert deltas_from_eigendata_det(data).value(4, 2) == GaussianRational(12)
 
 
 def test_operator_coeffs_from_deltas():
-    hermite = operator_from_deltas(deltas_from_eigendata_rec(hermite_data(8), 8), 7)
+    hermite = operator_from_deltas(deltas_from_eigendata_rec(hermite_data(8)), 7)
     assert hermite.coefficient(2, 2 - 2) == GaussianRational(1)
     for k in range(4):
         assert hermite.coefficient(3, 3 - k) == ZERO
-    laguerre_table = deltas_from_eigendata_rec(laguerre_data(8, Fraction(1, 3)), 8)
+    laguerre_table = deltas_from_eigendata_rec(laguerre_data(8, Fraction(1, 3)))
     laguerre = operator_from_deltas(laguerre_table, 7)
     assert laguerre.coefficient(1, 1 - 0) == GaussianRational(-1)
 
 
 def test_finite_order_test_hermite():
-    table = deltas_from_eigendata_rec(hermite_data(8), 8)
-    assert first_order_violation(table, 2, 8) is None
-    assert first_order_violation(table, 1, 8) is not None
-    violation = first_order_violation(table, 1, 8)
+    table = deltas_from_eigendata_rec(hermite_data(8))
+    assert first_order_violation(table, 2) is None
+    assert first_order_violation(table, 1) is not None
+    violation = first_order_violation(table, 1)
     assert violation == (2, 2)  # delta(2, 2) = 2 is not zero
 
 
 def test_finite_order_test_requires_window():
-    table = deltas_from_eigendata_rec(hermite_data(8), 8)
+    table = deltas_from_eigendata_rec(hermite_data(8))
     with pytest.raises(InsufficientData):
-        first_order_violation(table, 8, 8)
+        first_order_violation(table, 8)
     with pytest.raises(DomainError):
-        first_order_violation(table, 0, 8)
+        first_order_violation(table, 0)
 
 
 def test_perturbed_family_fails_every_order():
@@ -176,9 +177,9 @@ def test_perturbed_family_fails_every_order():
         [GaussianRational(-2 * n) for n in range(n_max + 1)],
         polys[:5] + [perturbed] + polys[6:],
     )
-    table = deltas_from_eigendata_rec(data, n_max)
+    table = deltas_from_eigendata_rec(data)
     for order in range(1, 7):
-        assert first_order_violation(table, order, n_max) is not None, order
+        assert first_order_violation(table, order) is not None, order
         with pytest.raises(NoFiniteOrderOperator) as info:
             reconstruct(data, order)
         assert info.value.order == order
@@ -217,6 +218,30 @@ def test_reconstruct_random_round_trips():
 def test_reconstruct_needs_data_past_order():
     with pytest.raises(InsufficientData):
         reconstruct(hermite_data(2), 2)
+
+
+def bumped_at_top(n_max):
+    """Hermite data with P_{n_max} moved by 1: only the top row breaks the
+    criterion."""
+    data = hermite_data(n_max)
+    polys = list(data.polys)
+    polys[-1] = polys[-1] + Poly([1])
+    return EigenSystem(data.lambdas, polys)
+
+
+@pytest.mark.parametrize(
+    "depth,error", [(7, InsufficientData), (9, DomainError)], ids=["shallower", "deeper"]
+)
+def test_reconstruct_refuses_a_table_of_another_depth(depth, error):
+    # the shallower table passes the criterion at order 2; checked on it, the
+    # bumped data would pass on a window one row short
+    data = bumped_at_top(8)
+    table = deltas_from_eigendata_rec(hermite_data(depth))
+    assert first_order_violation(table, 2) is None
+    with pytest.raises(error):
+        reconstruct(data, 2, table)
+    with pytest.raises(NoFiniteOrderOperator):
+        reconstruct(data, 2, deltas_from_eigendata_rec(data))
 
 
 def test_random_monic_family_has_no_order_two_operator():

@@ -20,7 +20,7 @@ from bochner import (
     operator_from_deltas,
 )
 from bochner.scalars import ZERO, comb, factorial
-from conftest import coefficient_by_binomial_sum, random_bochner, random_gaussian
+from conftest import coefficient_by_binomial_sum, full_triangle, random_bochner, random_gaussian
 
 
 def test_constructor_rejects_degree_violation():
@@ -54,7 +54,8 @@ def test_normalize_identity_case():
 
 def test_hermite_delta_table():
     table = deltas_from_operator(hermite_operator(), 4)
-    assert table.order == 2
+    # the band is the row length: rows past the order stop at k = 2
+    assert [len(row) for row in table.rows] == [1, 2, 3, 3, 3]
     for n in range(5):
         assert table.value(n, 0) == GaussianRational(-2 * n)
         assert table.value(n, 1) == ZERO
@@ -87,7 +88,7 @@ def test_deltas_require_normalized_operator():
 def test_delta_table_conventions():
     table = deltas_from_operator(hermite_operator(), 4)
     assert table.value(3, 5) == ZERO  # k > n
-    assert table.value(4, 3) == ZERO  # beyond the order tag
+    assert table.value(4, 3) == ZERO  # beyond the band
     with pytest.raises(InsufficientData):
         table.value(5, 0)
     with pytest.raises(DomainError):
@@ -95,10 +96,26 @@ def test_delta_table_conventions():
 
 
 def test_delta_table_shape_validation():
-    with pytest.raises(DomainError):
-        DeltaTable([[0, 1]])  # row 0 must have one entry
-    with pytest.raises(DomainError):
-        DeltaTable([[0], [0]], order=1)  # row 1 must have two entries
+    # the band is the last row's length less one
+    for rows in (
+        [[0, 1]],  # row 0 must have one entry
+        [[0], [0]],  # a band of width 0 past row 0
+        [[0], [0], [0]],
+        [[0], [1, 2], [3, 4, 5], [6, 7]],  # row 2 longer than the band of width 1
+        [[0], [1, 2], [3, 4, 5], [6, 7, 8], [9, 10]],
+        [[0], [1], [2, 3]],  # row 1 shorter than it
+    ):
+        with pytest.raises(DomainError):
+            DeltaTable(rows)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[], [[0]], [[0], [1, 2]], [[0], [1, 2], [3, 4]], [[0], [1, 2], [3, 4, 5], [6, 7, 8]]],
+)
+def test_delta_table_band_is_the_last_row(rows):
+    table = DeltaTable(rows)
+    assert [len(row) for row in table.rows] == [len(row) for row in rows]
 
 
 def test_operator_from_deltas_hermite_round_trip():
@@ -108,7 +125,7 @@ def test_operator_from_deltas_hermite_round_trip():
 
 def test_operator_from_deltas_euler_term():
     rows = [[GaussianRational(n)] if n == 0 else [GaussianRational(n), ZERO] for n in range(3)]
-    table = DeltaTable(rows, order=1)
+    table = DeltaTable(rows)
     assert operator_from_deltas(table, 1) == BochnerOperator([Poly(), Poly([0, 1])])
 
 
@@ -172,18 +189,9 @@ def test_operator_from_deltas_trims_padding():
         [
             [table.value(n, k) for k in range(min(n, 4) + 1)]
             for n in range(7)
-        ],
-        order=4,
+        ]
     )
     assert operator_from_deltas(padded, 4) == hermite_operator()
-
-
-def full_triangle(table):
-    """The table's entries as an untagged triangle with explicit zeros, the
-    shape the inverse problem builds from eigen-data."""
-    return DeltaTable(
-        [[table.value(n, k) for k in range(n + 1)] for n in range(table.n_max + 1)]
-    )
 
 
 def inverted_by_binomial_sums(table, order):

@@ -182,7 +182,7 @@ def eigenpair(op, n):
             break
         except DegenerateSpectrum:
             n -= 1
-    system = eigensystem(table, n)
+    system = eigensystem(deltas_from_operator(normalized, n))
     return system.polys[n], system.lambdas[n] + shift
 
 

@@ -15,6 +15,7 @@ from bochner import (
     Poly,
     RecurrenceCoeffs,
     bandwidth,
+    deltas_from_eigendata_rec,
     deltas_from_operator,
     eigensystem,
     fit_recurrence,
@@ -125,12 +126,12 @@ def test_shapiro_fit_matches_closed_form():
     c = [GaussianRational(Fraction(rng.randint(-5, 5), rng.randint(1, 3))) for _ in range(3)]
     c[-1] = GaussianRational(Fraction(1, 2))
     op = ShapiroOperator(c)
-    delta1 = shapiro_delta1_column(op, 16)
+    delta1 = shapiro_delta1_column(op, 15)
     polys = [shapiro_poly(delta1, m) for m in range(16)]
     lambdas = [GaussianRational(m) for m in range(16)]
     table = deltas_from_operator(to_bochner(op), 15)
     coeffs = fit_recurrence(EigenSystem(lambdas, polys), table)
-    alpha = shapiro_alpha(op, delta1, coeffs.n_max)
+    alpha = shapiro_alpha(op, delta1)
     assert coeffs == alpha
     for n in range(coeffs.n_max + 1):
         for s in range(n + 1):
@@ -157,9 +158,8 @@ product_form_coeffs = st.lists(small_scalars, min_size=1, max_size=5).filter(lam
 @given(bochner_operators(), st.integers(2, 14))
 @settings(max_examples=60, deadline=None)
 def test_fit_matches_sequential_solve(op, n_max):
-    fits = _fits(op, n_max)
-    assume(fits is not None)
-    fitted, reference = fits
+    # every drawn spectrum is usable through degree 14
+    fitted, reference = _fits(op, n_max)
     assert fitted == reference
 
 
@@ -222,7 +222,7 @@ DENSE_DOCUMENTS = {
 }
 
 
-@pytest.mark.parametrize(
+dense_families = pytest.mark.parametrize(
     "op",
     [operator_from_dict(doc) for doc in DENSE_DOCUMENTS.values()]
     + [
@@ -232,6 +232,9 @@ DENSE_DOCUMENTS = {
     ],
     ids=[*DENSE_DOCUMENTS, "random-order4", "random-order3", "interior-zero-column"],
 )
+
+
+@dense_families
 def test_dense_fit_leaves_the_sequential_solve_once_out_of_band(op):
     """Row n takes the transposed route exactly when row n-1 holds more than
     N nonzeros; on a dense family that starts before row 2N."""
@@ -243,6 +246,26 @@ def test_dense_fit_leaves_the_sequential_solve_once_out_of_band(op):
     out_of_band = [n for n in range(1, 20) if sum(map(bool, fitted.rows[n - 1])) > op.order]
     assert transposed == out_of_band
     assert op.order < transposed[0] < 2 * op.order
+
+
+@dense_families
+def test_dense_fit_reads_the_band_from_the_table(op):
+    """The route switch reads the band width off the table's rows.  The full
+    triangle of the same family, from its eigen-data, is a band as wide as
+    it is deep, and so is the operator's table up to depth N: neither leaves
+    the sequential solve, and the full triangle fits the same table as the
+    operator's band."""
+    table = deltas_from_operator(op, 20)
+    system = eigensystem(table)
+    banded = fit_recurrence(system, table)
+    full = deltas_from_eigendata_rec(system)
+    assert [len(row) for row in full.rows] == list(range(1, 22))
+    with patch.object(recurrence, "mirror_band", wraps=recurrence.mirror_band) as spy:
+        assert fit_recurrence(system, full) == banded
+        for depth in range(1, op.order + 1):
+            fitted, reference = _fits(op, depth)
+            assert fitted == reference == RecurrenceCoeffs(banded.rows[:depth])
+    assert spy.call_count == 0
 
 
 @pytest.mark.parametrize(

@@ -48,6 +48,14 @@ def test_float_rejected():
         scalar(1.25)
 
 
+@pytest.mark.parametrize("text", ["1.5", "1e3", "1_000", "1+2*i", "nan"])
+def test_constructor_refuses_text(text):
+    # text has one grammar, parse_scalar's, and the error points there
+    for parts in ((text,), (0, text)):
+        with pytest.raises(DomainError, match="parse_scalar"):
+            GaussianRational(*parts)
+
+
 def test_arithmetic_basics():
     z = GaussianRational(Fraction(1, 2), Fraction(-3, 4))
     w = GaussianRational(2, 1)

@@ -94,7 +94,7 @@ def test_eigendata_rejects_bad_documents():
 def test_delta_table_round_trip():
     table = deltas_from_operator(hermite_operator(), 5)
     rows = delta_table_to_list(table)
-    assert delta_table_from_list(rows, order=2) == table
+    assert delta_table_from_list(rows) == table
 
 
 def test_alpha_table_round_trip():

@@ -91,29 +91,29 @@ def test_delta1_column_is_the_closed_form():
 
 
 def test_short_column_is_refused():
+    # the family and the table run to their column's depth; only the check,
+    # which pairs a table with a column, can be handed a column too short
     op = ShapiroOperator([1, 1])
     delta1 = shapiro_delta1_column(op, 5)
+    assert len(shapiro_family(delta1)) == 6
+    assert shapiro_alpha(op, delta1).n_max == 4  # row 4 reads delta1(5)
+    alpha = shapiro_alpha(op, shapiro_delta1_column(op, 6))
     with pytest.raises(InsufficientData):
-        shapiro_family(delta1, 6)
-    with pytest.raises(InsufficientData):
-        shapiro_alpha(op, delta1, 5)  # reads delta1(6)
-    alpha = shapiro_alpha(op, shapiro_delta1_column(op, 6), 5)
-    with pytest.raises(InsufficientData):
-        verify_shapiro_recurrence(alpha, delta1)  # builds P_6 from delta1(6)
+        verify_shapiro_recurrence(alpha, delta1)  # needs P_6, from delta1(6)
 
 
 def test_coeff_examples():
     third = shapiro_delta1_column(ShapiroOperator([Fraction(3, 7)]), 4)
-    assert shapiro_family(third, 4)[4].coeff(4) == ONE
+    assert shapiro_family(third)[4].coeff(4) == ONE
     unit = shapiro_delta1_column(ShapiroOperator([1]), 3)
-    assert shapiro_family(unit, 3)[3].coeff(1) == GaussianRational(3)  # delta1(3) delta1(2) / 2
+    assert shapiro_family(unit)[3].coeff(1) == GaussianRational(3)  # delta1(3) delta1(2) / 2
     pure2 = shapiro_delta1_column(ShapiroOperator([0, 1]), 2)
-    assert shapiro_family(pure2, 2)[2].coeff(1) == GaussianRational(2)
+    assert shapiro_family(pure2)[2].coeff(1) == GaussianRational(2)
 
 
 def test_unit_coefficient_family_is_binomial():
     # with c = (1,) the eigenpolynomials collapse to (x + 1)^n
-    family = shapiro_family(shapiro_delta1_column(ShapiroOperator([1]), 6), 6)
+    family = shapiro_family(shapiro_delta1_column(ShapiroOperator([1]), 6))
     for n in range(7):
         power = Poly([1])
         for _ in range(n):
@@ -126,7 +126,7 @@ def test_coeff_matches_spectral_recursion():
     for order in (1, 2, 3):
         op = ShapiroOperator(random_c_vector(rng, order))
         table = deltas_from_operator(to_bochner(op), 12)
-        family = shapiro_family(shapiro_delta1_column(op, 12), 12)
+        family = shapiro_family(shapiro_delta1_column(op, 12))
         for n in range(13):
             poly = eigenpoly_recursive(table, n)
             assert family[n] == poly
@@ -137,14 +137,14 @@ def test_coeff_matches_spectral_recursion():
 def test_alpha_closed_forms():
     c1, c2 = Fraction(2, 3), Fraction(-3, 4)
     op = ShapiroOperator([c1, c2])
-    alpha = shapiro_alpha(op, shapiro_delta1_column(op, 12), 11)
+    alpha = shapiro_alpha(op, shapiro_delta1_column(op, 12))
     for n in range(12):
         assert alpha.alpha(n, n) == GaussianRational(-c1 - 2 * n * c2)
     for n in range(1, 12):
         delta_n = n * c1 + n * (n - 1) * c2
         assert alpha.alpha(n, n - 1) == GaussianRational(c2 * delta_n)
     single = ShapiroOperator([Fraction(5, 2)])
-    single_alpha = shapiro_alpha(single, shapiro_delta1_column(single, 8), 7)
+    single_alpha = shapiro_alpha(single, shapiro_delta1_column(single, 8))
     for n in range(8):
         assert single_alpha.alpha(n, n) == GaussianRational(Fraction(-5, 2))
 
@@ -152,9 +152,7 @@ def test_alpha_closed_forms():
 def test_alpha_band_bounds():
     op = ShapiroOperator([1, 1])
     delta1 = shapiro_delta1_column(op, 6)
-    with pytest.raises(DomainError):
-        shapiro_alpha(op, delta1, -1)
-    alpha = shapiro_alpha(op, delta1, 5)
+    alpha = shapiro_alpha(op, delta1)
     assert alpha.n_max == 5
     assert alpha.alpha(0, -1) == ZERO  # below the triangle
     for n in range(2, 6):
@@ -174,7 +172,7 @@ def test_alpha_band_bounds():
 def test_alpha_table_matches_binomial_sums(c, n_max):
     op = ShapiroOperator(c)
     delta1 = shapiro_delta1_column(op, n_max + 1)
-    alpha = shapiro_alpha(op, delta1, n_max)
+    alpha = shapiro_alpha(op, delta1)
     expected = [
         [
             shapiro_alpha_by_binomial_sum(op, delta1, n, n - k) if n - k < op.order else ZERO
@@ -183,18 +181,19 @@ def test_alpha_table_matches_binomial_sums(c, n_max):
         for n in range(n_max + 1)
     ]
     assert alpha == RecurrenceCoeffs(expected)
-    # a longer column gives the same table
-    assert shapiro_alpha(op, shapiro_delta1_column(op, n_max + 4), n_max) == alpha
+    # a longer column gives a longer table with the same first rows
+    longer = shapiro_alpha(op, shapiro_delta1_column(op, n_max + 4))
+    assert longer.n_max == n_max + 3 and longer.rows[: n_max + 1] == alpha.rows
 
 
 def test_verify_recurrence_small_orders():
     unit = ShapiroOperator([1])
     unit_delta1 = shapiro_delta1_column(unit, 11)
-    assert verify_shapiro_recurrence(shapiro_alpha(unit, unit_delta1, 10), unit_delta1)
+    assert verify_shapiro_recurrence(shapiro_alpha(unit, unit_delta1), unit_delta1)
     rng = Random(31)
     op = ShapiroOperator(random_c_vector(rng, 3))
     delta1 = shapiro_delta1_column(op, 21)
-    result = verify_shapiro_recurrence(shapiro_alpha(op, delta1, 20), delta1)
+    result = verify_shapiro_recurrence(shapiro_alpha(op, delta1), delta1)
     assert result
     assert result.failed_n is None
 
@@ -204,7 +203,7 @@ def test_perturbed_alpha_detected():
     op = ShapiroOperator(random_c_vector(rng, 3))
     delta1 = shapiro_delta1_column(op, 11)
     polys = [shapiro_poly(delta1, m) for m in range(12)]
-    alpha = shapiro_alpha(op, delta1, 10)
+    alpha = shapiro_alpha(op, delta1)
     n = 8
     row = list(alpha.rows[n])
     assert not relation_residual(polys, row, n)
@@ -230,7 +229,7 @@ def test_complex_coefficients_keep_the_band():
         ]
     )
     delta1 = shapiro_delta1_column(op, 16)
-    alpha = shapiro_alpha(op, delta1, 15)
+    alpha = shapiro_alpha(op, delta1)
     assert verify_shapiro_recurrence(alpha, delta1)
     for n in range(10):
         for s in range(min(op.order - 1, n) + 1):
@@ -241,10 +240,12 @@ def test_complex_coefficients_keep_the_band():
 
 
 def test_check_result_is_falsy_with_location():
-    failed = RecurrenceCheck(False, 3, 1)
+    failed = RecurrenceCheck(3, 1)
     assert not failed
     assert failed.failed_n == 3 and failed.failed_power == 1
-    assert RecurrenceCheck(True)
+    assert not RecurrenceCheck(0, 0)  # a failure in row 0 is still a failure
+    assert RecurrenceCheck()
+    assert RecurrenceCheck().failed_power is None
 
 
 @given(st.lists(small_scalars, min_size=1, max_size=5).filter(lambda c: c[-1]), st.integers(0, 20))
@@ -253,14 +254,13 @@ def test_check_result_is_falsy_with_location():
 @settings(max_examples=100, deadline=None)
 def test_family_matches_shapiro_poly(c, last):
     delta1 = shapiro_delta1_column(ShapiroOperator(c), last)
-    assert shapiro_family(delta1, last) == [shapiro_poly(delta1, m) for m in range(last + 1)]
+    assert shapiro_family(delta1) == [shapiro_poly(delta1, m) for m in range(last + 1)]
 
 
 def test_family_reads_only_the_column():
-    with pytest.raises(InsufficientData):
-        shapiro_family([ZERO, ONE], 2)
-    with pytest.raises(DomainError):
-        shapiro_family([ZERO], -1)
+    # one polynomial per entry, none for an empty column
+    assert shapiro_family([]) == []
+    assert shapiro_family([ZERO]) == [Poly([1])]
     # a column that is no delta1 of any operator still gives the products
     column = [ZERO, GaussianRational(2), ZERO, GaussianRational(0, 3)]
-    assert shapiro_family(column, 3) == [shapiro_poly(column, m) for m in range(4)]
+    assert shapiro_family(column) == [shapiro_poly(column, m) for m in range(4)]

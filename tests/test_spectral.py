@@ -39,6 +39,7 @@ from conftest import (
     dense_operators,
     eigensystem_by_dot_quotient,
     eigensystem_by_plain_arithmetic,
+    full_triangle,
     random_bochner,
     random_gaussian,
     small_scalars,
@@ -102,35 +103,37 @@ def test_eigenpoly_recursive_needs_rows(hermite_table):
 
 
 def test_negative_degree_is_a_domain_error(hermite_table):
-    # every route validates its degree once, with the spectrum prefix
+    # every route validates its degree once, with the spectrum prefix; the
+    # whole-table routes run to the table's depth, which an empty table lacks
     with pytest.raises(DomainError):
-        eigensystem(hermite_table, -1)
+        eigensystem(DeltaTable([]))
     with pytest.raises(DomainError):
-        eigenpoly_coeff_det(hermite_table, -3)
+        eigenpoly_coeff_det(DeltaTable([]))
     with pytest.raises(DomainError):
         eigenpoly_recursive(hermite_table, -1)
 
 
-def test_coeff_det_hermite(hermite_table):
-    assert eigenpoly_coeff_det(hermite_table, 2).coeff(2, 0) == GaussianRational(Fraction(-1, 2))
+def test_coeff_det_hermite():
+    by_det = eigenpoly_coeff_det(deltas_from_operator(hermite_operator(), 2))
+    assert by_det.coeff(2, 0) == GaussianRational(Fraction(-1, 2))
 
 
-def test_coeff_det_single_entry(laguerre_table):
+def test_coeff_det_single_entry():
     # 1 x 1 leading minor: delta(5, 1) / (lambda_5 - lambda_4) = 25 / (-1)
-    by_det = eigenpoly_coeff_det(laguerre_table, 5)
+    by_det = eigenpoly_coeff_det(deltas_from_operator(laguerre_operator(0), 5))
     assert by_det.coeff(5, 4) == GaussianRational(-25)
     assert by_det.coeff(3, 2) == GaussianRational(-9)
 
 
-def test_coeff_det_bounds(hermite_table):
+def test_coeff_det_bounds():
     # the chain of minors starts at det(H_0) = 1, the monic top, and stops at
-    # degree n: every polynomial is monic of its degree, nothing lies above
-    by_det = eigenpoly_coeff_det(hermite_table, 3)
+    # degree n: every polynomial is monic of its degree, nothing lies above,
+    # and the family ends at the table's depth
+    by_det = eigenpoly_coeff_det(deltas_from_operator(hermite_operator(), 3))
+    assert by_det.n_max == 3
     for n in range(4):
         assert by_det.polys[n].degree == n and by_det.coeff(n, n) == GaussianRational(1)
         assert by_det.coeff(n, n + 1) == ZERO
-    with pytest.raises(InsufficientData):
-        eigenpoly_coeff_det(hermite_table, 13)
 
 
 def test_det_matches_recursion_on_random_operators():
@@ -138,7 +141,7 @@ def test_det_matches_recursion_on_random_operators():
     for _ in range(4):
         op = random_bochner(rng, rng.randint(1, 4), distinct_to=12)
         table = deltas_from_operator(op, 12)
-        by_det = eigenpoly_coeff_det(table, 12)
+        by_det = eigenpoly_coeff_det(table)
         for n in range(1, 13):
             poly = eigenpoly_recursive(table, n)
             for i in range(1, n + 1):
@@ -156,29 +159,28 @@ def test_oracle_equivalence_sample():
 
 
 def test_delta_extend_hermite(hermite_table):
-    assert delta_extend(hermite_table, 7, 0) == GaussianRational(-14)
-    assert delta_extend(hermite_table, 9, 5) == ZERO  # above the order
+    assert delta_extend(hermite_table, 7, 0, 2) == GaussianRational(-14)
+    assert delta_extend(hermite_table, 9, 5, 2) == ZERO  # above the order
 
 
 def test_delta_extend_laguerre(laguerre_table):
-    assert delta_extend(laguerre_table, 6, 1) == GaussianRational(36)
+    assert delta_extend(laguerre_table, 6, 1, 2) == GaussianRational(36)
 
 
 def test_delta_extend_matches_forward_rows(hermite_table):
     for n in range(3, 13):
         for k in range(3):
-            assert delta_extend(hermite_table, n, k) == hermite_table.value(n, k)
+            assert delta_extend(hermite_table, n, k, 2) == hermite_table.value(n, k)
 
 
 def test_delta_extend_errors(hermite_table):
     with pytest.raises(DomainError):
-        delta_extend(hermite_table, 2, 0)  # n within the seed rows
-    untagged = DeltaTable([[0], [1, 1]])
+        delta_extend(hermite_table, 2, 0, 2)  # n within the seed rows
+    # a seed shallower than the order: its band is its own depth, 1, which
+    # the order, not the seed, says is too shallow
+    short = DeltaTable([[0], [1, 1]])
     with pytest.raises(InsufficientData):
-        delta_extend(untagged, 5, 0)  # no order tag and none supplied
-    short = DeltaTable([[0], [1, 1]], order=3)
-    with pytest.raises(InsufficientData):
-        delta_extend(short, 5, 0)
+        delta_extend(short, 5, 0, 3)
 
 
 @given(st.data())
@@ -200,8 +202,8 @@ def test_lambda_identity_examples():
     assert lambda_via_N2_identity(-2, -6, 3) == GaussianRational(-12)
 
 
-def test_eigensystem_convenience(hermite_table):
-    system = eigensystem(hermite_table, 6)
+def test_eigensystem_convenience():
+    system = eigensystem(deltas_from_operator(hermite_operator(), 6))
     assert system.n_max == 6
     assert system.polys[2] == Poly([Fraction(-1, 2), 0, 1])
     assert system.coeff(2, 0) == GaussianRational(Fraction(-1, 2))
@@ -219,22 +221,22 @@ def test_eigensystem_validation():
 
 
 def test_band_matches_full_triangle(corpus):
-    # the tagged table is read only inside its band; an untagged copy with
-    # explicit zeros past the order is read as a full triangle
+    # an operator's table is read only inside its band, a copy with explicit
+    # zeros past the order as a full triangle
     for name, op in corpus:
         table = deltas_from_operator(op, 32)
-        full = DeltaTable(
-            [row + (ZERO,) * (n + 1 - len(row)) for n, row in enumerate(table.rows)]
-        )
-        assert full.order is None and table.order == op.order
+        full = full_triangle(table)
+        assert {len(row) for row in table.rows[op.order :]} == {op.order + 1}
         assert eigensystem(table) == eigensystem(full), name
-        by_det = eigenpoly_coeff_det(table, 12).polys[12]
-        assert by_det == eigenpoly_coeff_det(full, 12).polys[12], name
+        table = deltas_from_operator(op, 12)
+        by_det = eigenpoly_coeff_det(table).polys[12]
+        assert by_det == eigenpoly_coeff_det(full_triangle(table)).polys[12], name
 
 
 def random_table(rng, n_max, order=None, zero_column=None):
     """Delta rows of random complex entries over a distinct, nonzero
-    spectrum, tagged with `order` or a full triangle, one column zeroed."""
+    spectrum, in a band of width `order` or a full triangle, one column
+    zeroed."""
     while True:
         lams = [GaussianRational(0)] + [random_gaussian(rng, 50) for _ in range(n_max)]
         if all(lams[1:]) and len(set(lams)) == len(lams):
@@ -246,13 +248,13 @@ def random_table(rng, n_max, order=None, zero_column=None):
         if zero_column is not None and zero_column < len(row):
             row[zero_column] = ZERO
         rows.append(row)
-    return DeltaTable(rows, order=order)
+    return DeltaTable(rows)
 
 
-def assert_plain_arithmetic(table, n_max):
+def assert_plain_arithmetic(table):
     # scalars compare by their stored triples, so an unreduced or
     # negative-denominator coefficient differs from the reference
-    assert eigensystem(table, n_max) == eigensystem_by_plain_arithmetic(table, n_max)
+    assert eigensystem(table) == eigensystem_by_plain_arithmetic(table, table.n_max)
 
 
 @pytest.mark.parametrize(
@@ -265,24 +267,21 @@ def assert_plain_arithmetic(table, n_max):
     ids=["hermite", "laguerre", "jacobi"],
 )
 def test_eigensystem_matches_plain_arithmetic_on_presets(op):
-    assert_plain_arithmetic(deltas_from_operator(op, 24), 24)
+    assert_plain_arithmetic(deltas_from_operator(op, 24))
 
 
 def test_eigensystem_matches_plain_arithmetic_on_random_tables():
     rng = Random(808)
     for order in (1, 2, 3, 4):
         op = random_bochner(rng, order, distinct_to=14)
-        tagged = deltas_from_operator(op, 14)
-        untagged = DeltaTable(
-            [row + (ZERO,) * (n + 1 - len(row)) for n, row in enumerate(tagged.rows)]
-        )
-        assert_plain_arithmetic(tagged, 14)
-        assert_plain_arithmetic(untagged, 14)
-        assert_plain_arithmetic(random_table(rng, 10, order=order), 10)
-        assert_plain_arithmetic(random_table(rng, 10), 10)
+        banded = deltas_from_operator(op, 14)
+        assert_plain_arithmetic(banded)
+        assert_plain_arithmetic(full_triangle(banded))
+        assert_plain_arithmetic(random_table(rng, 10, order=order))
+        assert_plain_arithmetic(random_table(rng, 10))
         # a zero band column leaves sums with a single term or none
-        assert_plain_arithmetic(random_table(rng, 10, order=order, zero_column=1), 10)
-        assert_plain_arithmetic(random_table(rng, 10, zero_column=order), 10)
+        assert_plain_arithmetic(random_table(rng, 10, order=order, zero_column=1))
+        assert_plain_arithmetic(random_table(rng, 10, zero_column=order))
 
 
 def test_hermite_odd_offset_coefficients_are_zero():
@@ -297,12 +296,12 @@ def test_hermite_odd_offset_coefficients_are_zero():
 # -- the integer kernel against one `dot` over the gap per coefficient -----
 
 
-def assert_dot_quotient_route(table, n_max):
+def assert_dot_quotient_route(table):
     # scalars compare by their stored triples, so a coefficient the kernel
     # leaves unreduced differs from the reference
-    system = eigensystem(table, n_max)
-    assert system == eigensystem_by_dot_quotient(table, n_max)
-    assert eigenpoly_recursive(table, n_max) == system.polys[n_max]
+    system = eigensystem(table)
+    assert system == eigensystem_by_dot_quotient(table, table.n_max)
+    assert eigenpoly_recursive(table, table.n_max) == system.polys[-1]
 
 
 def distinct_spectrum_or_reject(table):
@@ -321,7 +320,7 @@ def test_kernel_matches_dot_quotient_on_presets(family, alpha, beta, n_max):
     op = laguerre_operator(alpha) if family == "laguerre" else jacobi_operator(alpha, beta)
     table = deltas_from_operator(op, n_max)
     distinct_spectrum_or_reject(table)
-    assert_dot_quotient_route(table, n_max)
+    assert_dot_quotient_route(table)
 
 
 @given(st.lists(small_scalars, min_size=1, max_size=5).filter(lambda c: c[-1]), st.integers(0, 24))
@@ -329,7 +328,7 @@ def test_kernel_matches_dot_quotient_on_presets(family, alpha, beta, n_max):
 def test_kernel_matches_dot_quotient_on_product_forms(c, n_max):
     # eigenvalues 0, 1, 2, ... and one band column: every step has one term
     table = deltas_from_operator(to_bochner(ShapiroOperator(c)), n_max)
-    assert_dot_quotient_route(table, n_max)
+    assert_dot_quotient_route(table)
 
 
 @given(dense_operators(), st.integers(0, 14))
@@ -337,7 +336,7 @@ def test_kernel_matches_dot_quotient_on_product_forms(c, n_max):
 def test_kernel_matches_dot_quotient_on_dense_operators(op, n_max):
     table = deltas_from_operator(op, n_max)
     distinct_spectrum_or_reject(table)
-    assert_dot_quotient_route(table, n_max)
+    assert_dot_quotient_route(table)
 
 
 @given(st.data())
@@ -351,7 +350,7 @@ def test_kernel_matches_dot_quotient_on_untagged_tables(data):
         [lam] + data.draw(st.lists(small_scalars, min_size=n, max_size=n))
         for n, lam in enumerate(lams, start=1)
     ]
-    assert_dot_quotient_route(DeltaTable(rows), n_max)
+    assert_dot_quotient_route(DeltaTable(rows))
 
 
 @given(
@@ -376,7 +375,7 @@ def test_kernel_matches_dot_quotient_on_near_miss_tables(family, shift, data):
     m = data.draw(st.integers(1, n_max))
     k = data.draw(st.integers(1, len(rows[m]) - 1))
     rows[m][k] += shift
-    assert_dot_quotient_route(DeltaTable(rows, order=op.order), n_max)
+    assert_dot_quotient_route(DeltaTable(rows))
 
 
 def count_quotients(monkeypatch):
@@ -427,7 +426,7 @@ def test_kernel_skips_zero_terms(monkeypatch, rows, poly):
     """A term with a zero neighbour or a zero entry is skipped, so a step
     left with one nonzero real term is cross-cancelled: of the three steps
     of P_3 only the one with two nonzero terms takes a quotient."""
-    table = DeltaTable(rows, order=2)
+    table = DeltaTable(rows)
     expected = eigensystem_by_dot_quotient(table, 3).polys[3]
     calls = count_quotients(monkeypatch)
     assert eigenpoly_recursive(table, 3) == expected == Poly(poly)
