@@ -214,7 +214,7 @@ class GaussianRational:
         return format_scalar(self)
 
     def __repr__(self):
-        return f"GaussianRational('{format_scalar(self)}')"
+        return f"scalar('{format_scalar(self)}')"
 
 
 def _exact(p, q, d):

@@ -336,40 +336,51 @@ small_scalars = st.one_of(
 )
 
 
-# the degrees through which `bochner_operators` keeps the spectrum usable
+@st.composite
+def bochner_operators(draw):
+    """Operators sum_{i=0}^{N} a_i d^i of order 1-4 with complex coefficients,
+    deg a_i <= i, a nonzero a_0 as often as not, and some zero coefficient
+    polynomials."""
+    order = draw(st.integers(1, 4))
+    polys = [Poly([draw(small_scalars.filter(bool))]) if draw(st.booleans()) else Poly()]
+    for i in range(1, order + 1):
+        polys.append(Poly(draw(st.lists(small_scalars, max_size=i + 1))))
+    if not polys[order]:
+        polys[order] = Poly.monomial(order, draw(small_scalars.filter(bool)))
+    return BochnerOperator(polys)
+
+
+# the degrees through which `usable_bochner_operators` keeps the spectrum usable
 USABLE_TO = 14
 
 
 @st.composite
-def bochner_operators(draw):
-    """Operators sum_{i=0}^{N} a_i d^i of order 1-4 with complex coefficients,
-    deg a_i <= i, a nonzero a_0 as often as not, some zero coefficient
-    polynomials, and a usable spectrum through degree USABLE_TO.
+def usable_bochner_operators(draw):
+    """`bochner_operators` with a usable spectrum through degree USABLE_TO.
 
     With R(n) = sum_{i >= 2} n!/(n-i)! a_{i,i}, the eigenvalues of the
     normalized operator are lambda_n = n a_{1,1} + R(n), so lambda_n = lambda_m
     (lambda_0 = 0 covers a vanishing lambda_n) exactly when a_{1,1} is
-    (R(m) - R(n)) / (n - m).  a_1 is drawn last, and its drawn a_{1,1} is
-    moved by the least integer that takes it off those finitely many values.
+    (R(m) - R(n)) / (n - m).  a_{1,1} is drawn afresh and moved by the least
+    integer that takes it off those finitely many values; lambda_1 = a_{1,1}
+    rules out a_{1,1} = 0.
     """
-    order = draw(st.integers(1, 4))
-    polys = [Poly([draw(small_scalars.filter(bool))]) if draw(st.booleans()) else Poly()]
-    higher = [Poly(draw(st.lists(small_scalars, max_size=i + 1))) for i in range(2, order + 1)]
-    if order > 1 and not higher[-1]:
-        higher[-1] = Poly.monomial(order, draw(small_scalars.filter(bool)))
-    a1_0, a1_1 = draw(st.lists(small_scalars, min_size=2, max_size=2))
+    polys = list(draw(bochner_operators()).coeffs)
 
     def rest(n):
-        return sum((comb(n, i) * factorial(i) * a.coeff(i) for i, a in enumerate(higher, 2)), ZERO)
+        return sum(
+            (comb(n, i) * factorial(i) * polys[i].coeff(i) for i in range(2, len(polys))), ZERO
+        )
 
     tail = [rest(n) for n in range(USABLE_TO + 1)]
     forbidden = {
         (tail[m] - tail[n]) / (n - m) for n in range(1, USABLE_TO + 1) for m in range(n)
     }
+    a1_1 = draw(small_scalars)
     while a1_1 in forbidden:
         a1_1 = a1_1 + 1
-    polys.append(Poly([a1_0, a1_1]))
-    return BochnerOperator(polys + higher)
+    polys[1] = Poly([polys[1].coeff(0), a1_1])
+    return BochnerOperator(polys)
 
 
 # every a_{i,j} nonzero (its real part is)

@@ -271,6 +271,7 @@ def test_equal_values_compare_and_hash_equal(re, im, k, w):
         GaussianRational(z.re, z.im),
         parse_scalar(format_scalar(z)),
         parse_scalar(unreduced),
+        eval(repr(z), {"scalar": scalar}),
         (z + w) - w,
         (z - w) + w,
         -(-z),
