@@ -58,6 +58,7 @@ from .spectral import (
     delta_extend,
     eigenpoly_coeff_det,
     eigenpoly_recursive,
+    eigenpolys,
     eigensystem,
     lambda_via_N2_identity,
 )
@@ -94,6 +95,7 @@ __all__ = [
     "derivative",
     "eigenpoly_coeff_det",
     "eigenpoly_recursive",
+    "eigenpolys",
     "eigensystem",
     "fit_recurrence",
     "format_scalar",

@@ -12,6 +12,13 @@ Exit codes: 0 success, 1 verification failure, 2 input error, 3 degenerate
 spectrum.  Successful invocations print a JSON document with exact scalar
 strings; --decimal adds labeled decimal renderings next to (never instead
 of) the exact values.
+
+Every verb writes its document through one emitter, `_emit`, in the layout
+and bytes of json.dumps(payload, indent=2).  `direct` streams: it runs every
+check that can fail and opens --out before the first byte, then writes each
+P_n as its descent yields it, so beyond the text it writes it holds O(n^2),
+one polynomial and the band, plus the determinant family under --check.
+The other verbs build their whole payload, and hold whole families, first.
 """
 from __future__ import annotations
 
@@ -20,6 +27,7 @@ import json
 import os
 import re
 import sys
+from collections.abc import Iterator
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -64,6 +72,7 @@ from .shapiro import (
 from .spectral import (
     delta_extend,
     eigenpoly_coeff_det,
+    eigenpolys,
     eigensystem,
     lambda_via_N2_identity,
 )
@@ -79,6 +88,8 @@ PRESET_NAMES = tuple(_PRESET_PARAMS)
 _SCALAR_FLAGS = ("--alpha", "--beta", "--shapiro")
 # a scalar argument that starts with a minus sign: "-2/5", "-i", "-3/4,1"
 _NEGATIVE_SCALAR = re.compile(r"-[\di]")
+# a JSON string as json.dumps writes it by default
+_encode = json.encoder.encode_basestring_ascii
 
 
 def _decimal_text(value: Fraction, digits: int) -> str:
@@ -99,15 +110,65 @@ def _decimal_rows(rows, digits):
     return [[_scalar_decimal(v, digits) for v in row] for row in rows]
 
 
-def _emit(payload: dict, args) -> None:
-    text = json.dumps(payload, indent=2)
-    if getattr(args, "out", None):
+def _emit(items, args) -> None:
+    """Write the document of the (key, value) pairs `items` to standard
+    output, and to --out when given, as json.dumps(dict(items), indent=2)
+    and a newline, one piece at a time.
+
+    --out is opened before the first byte, and `items` is drawn as it is
+    written, so a value may be computed while the ones before it are
+    written.  A value that is an iterator is an array of arrays of strings,
+    drawn and written one row at a time; any other value is written as
+    json.dumps(value, indent=2) indented one level, which is safe because a
+    JSON string holds no raw newline.
+    """
+    path = getattr(args, "out", None)
+    if not path:
+        _write_document(items, sys.stdout.write)
+        return
+    try:
+        handle = open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+    def to_file(call, *args):
         try:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+            call(*args)
         except OSError as exc:
-            raise ParseError(f"cannot write {args.out}: {exc}") from exc
-    print(text)
+            raise ParseError(f"cannot write {path}: {exc}") from exc
+
+    def write(text):
+        sys.stdout.write(text)
+        to_file(handle.write, text)
+
+    with handle:
+        _write_document(items, write)
+        to_file(handle.flush)
+
+
+def _write_document(items, write) -> None:
+    opening = "{\n  "
+    for key, value in items:
+        head = opening + _encode(key) + ": "
+        opening = ",\n  "
+        if isinstance(value, Iterator):
+            _write_rows(head, value, write)
+        else:
+            write(head + json.dumps(value, indent=2).replace("\n", "\n  "))
+    write("{}\n" if opening == "{\n  " else "\n}\n")
+
+
+def _write_rows(head, rows, write) -> None:
+    opening = head + "[\n    "
+    for row in rows:
+        if row:
+            write(opening + "[\n      ")
+            write(",\n      ".join(map(_encode, row)))
+            write("\n    ]")
+        else:
+            write(opening + "[]")
+        opening = ",\n    "
+    write("\n  ]" if opening == ",\n    " else head + "[]")
 
 
 def _load_json(path: str):
@@ -166,20 +227,17 @@ def _operator_from_args(args):
     )
 
 
-def _direct_mismatches(op, system, by_det, shift):
-    """Eigen-equation mismatches of `system` and its determinant mismatches
-    against `by_det`, in (n, i) order."""
-    mismatches = []
-    for n, poly in enumerate(system.polys):
-        if not is_eigenpair(op, poly, system.lambdas[n] + shift):
-            mismatches.append({"n": n, "check": "eigen-equation"})
-        if by_det.polys[n] != poly:
-            mismatches.extend(
-                {"n": n, "i": i, "check": "determinant"}
-                for i in range(1, n + 1)
-                if by_det.coeff(n, n - i) != poly.coeff(n - i)
-            )
-    return mismatches
+def _mismatches(op, n, poly, lam, det_poly):
+    """The eigen-equation mismatch of P_n = `poly` with eigenvalue `lam`,
+    then its determinant mismatches against `det_poly`, in i order."""
+    found = [] if is_eigenpair(op, poly, lam) else [{"n": n, "check": "eigen-equation"}]
+    if det_poly != poly:
+        found.extend(
+            {"n": n, "i": i, "check": "determinant"}
+            for i in range(1, n + 1)
+            if det_poly.coeff(n - i) != poly.coeff(n - i)
+        )
+    return found
 
 
 def _broken_rows(system, coeffs):
@@ -192,30 +250,40 @@ def _broken_rows(system, coeffs):
 
 
 def run_direct(args) -> int:
+    """Stream the document: every check that can fail runs before the first
+    byte, then each P_n goes from its descent to its text, with its decimal
+    strings and its check collected on the way, and is dropped."""
     op, _ = _operator_from_args(args)
     normalized, shift = normalize(op)
     table = deltas_from_operator(normalized, args.nmax)
-    system = eigensystem(table)
-    lambdas = [lam + shift for lam in system.lambdas]
-    payload = {
-        "lambda": [format_scalar(v) for v in lambdas],
-        "P": [poly_to_list(p) for p in system.polys],
-    }
-    if args.deltas:
-        payload["delta"] = delta_table_to_list(table)
-    if args.decimal:
-        payload["lambda_decimal"] = [_scalar_decimal(v, args.decimal) for v in lambdas]
-        payload["P_decimal"] = _decimal_rows((p.coeffs for p in system.polys), args.decimal)
-    status = 0
-    if args.check:
-        by_det = eigenpoly_coeff_det(table)
-        mismatches = _direct_mismatches(op, system, by_det, shift)
-        payload["check"] = "ok" if not mismatches else "failed"
-        if mismatches:
-            payload["mismatches"] = mismatches
-            status = 1
-    _emit(payload, args)
-    return status
+    polys = eigenpolys(table)
+    lambdas = [row[0] + shift for row in table.rows]
+    by_det = eigenpoly_coeff_det(table).polys if args.check else None
+    digits = args.decimal
+    p_decimal, mismatches = [], []
+
+    def row(n, poly):
+        if digits:
+            p_decimal.append([_scalar_decimal(v, digits) for v in poly.coeffs])
+        if args.check:
+            mismatches.extend(_mismatches(op, n, poly, lambdas[n], by_det[n]))
+        return poly_to_list(poly)
+
+    def items():
+        yield "lambda", [format_scalar(v) for v in lambdas]
+        yield "P", map(row, range(len(lambdas)), polys)
+        if args.deltas:
+            yield "delta", delta_table_to_list(table)
+        if digits:
+            yield "lambda_decimal", [_scalar_decimal(v, digits) for v in lambdas]
+            yield "P_decimal", iter(p_decimal)
+        if args.check:
+            yield "check", "failed" if mismatches else "ok"
+            if mismatches:
+                yield "mismatches", mismatches
+
+    _emit(items(), args)
+    return 1 if mismatches else 0
 
 
 def run_preset(args) -> int:
@@ -223,7 +291,7 @@ def run_preset(args) -> int:
     payload = operator_to_dict(op)
     if args.decimal:
         payload["a_decimal"] = _decimal_rows((a.coeffs for a in op.coeffs), args.decimal)
-    _emit(payload, args)
+    _emit(payload.items(), args)
     return 0
 
 
@@ -253,7 +321,7 @@ def run_recurrence(args) -> int:
         if broken:
             payload["broken_rows"] = broken
             status = 1
-    _emit(payload, args)
+    _emit(payload.items(), args)
     return status
 
 
@@ -265,7 +333,11 @@ def run_verify(args) -> int:
     table = deltas_from_operator(normalized, nmax)
     system = eigensystem(table)
     by_det = eigenpoly_coeff_det(table)
-    failed = {m["check"] for m in _direct_mismatches(op, system, by_det, shift)}
+    failed = {
+        m["check"]
+        for n, poly in enumerate(system.polys)
+        for m in _mismatches(op, n, poly, system.lambdas[n] + shift, by_det.polys[n])
+    }
     checks = {
         "eigen_equation": "eigen-equation" not in failed,
         "determinant_vs_recursion": "determinant" not in failed,
@@ -298,7 +370,7 @@ def run_verify(args) -> int:
         "nmax": nmax,
         "checks": {name: ("ok" if good else "fail") for name, good in checks.items()},
     }
-    _emit(payload, args)
+    _emit(payload.items(), args)
     return 0 if all(checks.values()) else 1
 
 
@@ -331,7 +403,7 @@ def run_inverse(args) -> int:
             "orders_tested": list(range(1, data.n_max)) if args.search else [order],
             "first_failure": list(exc.failure),
         }
-        _emit(payload, args)
+        _emit(payload.items(), args)
         return 1
     payload = {
         "found": True,
@@ -344,7 +416,7 @@ def run_inverse(args) -> int:
         payload["operator_decimal"] = _decimal_rows(
             (a.coeffs for a in op.coeffs), args.decimal
         )
-    _emit(payload, args)
+    _emit(payload.items(), args)
     return 0
 
 
@@ -380,7 +452,7 @@ def run_lemmas(args) -> int:
             for name, params, residual in failures
         ],
     }
-    _emit(payload, args)
+    _emit(payload.items(), args)
     return 0 if not failures else 1
 
 

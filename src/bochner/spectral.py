@@ -29,12 +29,16 @@ determinant column holds at most N entries, so the Hessenberg expansion's
 work is bounded by the band too.  `eigensystem` and `eigenpoly_coeff_det`
 run to the depth of their table; each validates the spectrum once for all
 degrees, before any division, and builds its `EigenSystem` without
-validating it again.
+validating it again.  The recursion route is the per-degree iterator
+`eigenpolys`, which checks the spectrum and lifts the band when called and
+then yields P_0, P_1, ... one descent at a time, so a caller that writes
+each P_n as it comes (`bochner direct`) never holds the family;
+`eigensystem` is the tuple of that iterator.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     DegenerateSpectrum,
@@ -202,9 +206,20 @@ def lambda_via_N2_identity(lambda1, lambda2, n: int) -> GaussianRational:
     return (-n * (n - 2)) * l1 + Fraction(n * (n - 1), 2) * l2
 
 
-def eigensystem(table: DeltaTable) -> EigenSystem:
-    """Eigenvalues and eigenpolynomials up to the table's depth."""
+def eigenpolys(table: DeltaTable) -> Iterator[Poly]:
+    """P_0, ..., P_M for the table's depth M, one `descend` per degree, each
+    computed when it is drawn.
+
+    The spectrum is checked and the band lifted by this call, before the
+    first P_n, so a caller has every error up front and may hold one
+    polynomial at a time.
+    """
     lams = _lambda_prefix(table, table.n_max)
     band = lift_band(table.rows, lams)
-    polys = tuple(Poly._raw(descend(band, m)) for m in range(table.n_max + 1))
-    return EigenSystem._raw(tuple(lams), polys)
+    return (Poly._raw(descend(band, m)) for m in range(len(lams)))
+
+
+def eigensystem(table: DeltaTable) -> EigenSystem:
+    """Eigenvalues and eigenpolynomials up to the table's depth."""
+    polys = tuple(eigenpolys(table))
+    return EigenSystem._raw(tuple(row[0] for row in table.rows), polys)

@@ -1,6 +1,7 @@
 """Shared fixtures: classical families generated independently of the
 package's spectral machinery, and a reproducible corpus of random operators.
 """
+import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +29,11 @@ from bochner import (
     laguerre_operator,
     reconstruct,
 )
-from bochner.scalars import ONE, ZERO, comb, dot, factorial, scalar
+from bochner import cli
+from bochner.operators import deltas_from_operator, normalize
+from bochner.scalars import ONE, ZERO, comb, dot, factorial, format_scalar, scalar
+from bochner.serialize import delta_table_to_list, poly_to_list
+from bochner.spectral import eigensystem
 
 
 def monic_hermite(n_max):
@@ -325,6 +330,48 @@ def deltas_from_eigendata_by_plain_sum(data, n_max):
             row.append(total)
         rows.append(row)
     return rows
+
+
+def direct_text_by_json_dumps(argv):
+    """Reference `direct`: the whole family, then the whole payload of its
+    strings, then json.dumps(payload, indent=2) and a newline.  Returns the
+    exit status and that text.  `argv` follows the verb; the determinant
+    route and the eigen-equation oracle are read off `bochner.cli`, so a
+    test that replaces them there replaces them here too."""
+    args = cli.build_parser().parse_args(cli._attach_negative_scalars(["direct", *argv]))
+    op, _ = cli._operator_from_args(args)
+    normalized, shift = normalize(op)
+    table = deltas_from_operator(normalized, args.nmax)
+    system = eigensystem(table)
+    lambdas = [lam + shift for lam in system.lambdas]
+    payload = {
+        "lambda": [format_scalar(v) for v in lambdas],
+        "P": [poly_to_list(p) for p in system.polys],
+    }
+    if args.deltas:
+        payload["delta"] = delta_table_to_list(table)
+    if args.decimal:
+        payload["lambda_decimal"] = [cli._scalar_decimal(v, args.decimal) for v in lambdas]
+        payload["P_decimal"] = [
+            [cli._scalar_decimal(v, args.decimal) for v in p.coeffs] for p in system.polys
+        ]
+    status = 0
+    if args.check:
+        by_det = cli.eigenpoly_coeff_det(table)
+        mismatches = []
+        for n, poly in enumerate(system.polys):
+            if not cli.is_eigenpair(op, poly, lambdas[n]):
+                mismatches.append({"n": n, "check": "eigen-equation"})
+            mismatches.extend(
+                {"n": n, "i": i, "check": "determinant"}
+                for i in range(1, n + 1)
+                if by_det.coeff(n, n - i) != poly.coeff(n - i)
+            )
+        payload["check"] = "failed" if mismatches else "ok"
+        if mismatches:
+            payload["mismatches"] = mismatches
+            status = 1
+    return status, json.dumps(payload, indent=2) + "\n"
 
 
 # small Gaussian rationals, real, imaginary and complex, with zeros among them
