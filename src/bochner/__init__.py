@@ -20,6 +20,7 @@ from .errors import (
 )
 from .identities import lemma_residual
 from .inverse import (
+    delta_rows,
     deltas_from_eigendata_det,
     deltas_from_eigendata_rec,
     reconstruct,
@@ -89,6 +90,7 @@ __all__ = [
     "apply_operator",
     "bandwidth",
     "delta_extend",
+    "delta_rows",
     "deltas_from_eigendata_det",
     "deltas_from_eigendata_rec",
     "deltas_from_operator",

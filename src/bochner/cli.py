@@ -19,6 +19,9 @@ check that can fail and opens --out before the first byte, then writes each
 P_n as its descent yields it, so beyond the text it writes it holds O(n^2),
 one polynomial and the band, plus the determinant family under --check.
 The other verbs build their whole payload, and hold whole families, first.
+`recurrence` hands its alpha tables to the emitter as iterators of rows,
+which it writes one row of encoded strings at a time: json.dumps with an
+indent runs the pure-Python encoder, entry by entry.
 """
 from __future__ import annotations
 
@@ -305,7 +308,7 @@ def run_recurrence(args) -> int:
     n_start = args.nstart if args.nstart is not None else min(args.nmax // 2 + 1, args.nmax)
     detected = bandwidth(coeffs, n_start)
     payload = {
-        "alpha": alpha_table_to_list(coeffs),
+        "alpha": iter(alpha_table_to_list(coeffs)),
         "p": detected,
         "n_start": n_start,
         "n_max": coeffs.n_max,
@@ -313,7 +316,7 @@ def run_recurrence(args) -> int:
     if product_op is not None:
         payload["terms"] = product_op.order + 1
     if args.decimal:
-        payload["alpha_decimal"] = _decimal_rows(coeffs.rows, args.decimal)
+        payload["alpha_decimal"] = iter(_decimal_rows(coeffs.rows, args.decimal))
     status = 0
     if args.check:
         broken = _broken_rows(system, coeffs)

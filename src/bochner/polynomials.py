@@ -21,6 +21,9 @@ Every coefficient is then (re + im*i)/D with re and im sums of integer
 products: no gcd and no division per term.  It is zero exactly when both
 sums are, and only a nonzero coefficient is reduced (`from_parts`), so the
 result is the same reduced polynomial a chain of scalar operations gives.
+The sequential solve of `recurrence.fit_recurrence` runs the same kernel: it
+starts each row from `_sums` and adds one term per entry it solves with
+`_add_product`, the step of every sum here.
 """
 from __future__ import annotations
 
@@ -200,6 +203,20 @@ def _add_scaled(acc, j, w, seq):
         acc[u] += w * x
 
 
+def _add_product(re, im, j, wp, wq, xs, ys):
+    """re[m] + im[m]*i += the x^m coefficient of (wp + wq*i) x^j q, for the
+    lifted numerators xs, ys of q (ys None for a real q)."""
+    if wp:
+        _add_scaled(re, j, wp, xs)
+    if wq:
+        _add_scaled(im, j, wq, xs)
+    if ys is not None:
+        if wq:
+            _add_scaled(re, j, -wq, ys)
+        if wp:
+            _add_scaled(im, j, wp, ys)
+
+
 def _sums(groups):
     """(D, re, im) such that sum w x^j d^i q over the `groups` (q, i, pairs),
     with the pairs (j, w), has the coefficients (re[m] + im[m]*i)/D, lowest
@@ -226,15 +243,7 @@ def _sums(groups):
             if ys is not None:
                 ys = list(map(mul, ys[i:], factors))
         for (j, _), (wp, wq) in zip(pairs, weights):
-            if wp:
-                _add_scaled(re, j, wp, xs)
-            if wq:
-                _add_scaled(im, j, wq, xs)
-            if ys is not None:
-                if wq:
-                    _add_scaled(re, j, -wq, ys)
-                if wp:
-                    _add_scaled(im, j, wp, ys)
+            _add_product(re, im, j, wp, wq, xs, ys)
     return den, re, im
 
 

@@ -10,12 +10,22 @@ table is banded, i.e. alpha(n, n-s) = 0 for all s beyond some fixed p, which
 makes the relation a (p+2)-term recurrence.
 
 `fit_recurrence` takes each row by one of two exact routes, which give the
-same table:
+same table.  Both sum the Gaussian-integer numerators of the P_n, each
+lifted once over its own denominator and kept in the polynomial (the
+kernel of `polynomials`), so an entry whose integer sums are both zero is
+stored as ZERO with no gcd, and a nonzero one is reduced once
+(`from_parts`).  Summed as scalars, each zero entry of a banded row took
+three reductions of the row's largest numbers, which at a few hundred bits
+made the zeros the bulk of a banded fit.
 
 - The sequential solve matches the x^(n-j) coefficients for j = 0, 1, ...:
-  each alpha(n, k) is b(n, k-1) - b(n+1, k) minus a `dot` over the nonzero
-  entries of the row solved so far.  It skips zeros, so a banded row costs
-  little, but on a dense row it sums over the largest numbers of the fit.
+  alpha(n, k) is the x^k coefficient of x P_n - P_{n+1} minus
+  alpha(n, i) P_i over the nonzero entries i > k of the row solved so far.
+  The row starts as those two terms over one denominator (`_sums`), and
+  each nonzero entry found adds its term (`_add_product`), the sums first
+  put over a larger denominator when the term needs one.  A zero entry
+  costs two integer tests; a nonzero one, one reduction and a pass over
+  the numerators of one P_k, so a dense row costs a pass per entry.
 - The transposed route uses the inverse connection coefficients d(m, k),
   x^m = sum_k d(m, k) P_k with d(m, m) = 1.  Applying the operator to x^m,
   L x^m = sum_j delta(m, j) x^(m-j), and matching P_k gives
@@ -24,8 +34,10 @@ same table:
 
   the eigenpolynomial recursion transposed.  Over the reversed band
   (`scalars.mirror_band`) it is that recursion itself, so each column
-  d(k..M, k) is one `descend`.  Expanding x P_n = sum_j b(n, j) x^(j+1)
-  then gives each entry as one `dot`, independent of every other alpha:
+  d(k..M, k) is one `descend`, lifted once over its own denominator.
+  Expanding x P_n = sum_j b(n, j) x^(j+1) then gives each entry as one
+  integer inner product, over the product of the two denominators and
+  independent of every other alpha:
 
       alpha(n, k) = sum_{j >= k-1} b(n, j) d(j+1, k).
 
@@ -42,12 +54,23 @@ numerators, and reads neither route.
 """
 from __future__ import annotations
 
+import math
+from operator import add, mul
 from typing import Sequence
 
 from .errors import DomainError, InsufficientData
 from .operators import DeltaTable
-from .polynomials import Poly, _combination
-from .scalars import GaussianRational, ONE, ZERO, descend, dot, lift_band, mirror_band
+from .polynomials import Poly, _add_product, _combination, _lifted_coeffs, _sums
+from .scalars import (
+    GaussianRational,
+    ONE,
+    ZERO,
+    descend,
+    from_parts,
+    lift,
+    lift_band,
+    mirror_band,
+)
 from .spectral import EigenSystem
 
 _MINUS_ONE = -ONE
@@ -105,6 +128,8 @@ def fit_recurrence(system: EigenSystem, table: DeltaTable) -> RecurrenceCoeffs:
         d(m, k) = sum_{j=1}^{min(N, m-k)} delta(m, j) d(m-j, k) / (lambda_k - lambda_m)
 
     built once, column by column, as `descend` over the mirrored band.
+    Both routes sum the lifted numerators of the P_n, and only a nonzero
+    entry is reduced.
     """
     if system.n_max < 1:
         raise InsufficientData("need polynomials at least up to degree 1")
@@ -116,42 +141,80 @@ def fit_recurrence(system: EigenSystem, table: DeltaTable) -> RecurrenceCoeffs:
     for m, lam in enumerate(lams):
         if table.rows[m][0] != lam:
             raise DomainError(f"delta({m}, 0) is not the eigenvalue lambda_{m} of the family")
-    coeffs = [p.coeffs for p in system.polys]
+    polys = system.polys
     width = len(table.rows[-1]) - 1
     top = system.n_max
-    inverse = None
+    columns = None
     rows = []
     nnz = 0
     for n in range(top):
         if nnz > width:
-            if inverse is None:
+            if columns is None:
                 band = mirror_band(lift_band(table.rows, lams))
-                inverse = [descend(band, top - k)[::-1] for k in range(top + 1)]
-            row = _transposed_row(coeffs[n], inverse)
+                columns = [lift(descend(band, top - k)[::-1]) for k in range(top + 1)]
+            den, xs, ys = _lifted_coeffs(polys[n])
+            row = _transposed_row(xs, ys, den, columns)
         else:
-            row = [ZERO] * (n + 1)
-            # (i, alpha(n, i)) for the nonzero entries solved so far
-            found = []
-            for k in range(n, -1, -1):
-                value = (
-                    system.coeff(n, k - 1)
-                    - system.coeff(n + 1, k)
-                    - dot((a, coeffs[i][k]) for i, a in found)
-                )
-                row[k] = value
-                if value:
-                    found.append((k, value))
+            row = _sequential_row(polys, n)
         nnz = sum(map(bool, row))
         rows.append(row)
     return RecurrenceCoeffs(rows)
 
 
-def _transposed_row(b, inverse) -> list:
-    """Row n of the alpha table from the coefficients b(n, 0..n) of P_n and
-    the columns inverse[k] = d(k..M, k): alpha(n, k) is one `dot` of
-    b(n, k-1..n) with d(k..n+1, k), b(n, -1) = 0."""
-    b = (ZERO, *b)
-    return [dot(zip(b[k:], inverse[k])) for k in range(len(b) - 1)]
+def _sequential_row(polys, n) -> list:
+    """Row n of the alpha table by the sequential solve, from the top.
+
+    (den, re, im) holds the numerators of x P_n - P_{n+1} - sum_i alpha(n, i) P_i
+    over the nonzero entries i > k found so far, so its x^k coefficient is
+    alpha(n, k): a zero one is skipped, a nonzero one is reduced once and
+    its term -alpha(n, k) P_k added, with the sums first put over a larger
+    denominator when the term needs one.
+    """
+    den, re, im = _sums([(polys[n], 0, [(1, ONE)]), (polys[n + 1], 0, [(0, _MINUS_ONE)])])
+    row = [ZERO] * (n + 1)
+    for k in range(n, -1, -1):
+        if not (re[k] or im[k]):
+            continue
+        value = row[k] = from_parts(re[k], im[k], den)
+        if not k:
+            break
+        d, xs, ys = _lifted_coeffs(polys[k])
+        e, (wp,), (wq,) = lift((-value,), (d,))
+        total = math.lcm(den, e)
+        if total != den:
+            scale = total // den
+            re[:k] = [v * scale for v in re[:k]]
+            im[:k] = [v * scale for v in im[:k]]
+            den = total
+        factor = total // e
+        _add_product(re, im, 0, wp * factor, wq * factor, xs, ys)
+    return row
+
+
+def _transposed_row(xs, ys, den, columns) -> list:
+    """Row n of the alpha table from the lifted coefficients
+    (xs[j] + ys[j]*i)/den = b(n, j), j = 0..n (ys None for a real P_n), and
+    the lifted columns columns[k] = (e, ps, qs), (ps[s] + qs[s]*i)/e =
+    d(k + s, k): alpha(n, k) is one integer inner product of b(n, k-1..n)
+    with d(k..n+1, k), b(n, -1) = 0, over den * e.  A non-real P_n takes
+    three real inner products per entry, not four:
+    (x + yi)(p + qi) = xp - yq + ((x + y)(p + q) - xp - yq) i.
+    """
+    n = len(xs) - 1
+    xys = None if ys is None else list(map(add, xs, ys))
+    row = []
+    for k, (e, ps, qs) in enumerate(columns[: n + 1]):
+        low = k - 1 if k else 0
+        d_re, d_im = ps[low + 1 - k : n + 2 - k], qs[low + 1 - k : n + 2 - k]
+        xp = sum(map(mul, xs[low:], d_re))
+        if ys is None:
+            re, im = xp, sum(map(mul, xs[low:], d_im))
+        else:
+            yq = sum(map(mul, ys[low:], d_im))
+            re = xp - yq
+            im = sum(map(mul, xys[low:], map(add, d_re, d_im))) - xp - yq
+        row.append(from_parts(re, im, den * e))
+    return row
 
 
 def relation_residual(polys: Sequence[Poly], alpha_row: Sequence, n: int) -> Poly:

@@ -14,7 +14,7 @@ with its own gcds.  The parts are reduced on their own only where a reader
 needs them: `format_scalar` and the `re` / `im` properties.
 
 `dot` fuses a sum of products, the inner loop of the delta recursion, the
-recurrence fit and the polynomial product, into one reduction per sum: each
+delta extension and the polynomial product, into one reduction per sum: each
 product stays unreduced over its own denominator and is added to running
 sums over a running common denominator, at most one gcd per term, and the
 total is reduced once.  A chain of `+` and `*` would reduce every product

@@ -380,20 +380,24 @@ def test_inverse_search_finds_smallest_order(tmp_path, capsys):
 
 @pytest.mark.parametrize("extra", [(), ("--check",)], ids=["plain", "check"])
 def test_inverse_search_builds_the_delta_table_once(tmp_path, capsys, monkeypatch, extra):
-    calls = []
-    build = bochner.inverse.deltas_from_eigendata_rec
+    # every route to the recursion's table draws the row iterator: the plain
+    # search in `reconstruct`, --check in `deltas_from_eigendata_rec`
+    drawn = []
+    rows = bochner.inverse.delta_rows
 
-    def counted(*args):
-        calls.append(args)
-        return build(*args)
+    def counted(data):
+        drawn.append(0)
+        for row in rows(data):
+            drawn[-1] += 1
+            yield row
 
-    monkeypatch.setattr(bochner.inverse, "deltas_from_eigendata_rec", counted)
-    monkeypatch.setattr(bochner.cli, "deltas_from_eigendata_rec", counted)
+    monkeypatch.setattr(bochner.inverse, "delta_rows", counted)
     path = write_json(tmp_path / "hermite.json", hermite_data_doc(8))
     code, payload, _ = run_json(capsys, "inverse", "--data", path, "--search", *extra)
     assert code == 0
     assert payload["requested_order"] == 2
-    assert len(calls) == 1
+    # one table, rows 0..8
+    assert drawn == [9]
 
 
 def test_inverse_search_failure_reports_last_order(tmp_path, capsys):
@@ -417,6 +421,11 @@ def test_inverse_failure_exits_1(tmp_path, capsys):
     assert code == 1
     assert payload["found"] is False
     assert payload["first_failure"] is not None
+    # the rows checked as they are built fail where the two full tables of
+    # --check do
+    code, checked, _ = run_json(capsys, "inverse", "--data", path, "--order", "2", "--check")
+    assert code == 1
+    assert checked == payload
 
 
 def test_inverse_missing_file_exits_2(capsys):

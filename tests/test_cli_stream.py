@@ -9,6 +9,7 @@ import sys
 import tempfile
 import tracemalloc
 from argparse import Namespace
+from collections.abc import Iterator
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -244,10 +245,22 @@ def direct_document(tmp_path, nmax):
     return str(path)
 
 
+def dense_order4_document(tmp_path):
+    """A non-real order-4 operator with every a_{i,j} of full degree: its
+    alpha rows are dense from row 5 on."""
+    path = tmp_path / "order4.json"
+    a = [[], ["1/2", "-3"], ["2", "1+1*i", "-1/3*i"], ["0", "1", "-2", "1+1*i"]]
+    path.write_text(json.dumps({"N": 4, "a": [*a, ["1", "-1/2", "3*i", "2", "1/2+1*i"]]}))
+    return str(path)
+
+
 OTHER_VERBS = {
     "preset": lambda tmp_path: ["preset", "jacobi", "--alpha=1/2", "--beta=1/3", "--decimal", "4"],
     "recurrence": lambda tmp_path: [
         "recurrence", "--shapiro=1,-1/2,1+1*i", "--nmax", "10", "--check", "--decimal", "3"
+    ],
+    "recurrence-dense": lambda tmp_path: [
+        "recurrence", "--operator", dense_order4_document(tmp_path), "--nmax", "16", "--decimal", "6"
     ],
     "verify": lambda tmp_path: ["verify", "--shapiro=1,-2,3,1/2", "--nmax", "8"],
     "inverse": lambda tmp_path: [
@@ -267,8 +280,16 @@ def test_every_verb_writes_json_dumps_of_its_payload(tmp_path, monkeypatch, verb
     real = bochner.cli._emit
 
     def recorded(items, args):
-        payloads.append(dict(items))
-        real(payloads[-1].items(), args)
+        # a table handed over as an iterator of rows is drawn for the
+        # reference and handed on as an iterator, for the row writer
+        payload, lazy = {}, set()
+        for key, value in items:
+            if isinstance(value, Iterator):
+                lazy.add(key)
+                value = list(value)
+            payload[key] = value
+        payloads.append(payload)
+        real(((key, iter(v) if key in lazy else v) for key, v in payload.items()), args)
 
     monkeypatch.setattr(bochner.cli, "_emit", recorded)
     target = tmp_path / "out.json"

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,8 @@ from bochner import (
     normalize,
     reconstruct,
 )
-from bochner.inverse import first_order_violation
+from bochner import inverse
+from bochner.inverse import delta_rows, first_order_violation
 from bochner.operators import operator_from_deltas
 from bochner.scalars import ZERO
 from conftest import (
@@ -242,6 +244,37 @@ def test_reconstruct_refuses_a_table_of_another_depth(depth, error):
         reconstruct(data, 2, table)
     with pytest.raises(NoFiniteOrderOperator):
         reconstruct(data, 2, deltas_from_eigendata_rec(data))
+
+
+def test_reconstruct_stops_at_the_first_violation(corpus):
+    """Without a table, `reconstruct` raises the failure the whole table
+    gives and draws no delta row past it."""
+    failures = 0
+    for name, op in corpus:
+        data = forward_data(op, 10)
+        polys = list(data.polys)
+        polys[5] = polys[5] + Poly([1])
+        bumped = EigenSystem(data.lambdas, polys)
+        table = deltas_from_eigendata_rec(bumped)
+        for order in range(1, 10):
+            expected = first_order_violation(table, order)
+            if expected is None:
+                continue
+            drawn = []
+
+            def counted(data):
+                for row in delta_rows(data):
+                    drawn.append(row)
+                    yield row
+
+            with patch.object(inverse, "delta_rows", counted):
+                with pytest.raises(NoFiniteOrderOperator) as info:
+                    reconstruct(bumped, order)
+            assert info.value.failure == expected, (name, order)
+            n = expected[0]
+            assert drawn == [list(row) for row in table.rows[: n + 1]], (name, order)
+            failures += 1
+    assert failures > len(corpus)
 
 
 def test_random_monic_family_has_no_order_two_operator():

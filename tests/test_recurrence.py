@@ -34,6 +34,7 @@ from conftest import (
     INTERIOR_ZERO_COLUMN,
     LARGE_PRIME,
     NEAR_MISSES,
+    USABLE_TO,
     dense_operators,
     fit_recurrence_by_sequential_solve,
     inverse_connection_by_dot,
@@ -191,6 +192,43 @@ def test_classical_fit_matches_sequential_solve_without_inverse(op):
         fitted, reference = _fits(op, 40)
     assert fitted == reference
     assert spy.call_count == 0
+
+
+# a non-real order-2 operator of the benchmark's kind: its eigenvalues are
+# non-real, and P_30's coefficients run to several hundred bits
+NONREAL_ORDER2 = {"N": 2, "a": [[], ["3/5", "-2/3+1/2*i"], ["1/7", "-5/2", "3/4+2/5*i"]]}
+
+
+@pytest.mark.parametrize(
+    "op,n_max",
+    [
+        (operator_from_dict(NONREAL_ORDER2), 30),
+        (jacobi_operator(Fraction(5, 2), Fraction(-2, 7)), 60),
+        (to_bochner(ShapiroOperator([1, -2, 3, Fraction(1, 2)])), 27),
+        (to_bochner(ShapiroOperator([Fraction(1, 3), 2, GaussianRational(-5, 2)])), 27),
+    ],
+    ids=["nonreal-order2", "jacobi", "product-form", "product-form-nonreal"],
+)
+def test_banded_fit_reduces_only_its_nonzero_entries(op, n_max):
+    """A zero entry of the sequential solve is stored as ZERO from its
+    integer sums, with no reduction: `from_parts` runs once per nonzero."""
+    with patch.object(recurrence, "from_parts", wraps=recurrence.from_parts) as spy:
+        fitted, reference = _fits(op, n_max)
+    assert fitted == reference
+    nonzero = sum(map(bool, (v for row in fitted.rows for v in row)))
+    assert spy.call_count == nonzero
+    # most entries of a banded table are zeros
+    assert 2 * nonzero < sum(map(len, fitted.rows))
+
+
+@given(usable_bochner_operators().filter(lambda op: op.order <= 2), st.integers(3, USABLE_TO))
+@settings(max_examples=60, deadline=None)
+def test_order_two_families_are_three_term(op, n_max):
+    """Bochner's case: the eigenfamily of an operator of order at most 2
+    satisfies a three-term recurrence, alpha(n, k) = 0 for k < n - 1."""
+    fitted, reference = _fits(op, n_max)
+    assert fitted == reference
+    assert bandwidth(fitted, 2) in (0, 1)
 
 
 def test_dense_fit_runs_the_inverse_route():
