@@ -61,7 +61,8 @@ def deltas_from_eigendata_det(data: EigenSystem) -> DeltaTable:
     holds, top to bottom, (lambda_{base+c} - lambda_base) b(base+c, base) in
     the first row and -b(base+c, base+j-1) in row j >= 2.  Expanding its
     leading k x k minor along the last column is the recursion for
-    delta(base + k, k) term by term.
+    delta(base + k, k) term by term.  A column's entries share no factor,
+    so the expansion takes no divisors.
     """
     n_max = data.n_max
     lams = data.lambdas

@@ -13,6 +13,12 @@ and conversely
 where a_{i, j} is the x^j coefficient of a_i and a_i = 0 above the order.
 Either direction determines the other exactly.
 
+`deltas_from_operator` lifts the nonzero a_{i, i-k} over one common
+denominator once per operator (`scalars.lift`), so every delta(n, k) is an
+integer sum of C(n, i) i! = n!/(n-i)! times lifted numerators, reduced once
+by `scalars.from_parts`: one reduction per table entry, where a chain of
+scalar `+` and `*` would reduce after every term.
+
 The inverse sum is the n-th forward difference at row 0 of column k, read
 as a function of the row (zero above the diagonal).  For an operator of
 order N every column is a polynomial of degree <= N in n, so its difference
@@ -26,9 +32,11 @@ data of no finite order no level vanishes and all K + 1 levels are built.
 """
 from __future__ import annotations
 
+from math import perm
+
 from .errors import DomainError, InsufficientData, InvalidOperator
 from .polynomials import Poly
-from .scalars import GaussianRational, ZERO, comb, factorial, scalar
+from .scalars import GaussianRational, ZERO, factorial, from_parts, lift, scalar
 
 
 class BochnerOperator:
@@ -155,23 +163,40 @@ def normalize(op: BochnerOperator):
 
 
 def deltas_from_operator(op: BochnerOperator, n_max: int) -> DeltaTable:
-    """Build the delta table of a normalized operator up to row n_max."""
+    """Build the delta table of a normalized operator up to row n_max.
+
+    The nonzero a_{i, i-k} are lifted once over one common denominator D,
+    so each delta(n, k) = sum_i perm(n, i) a_{i, i-k}, perm(n, i) = n!/(n-i)!,
+    is an integer sum over them, reduced once.
+    """
     if n_max < 0:
         raise DomainError(f"n_max must be nonnegative, got {n_max}")
     if not op.is_normalized():
         raise InvalidOperator("operator must be normalized (a_0 = 0) first")
     order = op.order
+    places = [
+        (i, k) for k in range(order + 1) for i in range(k, order + 1) if op.coefficient(i, i - k)
+    ]
+    d, ps, qs = lift([op.coefficient(i, i - k) for i, k in places])
+    # the lifted terms (i, p, q) of each column k, in increasing i
+    columns = [[] for _ in range(order + 1)]
+    for (i, k), p, q in zip(places, ps, qs):
+        columns[k].append((i, p, q))
     rows = []
     for n in range(n_max + 1):
         width = min(n, order)
+        perms = [perm(n, i) for i in range(width + 1)]
         row = []
-        for k in range(width + 1):
-            total = ZERO
-            for i in range(k, width + 1):
-                a = op.coefficient(i, i - k)
-                if a:
-                    total = total + (comb(n, i) * factorial(i)) * a
-            row.append(total)
+        for column in columns[: width + 1]:
+            p = q = 0
+            for i, a, c in column:
+                if i > width:
+                    break
+                w = perms[i]
+                p += w * a
+                if c:
+                    q += w * c
+            row.append(from_parts(p, q, d))
         rows.append(row)
     return DeltaTable(rows)
 

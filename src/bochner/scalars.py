@@ -34,7 +34,8 @@ recurrence fit; `descend` is the one loop that walks a band.
 `lift` puts a list of scalars over the lcm of their denominators, as
 Gaussian-integer numerators, and `from_parts` turns such a numerator pair
 back into a scalar with one reduction.  The symbolic oracles in
-`polynomials` sum integer products between the two, with no gcd per term.
+`polynomials` and the delta-table build `operators.deltas_from_operator`
+sum integer products between the two, with no gcd per term.
 """
 from __future__ import annotations
 

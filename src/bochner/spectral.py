@@ -14,10 +14,14 @@ and each coefficient is reduced once.  The second expresses each
 b(n, n-i) as an i x i upper Hessenberg determinant with subdiagonal -1 and
 exists to cross-check the first.  The i x i matrix of b(n, n-i) is the
 leading submatrix of the n x n matrix of b(n, 0), so the determinant route
-builds one matrix per degree, as its band columns, and reads
-b(n, n-1), ..., b(n, 0) off the chain of nested leading minors of a single
-expansion (`eigenpoly_coeff_det`).  It never reads the recursion's output,
-and sums with plain scalar arithmetic, not the recursion's kernel.
+reads b(n, n-1), ..., b(n, 0) off the chain of nested leading minors of a
+single expansion per degree (`eigenpoly_coeff_det`).  Column c of that
+matrix is a tail of the table's diagonal delta(n-c+k, k), k >= 1, every
+entry divided by the gap lambda_n - lambda_{n-c}: the diagonals are read
+from the table once, each degree's columns are slices of them, and each
+gap divides its minor once, not every entry.  The route never reads the
+recursion's output, and sums with plain scalar arithmetic, not the
+recursion's kernel.
 `delta_extend` continues any delta column from its first few entries, which
 pins down the whole spectrum of an order-N operator by rows 0..N of the
 table.
@@ -38,6 +42,7 @@ each P_n as it comes (`bochner direct`) never holds the family;
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -49,7 +54,7 @@ from .errors import (
 from .hessenberg import hessenberg_determinant
 from .operators import DeltaTable
 from .polynomials import Poly
-from .scalars import GaussianRational, ZERO, comb, descend, dot, lift_band, scalar
+from .scalars import GaussianRational, ZERO, descend, dot, lift_band, scalar
 
 
 def check_spectrum(lambdas: Sequence[GaussianRational]) -> None:
@@ -134,7 +139,7 @@ def eigenpoly_recursive(table: DeltaTable, n: int) -> Poly:
 
 
 def eigenpoly_coeff_det(table: DeltaTable) -> EigenSystem:
-    """Eigenvalues and eigenpolynomials up to the table's depth by the
+    """Eigenvalues and eigenpolynomials up to the table's depth M by the
     determinant route, one Hessenberg expansion per degree.
 
     For degree n the matrix is n x n with subdiagonal -1: entry (j, c) on or
@@ -142,28 +147,32 @@ def eigenpoly_coeff_det(table: DeltaTable) -> EigenSystem:
     (lambda_n - lambda_{n-c}), and zero past the band.  Its leading i x i
     minor is b(n, n-i), so the expansion's chain of minors is the whole
     polynomial, read from b(n, n) = 1 down.
+
+    Column c depends on n only through its diagonal base n - c and its
+    divisor: it is the last min(c, w) entries of
+
+        diagonals[base] = [delta(base + k, k) for k = min(w, M - base), ..., 1]
+
+    for the band width w, built once for every degree, and its divisor
+    lambda_n - lambda_{n-c} is applied once to each minor.
     """
     lams = _lambda_prefix(table, table.n_max)
-    polys = tuple(
-        Poly._raw(tuple(hessenberg_determinant(_coeff_matrix(table, lams, n))[::-1]))
-        for n in range(table.n_max + 1)
-    )
-    return EigenSystem._raw(tuple(lams), polys)
-
-
-def _coeff_matrix(table: DeltaTable, lams: Sequence[GaussianRational], n: int):
-    """The band columns of the n x n Hessenberg matrix whose leading i x i
-    minor is b(n, n-i): column c holds delta(n-c+k, k) / (lambda_n -
-    lambda_{n-c}) for k from the band's last column down to 1, top to bottom.
-    Row n's length bounds every column."""
     rows = table.rows
-    width = len(rows[n]) - 1
-    columns = []
-    for c in range(1, n + 1):
-        gap = lams[n] - lams[n - c]
-        entries = (rows[n - c + k][k] for k in range(min(c, width), 0, -1))
-        columns.append([d / gap if d else d for d in entries])
-    return columns
+    top = len(rows) - 1
+    width = len(rows[-1]) - 1
+    diagonals = [
+        [rows[base + k][k] for k in range(min(width, top - base), 0, -1)]
+        for base in range(top + 1)
+    ]
+    polys = []
+    for n, lam in enumerate(lams):
+        columns = []
+        for c in range(1, n + 1):
+            diagonal = diagonals[n - c]
+            columns.append(diagonal[len(diagonal) - min(c, width):])
+        gaps = [lam - lams[n - c] for c in range(1, n + 1)]
+        polys.append(Poly._raw(tuple(hessenberg_determinant(columns, gaps)[::-1])))
+    return EigenSystem._raw(tuple(lams), tuple(polys))
 
 
 def delta_extend(seed: DeltaTable, n: int, k: int, order: int) -> GaussianRational:
@@ -176,7 +185,9 @@ def delta_extend(seed: DeltaTable, n: int, k: int, order: int) -> GaussianRation
 
     and delta(n, k) = 0 whenever k exceeds the order.  The seed must hold
     rows 0..order.  The order is the caller's: a seed no deeper than it is
-    a band of its own depth, which would extend at the wrong order.
+    a band of its own depth, which would extend at the wrong order.  A zero
+    seed entry contributes no term, and each weight takes its sign from the
+    parity of order - i.
     """
     if k < 0 or n < 0:
         raise DomainError(f"negative position ({n}, {k})")
@@ -190,10 +201,13 @@ def delta_extend(seed: DeltaTable, n: int, k: int, order: int) -> GaussianRation
         raise InsufficientData(
             f"seed must hold rows up to {order}, it holds {seed.n_max}"
         )
-    return dot(
-        ((-1) ** (order - i) * comb(n, i) * comb(n - i - 1, order - i), seed.value(i, k))
-        for i in range(k, order + 1)
-    )
+    pairs = []
+    for i, row in enumerate(seed.rows[k : order + 1], k):
+        value = row[k] if k < len(row) else ZERO
+        if value:
+            weight = comb(n, i) * comb(n - i - 1, order - i)
+            pairs.append((-weight if (order - i) & 1 else weight, value))
+    return dot(pairs)
 
 
 def lambda_via_N2_identity(lambda1, lambda2, n: int) -> GaussianRational:

@@ -30,6 +30,7 @@ from bochner import (
     reconstruct,
 )
 from bochner import cli
+from bochner.hessenberg import hessenberg_determinant
 from bochner.operators import deltas_from_operator, normalize
 from bochner.scalars import ONE, ZERO, comb, dot, factorial, format_scalar, scalar
 from bochner.serialize import delta_table_to_list, poly_to_list
@@ -155,6 +156,45 @@ def coefficient_by_binomial_sum(table, n, k):
     for i in range(k, n + 1):
         total = total + (-1) ** (n - i) * comb(n, i) * table.value(i, k)
     return total / factorial(n)
+
+
+def deltas_from_operator_by_scalar_chain(op, n_max):
+    """Reference table build: each delta(n, k) = sum_i C(n, i) i! a_{i, i-k}
+    as a chain of scalar `+` and `*` over the nonzero a_{i, i-k}, reduced
+    after every term."""
+    order = op.order
+    rows = []
+    for n in range(n_max + 1):
+        width = min(n, order)
+        row = []
+        for k in range(width + 1):
+            total = ZERO
+            for i in range(k, width + 1):
+                a = op.coefficient(i, i - k)
+                if a:
+                    total = total + (comb(n, i) * factorial(i)) * a
+            row.append(total)
+        rows.append(row)
+    return DeltaTable(rows)
+
+
+def eigenpoly_coeff_det_by_entry_division(table):
+    """Reference determinant route: for each degree n its own copy of the
+    band columns, column c holding delta(n-c+k, k) / (lambda_n - lambda_{n-c})
+    for k from min(c, w) down to 1, every entry divided on its own, and the
+    expansion over those pre-divided columns with no divisors."""
+    rows = table.rows
+    lams = [row[0] for row in rows]
+    polys = []
+    for n in range(len(rows)):
+        width = len(rows[n]) - 1
+        columns = []
+        for c in range(1, n + 1):
+            gap = lams[n] - lams[n - c]
+            entries = (rows[n - c + k][k] for k in range(min(c, width), 0, -1))
+            columns.append([d / gap if d else d for d in entries])
+        polys.append(Poly(hessenberg_determinant(columns)[::-1]))
+    return EigenSystem(lams, polys)
 
 
 def eigensystem_by_plain_arithmetic(table, n_max):
@@ -446,6 +486,23 @@ def dense_operators(draw):
     polys = [Poly()]
     for i in range(1, order + 1):
         polys.append(Poly(draw(st.lists(dense_scalars, min_size=i + 1, max_size=i + 1))))
+    return BochnerOperator(polys)
+
+
+@st.composite
+def zero_column_operators(draw, keep_spectrum=False):
+    """Normalized operators of order 1-5 with complex coefficients whose band
+    columns k in a drawn nonempty set are all zero: a_{i, i-k} = 0 for every
+    i.  With `keep_spectrum` the k = 0 column, the spectrum, is never one of
+    them."""
+    order = draw(st.integers(1, 5))
+    zero = draw(st.sets(st.integers(1 if keep_spectrum else 0, order), min_size=1, max_size=order))
+    polys = [Poly()]
+    for i in range(1, order + 1):
+        polys.append(Poly([ZERO if i - j in zero else draw(small_scalars) for j in range(i + 1)]))
+    if not polys[order]:
+        k = draw(st.sampled_from(sorted(set(range(order + 1)) - zero)))
+        polys[order] = Poly.monomial(order - k, draw(small_scalars.filter(bool)))
     return BochnerOperator(polys)
 
 

@@ -33,7 +33,7 @@ def test_call_counter_wraps_scalar_arithmetic(capsys):
     tracing = load_tracing()
     for attr in [name for name, _ in tracing._ARITHMETIC] + ["__bool__"]:
         assert callable(getattr(GaussianRational, attr, None)), attr
-    argv = ["recurrence", "--shapiro=-3/4,1/2+i", "--nmax", "6"]
+    argv = ["verify", "--shapiro=-3/4,1/2+i", "--nmax", "6"]
     assert main(argv) == 0
     expected = capsys.readouterr().out
     lib = SimpleNamespace(

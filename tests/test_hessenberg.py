@@ -171,3 +171,31 @@ def test_sparse_above_diagonal_matches_laplace_oracle():
                 short = trimmed(columns)
                 assert hessenberg_determinant(short) == hessenberg_determinant(columns)
                 assert_chain_matches_laplace(short, (size, label, "trimmed"))
+
+
+NONZERO_ENTRIES = ENTRIES.filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_divisors_equal_the_expansion_over_pre_divided_columns(data):
+    """One division per minor: column c with its entries divided by e_c has
+    the same chain as the columns as given, each sum divided by e_c."""
+    columns = data.draw(sparse_hessenberg())
+    divisors = [data.draw(NONZERO_ENTRIES) for _ in columns]
+    divided = [[h / e for h in column] for column, e in zip(columns, divisors)]
+    assert hessenberg_determinant(columns, divisors) == hessenberg_determinant(divided)
+
+
+def test_zero_column_divides_nothing():
+    """A column with no nonzero entry gives the minor ZERO without a
+    division, so even a zero divisor there is never used."""
+    three, two = GaussianRational(3), GaussianRational(2, 1)
+    columns = [[three], [ZERO, ZERO], [ONE, ZERO, two]]
+    chain = hessenberg_determinant(columns, [GaussianRational(5), ZERO, GaussianRational(-1)])
+    # det(H_3) = (1 * det(H_0) + 0 * det(H_1) + two * det(H_2)) / -1, det(H_2) = 0
+    assert chain == [ONE, three / 5, ZERO, -ONE]
+    assert hessenberg_determinant([[], [ONE]], [ZERO, ONE]) == [ONE, ZERO, ZERO]
+    # a nonzero column divides its sum by its divisor
+    with pytest.raises(ZeroDivisionError):
+        hessenberg_determinant([[three]], [ZERO])

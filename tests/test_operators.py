@@ -18,9 +18,22 @@ from bochner import (
     laguerre_operator,
     normalize,
     operator_from_deltas,
+    ShapiroOperator,
+    to_bochner,
 )
 from bochner.scalars import ZERO, comb, factorial
-from conftest import coefficient_by_binomial_sum, full_triangle, random_bochner, random_gaussian
+from bochner.serialize import operator_from_dict
+from conftest import (
+    INTERIOR_ZERO_COLUMN,
+    coefficient_by_binomial_sum,
+    deltas_from_operator_by_scalar_chain,
+    dense_operators,
+    full_triangle,
+    random_bochner,
+    random_gaussian,
+    small_scalars as complex_scalars,
+    zero_column_operators,
+)
 
 
 def test_constructor_rejects_degree_violation():
@@ -145,6 +158,64 @@ def test_two_path_lambda_check(corpus):
                 if lead:
                     expected = expected + (comb(n, i) * factorial(i)) * lead
             assert table.value(n, 0) == expected, (name, n)
+
+
+# -- the lifted table build against a chain of scalar `+` and `*` -----------
+#
+# scalars compare by their stored triples, so an entry the lifted build left
+# unreduced differs from the reference
+
+
+table_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=40)
+
+
+@given(
+    st.sampled_from(["hermite", "laguerre", "jacobi"]),
+    table_rationals,
+    table_rationals,
+    st.integers(0, 30),
+)
+@settings(max_examples=60, deadline=None)
+def test_table_build_matches_scalar_chain_on_presets(family, alpha, beta, n_max):
+    if family == "hermite":
+        op = hermite_operator()
+    elif family == "laguerre":
+        op = laguerre_operator(alpha)
+    else:
+        op = jacobi_operator(alpha, beta)
+    assert deltas_from_operator(op, n_max) == deltas_from_operator_by_scalar_chain(op, n_max)
+
+
+@given(
+    st.lists(complex_scalars, min_size=1, max_size=5).filter(lambda c: c[-1]),
+    st.integers(0, 24),
+)
+@settings(max_examples=60, deadline=None)
+def test_table_build_matches_scalar_chain_on_product_forms(c, n_max):
+    op = to_bochner(ShapiroOperator(c))
+    assert deltas_from_operator(op, n_max) == deltas_from_operator_by_scalar_chain(op, n_max)
+
+
+@given(dense_operators(), st.integers(0, 14))
+@settings(max_examples=40, deadline=None)
+def test_table_build_matches_scalar_chain_on_dense_operators(op, n_max):
+    # every a_{i,j} has a Fraction real part and, as often as not, a nonzero
+    # imaginary part, so the entries sum numerators over unrelated denominators
+    assert deltas_from_operator(op, n_max) == deltas_from_operator_by_scalar_chain(op, n_max)
+
+
+@given(zero_column_operators(), st.integers(0, 14))
+@settings(max_examples=60, deadline=None)
+def test_table_build_matches_scalar_chain_with_zero_band_columns(op, n_max):
+    assert deltas_from_operator(op, n_max) == deltas_from_operator_by_scalar_chain(op, n_max)
+
+
+def test_table_build_keeps_an_interior_zero_column():
+    op = operator_from_dict(INTERIOR_ZERO_COLUMN)
+    table = deltas_from_operator(op, 10)
+    assert table == deltas_from_operator_by_scalar_chain(op, 10)
+    assert [len(row) for row in table.rows] == [min(n, 3) + 1 for n in range(11)]
+    assert all(row[1] == ZERO for row in table.rows[1:])
 
 
 small_rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)

@@ -37,12 +37,14 @@ from conftest import (
     NEAR_MISSES,
     delta_extend_by_plain_sum,
     dense_operators,
+    eigenpoly_coeff_det_by_entry_division,
     eigensystem_by_dot_quotient,
     eigensystem_by_plain_arithmetic,
     full_triangle,
     random_bochner,
     random_gaussian,
     small_scalars,
+    zero_column_operators,
 )
 
 
@@ -339,18 +341,76 @@ def test_kernel_matches_dot_quotient_on_dense_operators(op, n_max):
     assert_dot_quotient_route(table)
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_kernel_matches_dot_quotient_on_untagged_tables(data):
-    n_max = data.draw(st.integers(0, 9))
-    lams = data.draw(
+@st.composite
+def untagged_tables(draw, deepest):
+    """Full triangles of drawn entries, zeros among them, over a usable
+    spectrum: a band as wide as the table is deep, not an operator's order."""
+    n_max = draw(st.integers(0, deepest))
+    lams = draw(
         st.lists(small_scalars.filter(bool), min_size=n_max, max_size=n_max, unique=True)
     )
     rows = [[ZERO]] + [
-        [lam] + data.draw(st.lists(small_scalars, min_size=n, max_size=n))
+        [lam] + draw(st.lists(small_scalars, min_size=n, max_size=n))
         for n, lam in enumerate(lams, start=1)
     ]
-    assert_dot_quotient_route(DeltaTable(rows))
+    return DeltaTable(rows)
+
+
+@given(untagged_tables(9))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_dot_quotient_on_untagged_tables(table):
+    assert_dot_quotient_route(table)
+
+
+# -- one division per minor against a division per entry ------------------
+
+
+def assert_entry_division_route(table):
+    # scalars compare by their stored triples, so a coefficient the route
+    # leaves unreduced differs from the reference
+    assert eigenpoly_coeff_det(table) == eigenpoly_coeff_det_by_entry_division(table)
+
+
+@given(st.sampled_from(["hermite", "laguerre", "jacobi"]), rationals, rationals, st.integers(0, 24))
+@settings(max_examples=40, deadline=None)
+def test_det_route_matches_entry_division_on_presets(family, alpha, beta, n_max):
+    if family == "hermite":
+        op = hermite_operator()
+    elif family == "laguerre":
+        op = laguerre_operator(alpha)
+    else:
+        op = jacobi_operator(alpha, beta)
+    table = deltas_from_operator(op, n_max)
+    distinct_spectrum_or_reject(table)
+    assert_entry_division_route(table)
+
+
+@given(st.lists(small_scalars, min_size=1, max_size=5).filter(lambda c: c[-1]), st.integers(0, 16))
+@settings(max_examples=40, deadline=None)
+def test_det_route_matches_entry_division_on_product_forms(c, n_max):
+    assert_entry_division_route(deltas_from_operator(to_bochner(ShapiroOperator(c)), n_max))
+
+
+@given(dense_operators(), st.integers(0, 10))
+@settings(max_examples=25, deadline=None)
+def test_det_route_matches_entry_division_on_dense_operators(op, n_max):
+    table = deltas_from_operator(op, n_max)
+    distinct_spectrum_or_reject(table)
+    assert_entry_division_route(table)
+
+
+@given(zero_column_operators(keep_spectrum=True), st.integers(0, 10))
+@settings(max_examples=40, deadline=None)
+def test_det_route_matches_entry_division_with_zero_band_columns(op, n_max):
+    table = deltas_from_operator(op, n_max)
+    distinct_spectrum_or_reject(table)
+    assert_entry_division_route(table)
+
+
+@given(untagged_tables(8))
+@settings(max_examples=40, deadline=None)
+def test_det_route_matches_entry_division_on_untagged_tables(table):
+    assert_entry_division_route(table)
 
 
 @given(
