@@ -36,12 +36,20 @@ python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["check"
 python -m bochner direct --operator "$RUNNER_TEMP/order3.json" --nmax 12 --out "$RUNNER_TEMP/order3-data.json" > /dev/null
 python -m bochner inverse --search --data "$RUNNER_TEMP/order3-data.json" > "$RUNNER_TEMP/order3-inverse.json"
 python3 -c 'import json, sys; result, doc = (json.load(open(p)) for p in sys.argv[1:]); sys.exit(0 if result["found"] is True and result["operator"] == doc else 1)' "$RUNNER_TEMP/order3-inverse.json" "$RUNNER_TEMP/order3.json"
-# bumped order-3 data: inverse --order checks each delta row as it is
-# built and must stop where the two full tables of --check fail
+# bumped order-3 data: inverse --order climbs candidate orders on the
+# first delta rows, locates its failure on the rows it drew, and must
+# name the entry where the two full tables of --check fail
 python3 -c 'import json, sys; doc = json.load(open(sys.argv[1])); doc["P"][6][1] = "1/12345"; json.dump(doc, open(sys.argv[2], "w"))' "$RUNNER_TEMP/order3-data.json" "$RUNNER_TEMP/order3-bumped.json"
 status=0; python -m bochner inverse --order 3 --data "$RUNNER_TEMP/order3-bumped.json" > "$RUNNER_TEMP/order3-bumped-rows.json" || status=$?; test "$status" -eq 1
 status=0; python -m bochner inverse --order 3 --check --data "$RUNNER_TEMP/order3-bumped.json" > "$RUNNER_TEMP/order3-bumped-tables.json" || status=$?; test "$status" -eq 1
 python3 -c 'import json, sys; rows, tables = (json.load(open(p)) for p in sys.argv[1:]); sys.exit(0 if rows["found"] is False and rows["first_failure"] == tables["first_failure"] else 1)' "$RUNNER_TEMP/order3-bumped-rows.json" "$RUNNER_TEMP/order3-bumped-tables.json"
+# and so must the search over every testable order
+status=0; python -m bochner inverse --search --data "$RUNNER_TEMP/order3-bumped.json" > "$RUNNER_TEMP/order3-bumped-search.json" || status=$?; test "$status" -eq 1
+status=0; python -m bochner inverse --search --check --data "$RUNNER_TEMP/order3-bumped.json" > "$RUNNER_TEMP/order3-bumped-search-tables.json" || status=$?; test "$status" -eq 1
+python3 -c 'import json, sys; rows, tables = (json.load(open(p)) for p in sys.argv[1:]); sys.exit(0 if rows["found"] is False and rows["first_failure"] == tables["first_failure"] else 1)' "$RUNNER_TEMP/order3-bumped-search.json" "$RUNNER_TEMP/order3-bumped-search-tables.json"
+# a requested order above the operator's trims back to its document
+python -m bochner inverse --order 5 --data "$RUNNER_TEMP/order3-data.json" > "$RUNNER_TEMP/order3-inverse-5.json"
+python3 -c 'import json, sys; result, doc = (json.load(open(p)) for p in sys.argv[1:]); sys.exit(0 if result["found"] is True and result["N"] == 3 and result["operator"] == doc else 1)' "$RUNNER_TEMP/order3-inverse-5.json" "$RUNNER_TEMP/order3.json"
 # the oracles on non-real input: the recurrence residual, and the
 # eigen-equation of verify with a_0 = 5/2 - i, shifted eigenvalues
 python -m bochner recurrence --check --operator "$RUNNER_TEMP/order3.json" --nmax 12 > "$RUNNER_TEMP/order3-recurrence.json"

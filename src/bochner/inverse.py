@@ -16,24 +16,38 @@ base n - k, and the matrices along one diagonal are nested leading
 submatrices, so `deltas_from_eigendata_det` reads every delta(base + k, k)
 off the chain of leading minors of one expansion per diagonal.  The two
 routes agree entrywise and are kept as mutual cross-checks.  The data comes
-from an operator of order N exactly when every row past N of this table is the binomial extension of
-rows 0..N and the columns above N vanish, that is, when
-`first_order_violation` finds no entry where this breaks.  The operator
-coefficients then fall out of the same inversion formula as in the direct
-problem and `reconstruct` returns the operator, re-verified against the
-symbolic eigen-equation.  Without a table from its caller, `reconstruct`
-checks each row of `delta_rows` past the order as it is built, with the
-same per-row check as `first_order_violation`, so on data of no operator it
-computes and holds the rows up to the first violation and none after it.
+from an operator of order N exactly when every row past N of this table is
+the binomial extension of rows 0..N and the columns above N vanish, that
+is, when `first_order_violation` finds no entry where this breaks.  The
+operator coefficients then fall out of the same inversion formula as in the
+direct problem.
 
 The criterion is monotone in the order.  If it holds at K, the data's table
 equals the table of the operator reconstructed at K over the whole window.
 The table of an operator of order N meets the criterion at every K >= N,
 because each column delta(., k) lies in the span of the C(n, i) for
 i = k..N.  No order below N fits, because two operators whose tables agree on
-rows 0..n_max are equal.  So one reconstruction at the largest testable order,
+rows 0..n_max are equal.  So a reconstruction at the largest testable order,
 n_max - 1, trims to the smallest order that fits; when it fails, no smaller
 order fits either.
+
+`reconstruct` decides the criterion on the seed operator instead of on the
+whole table.  For a non-degenerate spectrum the data's table is the unique
+triangular solution of the eigen-equations with delta(n, 0) = lambda_n, so
+the criterion holds at K exactly when every (lambda_n, P_n) is an eigenpair
+of op_K, the operator inverted from rows 0..K.  Two lower bounds on every
+fitting order follow:
+
+- a violation in row K + 1 puts every fitting order at K + 1 or above;
+- an eigen-equation failure of op_K at degree m puts it at m or above:
+  degrees 0..m - 1 are eigenpairs of op_K, so rows 0..m - 1 are op_K's own
+  rows, and for K < K' < m inverting rows 0..K' gives op_K again.
+
+`reconstruct` climbs candidate orders on these bounds.  On data of an
+operator of order N it draws the rows of `delta_rows` only up to K + 1 for
+the first candidate K >= N, not the whole triangle; on data of none it
+draws them only up to the row where the criterion at the requested order
+first breaks.
 """
 from __future__ import annotations
 
@@ -140,18 +154,30 @@ def reconstruct(data: EigenSystem, order: int, table: DeltaTable | None = None) 
     """The operator of the given order with the prescribed eigen-data.
 
     `table` is the data's delta table, when the caller has already built it
-    by `deltas_from_eigendata_rec`.  By default the rows are built here,
-    one at a time, and each row past `order` is checked as soon as it is
-    built, so a failure raises before any later row is computed.  A table
-    of another depth than the data's is refused: a shallower one would test
+    by `deltas_from_eigendata_rec`.  By default the rows are drawn from
+    `delta_rows` here, only as far as the search needs them.  A table of
+    another depth than the data's is refused: a shallower one would test
     the criterion on a shorter window.
 
+    The search climbs candidate orders K = 1, 2, 4, ..., each the larger of
+    twice the last and the proven lower bound, capped at `order`.  At each
+    K the criterion is checked on row K + 1 only; when it holds there, op_K,
+    inverted from rows 0..K, must pass the eigen-equation at every degree
+    from K + 2 up.  For a non-degenerate spectrum this is the criterion at K
+    (the data's table is the unique triangular solution of the
+    eigen-equations with delta(n, 0) = lambda_n).  A violation in row K + 1
+    proves every fitting order is at least K + 1; an eigen-equation failure
+    at degree m proves it is at least m, because for K < K' < m rows 0..K'
+    are op_K's own rows and give op_K again.  So the first K whose operator
+    passes gives the operator the criterion at `order` gives.
+
     Raises NoFiniteOrderOperator at the first (n, k) where the finite-order
-    criterion fails on the data's window, the one `first_order_violation`
-    of the whole table gives.  On success the operator (with trailing zero
-    coefficients trimmed, so its order may come out lower) is re-verified
-    against the symbolic eigen-equation for every prescribed degree.  The criterion holds
-    at every order from the true one upward, so the trimmed order is the
+    criterion fails on the data's window at `order`, the one
+    `first_order_violation` of the whole table gives; no row past it is
+    drawn.  On success the operator (with trailing zero coefficients
+    trimmed, so its order may come out lower) has passed the symbolic
+    eigen-equation for every prescribed degree.  The criterion holds at
+    every order from the true one upward, so the trimmed order is the
     smallest order <= `order` that fits: `order = data.n_max - 1` searches
     all testable orders at once.
     """
@@ -162,20 +188,46 @@ def reconstruct(data: EigenSystem, order: int, table: DeltaTable | None = None) 
             f"need data at least to degree {order + 1}, got {data.n_max}"
         )
     if table is None:
-        rows = delta_rows(data)
+        source = delta_rows(data)
     elif table.n_max < data.n_max:
         raise InsufficientData(f"table holds rows up to {table.n_max}, need {data.n_max}")
     elif table.n_max > data.n_max:
         raise DomainError(f"table holds rows up to {table.n_max}, data only to {data.n_max}")
     else:
-        rows = table.rows
-    seed, violation = _first_violation(rows, order)
-    if violation is not None:
-        raise NoFiniteOrderOperator(order, violation)
-    op = operator_from_deltas(seed, order)
-    for n in range(data.n_max + 1):
-        if not is_eigenpair(op, data.polys[n], data.lambdas[n]):
-            raise VerificationError(
-                f"reconstructed operator fails the eigen-equation at degree {n}"
+        source = iter(table.rows)
+    rows = []
+    pairs = list(zip(data.polys, data.lambdas))
+    k = 1
+    while True:
+        rows.extend(islice(source, k + 2 - len(rows)))
+        seed, violation = _first_violation(rows, k)
+        if violation is not None:
+            if k == order:
+                raise NoFiniteOrderOperator(order, violation)
+            # every order that fits is at least k + 1
+            bound = k + 1
+        else:
+            # op_k fits unless it fails at some degree m, and then every
+            # order that fits is at least m
+            op = operator_from_deltas(seed, k)
+            bound = next(
+                (m for m in range(k + 2, len(pairs)) if not is_eigenpair(op, *pairs[m])), None
             )
-    return op
+            if bound is None:
+                for n in range(k + 2):
+                    if not is_eigenpair(op, *pairs[n]):
+                        raise VerificationError(
+                            f"reconstructed operator fails the eigen-equation at degree {n}"
+                        )
+                return op
+            if k == order or bound > order:
+                break
+        k = min(max(2 * k, bound), order)
+    # no order up to `order` fits: the criterion at `order` breaks first in
+    # the row of the failing degree
+    _, violation = _first_violation(chain(rows, source), order)
+    if violation is None:
+        raise VerificationError(
+            f"reconstructed operator fails the eigen-equation at degree {bound}"
+        )
+    raise NoFiniteOrderOperator(order, violation)

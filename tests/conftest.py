@@ -30,8 +30,11 @@ from bochner import (
     reconstruct,
 )
 from bochner import cli
+from bochner.errors import DomainError, InsufficientData, VerificationError
 from bochner.hessenberg import hessenberg_determinant
-from bochner.operators import deltas_from_operator, normalize
+from bochner.inverse import _first_violation, delta_rows
+from bochner.operators import deltas_from_operator, normalize, operator_from_deltas
+from bochner.polynomials import is_eigenpair
 from bochner.scalars import ONE, ZERO, comb, dot, factorial, format_scalar, scalar
 from bochner.serialize import delta_table_to_list, poly_to_list
 from bochner.spectral import eigensystem
@@ -138,6 +141,36 @@ def search_order_by_order(data):
         except NoFiniteOrderOperator as exc:
             failure = exc.failure
     return None, None, failure
+
+
+def reconstruct_by_row_criterion(data, order, table=None):
+    """Reference inverse: the finite-order criterion checked on every delta
+    row past `order`, then the operator inverted from rows 0..order and
+    re-verified at every prescribed degree."""
+    if order < 1:
+        raise DomainError(f"order must be positive, got {order}")
+    if data.n_max < order + 1:
+        raise InsufficientData(
+            f"need data at least to degree {order + 1}, got {data.n_max}"
+        )
+    if table is None:
+        rows = delta_rows(data)
+    elif table.n_max < data.n_max:
+        raise InsufficientData(f"table holds rows up to {table.n_max}, need {data.n_max}")
+    elif table.n_max > data.n_max:
+        raise DomainError(f"table holds rows up to {table.n_max}, data only to {data.n_max}")
+    else:
+        rows = table.rows
+    seed, violation = _first_violation(rows, order)
+    if violation is not None:
+        raise NoFiniteOrderOperator(order, violation)
+    op = operator_from_deltas(seed, order)
+    for n in range(data.n_max + 1):
+        if not is_eigenpair(op, data.polys[n], data.lambdas[n]):
+            raise VerificationError(
+                f"reconstructed operator fails the eigen-equation at degree {n}"
+            )
+    return op
 
 
 def full_triangle(table):

@@ -378,10 +378,16 @@ def test_inverse_search_finds_smallest_order(tmp_path, capsys):
     assert payload["requested_order"] == 2
 
 
-@pytest.mark.parametrize("extra", [(), ("--check",)], ids=["plain", "check"])
-def test_inverse_search_builds_the_delta_table_once(tmp_path, capsys, monkeypatch, extra):
+@pytest.mark.parametrize(
+    "extra,expected", [((), 4), (("--check",), 9)], ids=["plain", "check"]
+)
+def test_inverse_search_builds_the_delta_table_once(
+    tmp_path, capsys, monkeypatch, extra, expected
+):
     # every route to the recursion's table draws the row iterator: the plain
-    # search in `reconstruct`, --check in `deltas_from_eigendata_rec`
+    # search in `reconstruct`, --check in `deltas_from_eigendata_rec`.  The
+    # plain search stops at the order-2 seed and its check row, rows 0..3;
+    # --check builds both whole tables, rows 0..8
     drawn = []
     rows = bochner.inverse.delta_rows
 
@@ -396,8 +402,7 @@ def test_inverse_search_builds_the_delta_table_once(tmp_path, capsys, monkeypatc
     code, payload, _ = run_json(capsys, "inverse", "--data", path, "--search", *extra)
     assert code == 0
     assert payload["requested_order"] == 2
-    # one table, rows 0..8
-    assert drawn == [9]
+    assert drawn == [expected]
 
 
 def test_inverse_search_failure_reports_last_order(tmp_path, capsys):

@@ -27,14 +27,17 @@ from bochner import (
 from bochner import inverse
 from bochner.inverse import delta_rows, first_order_violation
 from bochner.operators import operator_from_deltas
+from bochner.polynomials import is_eigenpair
 from bochner.scalars import ZERO
 from conftest import (
     deltas_from_eigendata_by_plain_sum,
     monic_hermite,
     monic_laguerre,
     random_bochner,
+    reconstruct_by_row_criterion,
     search_order_by_order,
     small_scalars,
+    usable_bochner_operators,
 )
 
 
@@ -318,3 +321,92 @@ def test_one_reconstruction_matches_order_by_order_search(corpus):
         assert search_at_top(bumped) == expected, f"{name} bumped"
         bumped_failures += expected[1] is None
     assert bumped_failures
+
+
+def outcome(solve, data, order, table=None):
+    """The operator `solve` returns, or the order and failure it raises."""
+    try:
+        return solve(data, order, table)
+    except NoFiniteOrderOperator as exc:
+        return exc.order, exc.failure
+
+
+def assert_outcomes_match_row_criterion(data):
+    table = deltas_from_eigendata_rec(data)
+    for order in range(1, data.n_max):
+        for given in (None, table):
+            expected = outcome(reconstruct_by_row_criterion, data, order, given)
+            assert outcome(reconstruct, data, order, given) == expected, (order, given is None)
+
+
+@st.composite
+def operator_eigendata(draw):
+    op = draw(usable_bochner_operators())
+    return forward_data(normalize(op)[0], draw(st.integers(2, 10)))
+
+
+@st.composite
+def bumped_eigendata(draw):
+    """Operator data with one coefficient below the top of one P_m moved."""
+    data = draw(operator_eigendata())
+    m = draw(st.integers(1, data.n_max))
+    shift = Poly.monomial(draw(st.integers(0, m - 1)), draw(small_scalars.filter(bool)))
+    polys = list(data.polys)
+    polys[m] = polys[m] + shift
+    return EigenSystem(data.lambdas, polys)
+
+
+@st.composite
+def monic_eigendata(draw):
+    """A random spectrum with random monic polynomials: data of no operator
+    as a rule."""
+    n_max = draw(st.integers(2, 10))
+    lams = [ZERO] + draw(
+        st.lists(small_scalars.filter(bool), min_size=n_max, max_size=n_max, unique=True)
+    )
+    polys = [
+        Poly(draw(st.lists(small_scalars, min_size=n, max_size=n)) + [1])
+        for n in range(n_max + 1)
+    ]
+    return EigenSystem(lams, polys)
+
+
+@given(st.one_of(operator_eigendata(), bumped_eigendata(), monic_eigendata()))
+@settings(max_examples=100, deadline=None)
+def test_reconstruct_matches_row_criterion(data):
+    # the ascent over candidate orders gives the operator, or the failure,
+    # of the criterion checked on every row at every requested order
+    assert_outcomes_match_row_criterion(data)
+
+
+def test_reconstruct_matches_row_criterion_on_the_corpus(corpus):
+    for name, op in corpus:
+        data = forward_data(op, 10)
+        polys = list(data.polys)
+        polys[7] = polys[7] + Poly([0, 1])
+        for case in (data, EigenSystem(data.lambdas, polys)):
+            assert_outcomes_match_row_criterion(case)
+
+
+def test_reconstruct_verifies_every_degree_before_returning(corpus):
+    """The operator `reconstruct` returns has passed the symbolic
+    eigen-equation at every prescribed degree."""
+    for name, op in corpus:
+        data = forward_data(op, 10)
+        for order in sorted({op.order, data.n_max - 1}):
+            checked = []
+
+            def spy(candidate, p, value):
+                passed = is_eigenpair(candidate, p, value)
+                checked.append((candidate, p, value, passed))
+                return passed
+
+            with patch.object(inverse, "is_eigenpair", spy):
+                found = reconstruct(data, order)
+            assert found == op, (name, order)
+            verified = {
+                (p, value)
+                for candidate, p, value, passed in checked
+                if candidate is found and passed
+            }
+            assert verified == set(zip(data.polys, data.lambdas)), (name, order)
