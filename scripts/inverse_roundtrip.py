@@ -39,7 +39,8 @@ def main():
 
     perturbed_polys = list(system.polys)
     mid = DEGREE // 2
-    perturbed_polys[mid] = perturbed_polys[mid] + Poly([1])
+    constant, *rest = perturbed_polys[mid].coeffs
+    perturbed_polys[mid] = Poly([constant + 1, *rest])
     perturbed = EigenSystem(system.lambdas, perturbed_polys)
     print(f"\nafter bumping one coefficient of P_{mid} by 1:")
     for order in range(1, ORDER + 3):

@@ -107,3 +107,6 @@ status=0; python -m bochner direct --operator "$RUNNER_TEMP/not-utf8.json" || st
 # workload runs: the closed-form recurrence table must pass both checks
 python -m bochner verify '--shapiro=1/2+1/3*i,i,2-1/4*i' --nmax 16 > "$RUNNER_TEMP/shapiro-complex.json"
 python3 -c 'import json, sys; checks = json.load(open(sys.argv[1]))["checks"]; sys.exit(0 if checks and all(v == "ok" for v in checks.values()) else 1)' "$RUNNER_TEMP/shapiro-complex.json"
+# every function of the library is run by some verb, or kept for a
+# reason the script names
+python3 scripts/unreached.py

@@ -35,7 +35,7 @@ from .operators import (
     normalize,
     operator_from_deltas,
 )
-from .polynomials import Poly, X, apply_operator, derivative, is_eigenpair
+from .polynomials import Poly, apply_operator, is_eigenpair
 from .recurrence import RecurrenceCoeffs, bandwidth, fit_recurrence
 from .scalars import (
     GaussianRational,
@@ -85,7 +85,6 @@ __all__ = [
     "RecurrenceCoeffs",
     "ShapiroOperator",
     "VerificationError",
-    "X",
     "ZERO",
     "apply_operator",
     "bandwidth",
@@ -94,7 +93,6 @@ __all__ = [
     "deltas_from_eigendata_det",
     "deltas_from_eigendata_rec",
     "deltas_from_operator",
-    "derivative",
     "eigenpoly_coeff_det",
     "eigenpoly_recursive",
     "eigenpolys",

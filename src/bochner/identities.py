@@ -213,12 +213,6 @@ def _collect_args(identity: str, params: Mapping):
     return entry, args
 
 
-def in_domain(identity: str, params: Mapping) -> bool:
-    """True iff `params` lies in the stated domain of `identity`."""
-    entry, args = _collect_args(identity, params)
-    return entry.domain(*args)
-
-
 def lemma_residual(identity: str, params: Mapping) -> GaussianRational:
     """LHS - RHS of the named identity, evaluated exactly.
 

@@ -1,4 +1,8 @@
-"""Dense univariate polynomials over exact scalars.
+"""Dense univariate polynomials over exact scalars, and the oracle kernel.
+
+`Poly` is a container: an immutable tuple of coefficients with no
+arithmetic of its own.  Every combination of polynomials in the package is
+one call of the integer kernel `_sums` below.
 
 `apply_operator` is the brute-force oracle for the whole package: it applies
 a differential operator symbolically, term by term, so any spectral quantity
@@ -32,7 +36,7 @@ from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
-from .scalars import GaussianRational, ONE, ZERO, dot, from_parts, lift, scalar
+from .scalars import GaussianRational, ONE, ZERO, from_parts, lift, scalar
 
 if TYPE_CHECKING:  # pragma: no cover
     from .operators import BochnerOperator
@@ -82,57 +86,6 @@ class Poly:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == ONE
 
-    def times_x(self) -> "Poly":
-        if not self.coeffs:
-            return self
-        return Poly._raw((ZERO,) + self.coeffs)
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        merged = list(a)
-        for i, c in enumerate(b):
-            merged[i] = merged[i] + c
-        while merged and not merged[-1]:
-            merged.pop()
-        return Poly._raw(tuple(merged))
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return Poly._raw(tuple(-c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            short, long = self.coeffs, other.coeffs
-            if len(short) > len(long):
-                short, long = long, short
-            if not short:
-                return Poly._raw(())
-            # one dot per output coefficient over the nonzero entries of the
-            # shorter factor; the leading product is nonzero, so no trim
-            terms = [(i, a) for i, a in enumerate(short) if a]
-            top = len(long) - 1
-            return Poly._raw(tuple(
-                dot((a, long[m - i]) for i, a in terms if 0 <= m - i <= top)
-                for m in range(len(short) + top)
-            ))
-        factor = scalar(other)
-        if not factor:
-            return Poly._raw(())
-        return Poly._raw(tuple(c * factor for c in self.coeffs))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     # -- comparisons / display ---------------------------------------------
 
     def __eq__(self, other):
@@ -167,24 +120,6 @@ class Poly:
 
     def __repr__(self):
         return f"Poly('{self}')"
-
-
-X = Poly((0, 1))
-
-
-def derivative(p: Poly, order: int = 1) -> Poly:
-    """Exact derivative of the given order; order 0 is the identity."""
-    if order < 0:
-        raise DomainError(f"negative derivative order {order}")
-    if order == 0:
-        return p
-    if p.degree is None or order > p.degree:
-        return Poly._raw(())
-    out = tuple(
-        p.coeffs[j + order] * math.perm(j + order, order)
-        for j in range(len(p.coeffs) - order)
-    )
-    return Poly._raw(out)
 
 
 def _lifted_coeffs(q: Poly):

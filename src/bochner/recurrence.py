@@ -94,13 +94,6 @@ class RecurrenceCoeffs:
     def n_max(self) -> int:
         return len(self.rows) - 1
 
-    def alpha(self, n: int, k: int) -> GaussianRational:
-        if n < 0 or n > self.n_max:
-            raise DomainError(f"row {n} out of range")
-        if k < 0 or k > n:
-            return ZERO
-        return self.rows[n][k]
-
     def __eq__(self, other):
         if not isinstance(other, RecurrenceCoeffs):
             return NotImplemented

@@ -14,7 +14,7 @@ with its own gcds.  The parts are reduced on their own only where a reader
 needs them: `format_scalar` and the `re` / `im` properties.
 
 `dot` fuses a sum of products, the inner loop of the delta recursion, the
-delta extension and the polynomial product, into one reduction per sum: each
+delta extension and the delta1 column, into one reduction per sum: each
 product stays unreduced over its own denominator and is added to running
 sums over a running common denominator, at most one gcd per term, and the
 total is reduced once.  A chain of `+` and `*` would reduce every product
@@ -47,7 +47,11 @@ from functools import lru_cache
 
 from .errors import DomainError, ParseError
 
-_RATIONAL_RE = _re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+# ASCII digits only: \d alone would take any Unicode digit, as int() does
+_RATIONAL_RE = _re.compile(r"[+-]?\d+(?:/\d+)?\Z", _re.ASCII)
+# whitespace between two digits, which would join two numbers into one;
+# \s takes the Unicode whitespace that str.split() takes
+_SPLIT_NUMBER_RE = _re.compile(r"[0-9]\s+[0-9]")
 _gcd = math.gcd
 _new = object.__new__
 
@@ -178,22 +182,6 @@ class GaussianRational:
 
     def __pos__(self):
         return self
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        result = ONE
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def conjugate(self):
-        return _exact(self._p, -self._q, self._d)
 
     # -- comparisons / hashing --------------------------------------------
 
@@ -561,11 +549,14 @@ def parse_scalar(text: str) -> GaussianRational:
 
     Accepted forms: "p/q" or "p" for rationals (sign on the numerator) and
     "a+b*i" / "a-b*i" / "b*i" / "i" / "-i" for complex values, where a and b
-    are rationals.  Whitespace is ignored.
+    are rationals, with ASCII digits.  Whitespace between tokens is
+    ignored; whitespace between two digits is refused.
     """
     s = "".join(text.split())
     if not s:
         raise ParseError("empty scalar string")
+    if len(s) != len(text) and _SPLIT_NUMBER_RE.search(text):
+        raise ParseError(f"whitespace inside a number in {text!r}")
     if not s.endswith("i"):
         p, d = _parse_rational(s)
         return _reduced(p, 0, d)

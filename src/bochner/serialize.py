@@ -8,6 +8,10 @@ polynomial is the empty array, though a lone "0" entry parses too).
     eigen-data {"lambda": ["0", "-1", ...], "P": [["1"], ...]}
     delta / alpha tables: triangular array of arrays of scalar strings
 
+The CLI reads the operator and eigen-data documents and writes all four;
+nothing reads a table back.  Every entry is one `format_scalar` string,
+which `parse_scalar` reads back to the same value, whatever its size.
+
 Error messages name a bad value's type, never the value itself: str() of an
 integer past Python's int/str digit limit raises.
 """
@@ -60,13 +64,6 @@ def operator_from_dict(doc) -> BochnerOperator:
         raise ParseError(f"not a valid operator: {exc}") from exc
 
 
-def eigensystem_to_dict(system: EigenSystem) -> dict:
-    return {
-        "lambda": [format_scalar(v) for v in system.lambdas],
-        "P": [poly_to_list(p) for p in system.polys],
-    }
-
-
 def eigendata_from_dict(doc) -> EigenSystem:
     if not isinstance(doc, dict) or "lambda" not in doc or "P" not in doc:
         raise ParseError('eigen-data document needs keys "lambda" and "P"')
@@ -86,24 +83,5 @@ def delta_table_to_list(table: DeltaTable) -> list[list[str]]:
     return [[format_scalar(v) for v in row] for row in table.rows]
 
 
-def _rows_from_list(rows, name: str) -> list[list[GaussianRational]]:
-    if not isinstance(rows, list):
-        raise ParseError(f"{name} table must be a JSON array of arrays")
-    parsed = []
-    for row in rows:
-        if not isinstance(row, list):
-            raise ParseError(f"{name} table rows must be JSON arrays")
-        parsed.append([_scalar_from_json(v) for v in row])
-    return parsed
-
-
-def delta_table_from_list(rows) -> DeltaTable:
-    return DeltaTable(_rows_from_list(rows, "delta"))
-
-
 def alpha_table_to_list(coeffs: RecurrenceCoeffs) -> list[list[str]]:
     return [[format_scalar(v) for v in row] for row in coeffs.rows]
-
-
-def alpha_table_from_list(rows) -> RecurrenceCoeffs:
-    return RecurrenceCoeffs(_rows_from_list(rows, "alpha"))

@@ -106,12 +106,6 @@ class EigenSystem:
     def n_max(self) -> int:
         return len(self.polys) - 1
 
-    def coeff(self, n: int, i: int) -> GaussianRational:
-        """b(n, i): the x^i coefficient of P_n, zero out of range."""
-        if n < 0 or n > self.n_max:
-            raise DomainError(f"polynomial index {n} out of range")
-        return self.polys[n].coeff(i)
-
     def __eq__(self, other):
         if not isinstance(other, EigenSystem):
             return NotImplemented

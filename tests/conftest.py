@@ -2,6 +2,7 @@
 package's spectral machinery, and a reproducible corpus of random operators.
 """
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -22,8 +23,6 @@ from bochner import (
     NoFiniteOrderOperator,
     Poly,
     RecurrenceCoeffs,
-    X,
-    derivative,
     hermite_operator,
     jacobi_operator,
     laguerre_operator,
@@ -35,9 +34,33 @@ from bochner.hessenberg import hessenberg_determinant
 from bochner.inverse import _first_violation, delta_rows
 from bochner.operators import deltas_from_operator, normalize, operator_from_deltas
 from bochner.polynomials import is_eigenpair
-from bochner.scalars import ONE, ZERO, comb, dot, factorial, format_scalar, scalar
+from bochner.scalars import ONE, ZERO, comb, dot, factorial, format_scalar
 from bochner.serialize import delta_table_to_list, poly_to_list
 from bochner.spectral import eigensystem
+
+
+def combination(terms):
+    """The polynomial sum of c x^j p over `terms` (c, j, p), coefficient by
+    coefficient as a chain of plain scalar `+` and `*`, reduced after every
+    step."""
+    coeffs = []
+    for c, j, p in terms:
+        coeffs += [ZERO] * (j + len(p.coeffs) - len(coeffs))
+        for u, b in enumerate(p.coeffs, j):
+            coeffs[u] = coeffs[u] + c * b
+    return Poly(coeffs)
+
+
+def bump(p, k=0, by=1):
+    """p with its x^k coefficient moved by `by`."""
+    coeffs = list(p.coeffs)
+    coeffs[k] = coeffs[k] + by
+    return Poly(coeffs)
+
+
+def derivative(p, order):
+    """d^order p, each coefficient times the plain int perm(u, order)."""
+    return Poly([b * math.perm(u, order) for u, b in enumerate(p.coeffs) if u >= order])
 
 
 def monic_hermite(n_max):
@@ -45,9 +68,9 @@ def monic_hermite(n_max):
     P_{n+1} = x P_n - (n/2) P_{n-1}; independent of the delta machinery."""
     polys = [Poly([1])]
     if n_max >= 1:
-        polys.append(X)
+        polys.append(Poly([0, 1]))
     for n in range(1, n_max):
-        polys.append(polys[n].times_x() - Fraction(n, 2) * polys[n - 1])
+        polys.append(combination([(1, 1, polys[n]), (-Fraction(n, 2), 0, polys[n - 1])]))
     return polys
 
 
@@ -58,8 +81,11 @@ def monic_laguerre(n_max, alpha=Fraction(0)):
     if n_max >= 1:
         polys.append(Poly([-(alpha + 1), 1]))
     for n in range(1, n_max):
-        shifted = polys[n].times_x() - (2 * n + 1 + alpha) * polys[n]
-        polys.append(shifted - (n * (n + alpha)) * polys[n - 1])
+        polys.append(combination([
+            (1, 1, polys[n]),
+            (-(2 * n + 1 + alpha), 0, polys[n]),
+            (-n * (n + alpha), 0, polys[n - 1]),
+        ]))
     return polys
 
 
@@ -300,31 +326,23 @@ def shapiro_poly(delta1, n):
 
 
 def apply_operator_by_poly_chain(op, p):
-    """Reference oracle: sum_i a_i d^i p as a chain of `Poly` products and
-    sums, each reduced coefficient by coefficient."""
-    result = Poly()
-    for i, a in enumerate(op.coeffs):
-        if not a:
-            continue
-        dp = derivative(p, i)
-        if dp:
-            result = result + a * dp
-    return result
+    """Reference oracle: sum_i a_i d^i p as one `combination` of the
+    terms a_{i,j} x^j d^i p."""
+    return combination(
+        (c, j, derivative(p, i)) for i, a in enumerate(op.coeffs) for j, c in enumerate(a.coeffs)
+    )
 
 
 def is_eigenpair_by_poly_chain(op, p, value):
     """Reference verdict: the two polynomials L p and value * p compared."""
-    return apply_operator_by_poly_chain(op, p) == scalar(value) * p
+    return apply_operator_by_poly_chain(op, p) == combination([(value, 0, p)])
 
 
 def relation_residual_by_poly_chain(polys, alpha_row, n):
-    """Reference residual P_{n+1} - x P_n + sum_k alpha_row[k] P_k as a
-    chain of `Poly` sums."""
-    residual = polys[n + 1] - polys[n].times_x()
-    for k, a in enumerate(alpha_row):
-        if a:
-            residual = residual + a * polys[k]
-    return residual
+    """Reference residual P_{n+1} - x P_n + sum_k alpha_row[k] P_k as one
+    `combination`."""
+    terms = [(a, 0, polys[k]) for k, a in enumerate(alpha_row)]
+    return combination([(1, 0, polys[n + 1]), (-1, 1, polys[n]), *terms])
 
 
 def fit_recurrence_by_sequential_solve(system):
@@ -338,8 +356,8 @@ def fit_recurrence_by_sequential_solve(system):
         found = []
         for k in range(n, -1, -1):
             value = (
-                system.coeff(n, k - 1)
-                - system.coeff(n + 1, k)
+                system.polys[n].coeff(k - 1)
+                - system.polys[n + 1].coeff(k)
                 - dot((a, coeffs[i][k]) for i, a in found)
             )
             row[k] = value
@@ -438,7 +456,7 @@ def direct_text_by_json_dumps(argv):
             mismatches.extend(
                 {"n": n, "i": i, "check": "determinant"}
                 for i in range(1, n + 1)
-                if by_det.coeff(n, n - i) != poly.coeff(n - i)
+                if by_det.polys[n].coeff(n - i) != poly.coeff(n - i)
             )
         payload["check"] = "failed" if mismatches else "ok"
         if mismatches:

@@ -14,14 +14,13 @@ import bochner.spectral
 from bochner import (
     DeltaTable,
     EigenSystem,
-    GaussianRational,
     Poly,
     RecurrenceCoeffs,
     hermite_operator,
     laguerre_operator,
 )
 from bochner.cli import main
-from bochner.serialize import eigendata_from_dict, eigensystem_to_dict, operator_from_dict
+from bochner.serialize import eigendata_from_dict, operator_from_dict, poly_to_list
 from conftest import int_max_str_digits, monic_hermite, search_order_by_order
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -355,8 +354,10 @@ def test_inverse_check_locates_a_delta_mismatch(tmp_path, capsys, monkeypatch):
 
 
 def hermite_data_doc(n_max):
-    lambdas = [GaussianRational(-2 * n) for n in range(n_max + 1)]
-    return eigensystem_to_dict(EigenSystem(lambdas, monic_hermite(n_max)))
+    return {
+        "lambda": [str(-2 * n) for n in range(n_max + 1)],
+        "P": [poly_to_list(p) for p in monic_hermite(n_max)],
+    }
 
 
 def test_inverse_recovers_hermite(tmp_path, capsys):

@@ -9,7 +9,6 @@ from bochner.identities import (
     IDENTITY_IDS,
     PROBE_VALUES,
     _lookup,
-    in_domain,
     iter_grid,
     sweep,
 )
@@ -103,7 +102,6 @@ def test_unknown_identity():
     ],
 )
 def test_out_of_domain(identity, params):
-    assert not in_domain(identity, params)
     with pytest.raises(DomainError):
         lemma_residual(identity, params)
 
@@ -127,7 +125,8 @@ def test_sweep_counts_and_skips():
 
 def test_default_grid_sizes():
     assert sum(1 for _ in iter_grid("kym")) == 144
-    count_8 = sum(1 for p in iter_grid("8_tilde") if in_domain("8_tilde", p))
+    domain = _lookup("8_tilde").domain
+    count_8 = sum(1 for p in iter_grid("8_tilde") if domain(*p.values()))
     assert count_8 == 91 * 15
 
 

@@ -13,7 +13,6 @@ from bochner import (
     InsufficientData,
     NoFiniteOrderOperator,
     Poly,
-    X,
     deltas_from_eigendata_det,
     deltas_from_eigendata_rec,
     deltas_from_operator,
@@ -30,6 +29,7 @@ from bochner.operators import operator_from_deltas
 from bochner.polynomials import is_eigenpair
 from bochner.scalars import ZERO
 from conftest import (
+    bump,
     deltas_from_eigendata_by_plain_sum,
     monic_hermite,
     monic_laguerre,
@@ -138,7 +138,7 @@ def test_det_table_window():
 def test_delta_paths_agree_on_data_of_no_operator():
     # both routes define the table of any eigen-data, operator or not
     polys = list(monic_hermite(9))
-    polys[5] = polys[5] + Poly([1])
+    polys[5] = bump(polys[5])
     data = EigenSystem([GaussianRational(-2 * n) for n in range(10)], polys)
     assert deltas_from_eigendata_det(data) == deltas_from_eigendata_rec(data)
 
@@ -177,7 +177,7 @@ def test_finite_order_test_requires_window():
 def test_perturbed_family_fails_every_order():
     n_max = 9
     polys = list(monic_hermite(n_max))
-    perturbed = polys[5] + Poly([1])
+    perturbed = bump(polys[5])
     data = EigenSystem(
         [GaussianRational(-2 * n) for n in range(n_max + 1)],
         polys[:5] + [perturbed] + polys[6:],
@@ -230,7 +230,7 @@ def bumped_at_top(n_max):
     criterion."""
     data = hermite_data(n_max)
     polys = list(data.polys)
-    polys[-1] = polys[-1] + Poly([1])
+    polys[-1] = bump(polys[-1])
     return EigenSystem(data.lambdas, polys)
 
 
@@ -256,7 +256,7 @@ def test_reconstruct_stops_at_the_first_violation(corpus):
     for name, op in corpus:
         data = forward_data(op, 10)
         polys = list(data.polys)
-        polys[5] = polys[5] + Poly([1])
+        polys[5] = bump(polys[5])
         bumped = EigenSystem(data.lambdas, polys)
         table = deltas_from_eigendata_rec(bumped)
         for order in range(1, 10):
@@ -282,7 +282,7 @@ def test_reconstruct_stops_at_the_first_violation(corpus):
 
 def test_random_monic_family_has_no_order_two_operator():
     rng = Random(111)
-    polys = [Poly([1]), X]
+    polys = [Poly([1]), Poly([0, 1])]
     for n in range(2, 9):
         coeffs = [GaussianRational(rng.randint(-9, 9)) for _ in range(n)] + [
             GaussianRational(1)
@@ -295,7 +295,7 @@ def test_random_monic_family_has_no_order_two_operator():
 
 def test_eigendata_validation():
     with pytest.raises(DegenerateSpectrum):
-        EigenSystem([ZERO, ZERO], [Poly([1]), X])
+        EigenSystem([ZERO, ZERO], [Poly([1]), Poly([0, 1])])
 
 
 def search_at_top(data):
@@ -312,7 +312,7 @@ def test_one_reconstruction_matches_order_by_order_search(corpus):
     for name, op in corpus:
         data = forward_data(op, 8)
         polys = list(data.polys)
-        polys[5] = polys[5] + Poly([1])
+        polys[5] = bump(polys[5])
         bumped = EigenSystem(data.lambdas, polys)
         expected = search_order_by_order(data)
         assert expected[1] is not None, name
@@ -350,9 +350,8 @@ def bumped_eigendata(draw):
     """Operator data with one coefficient below the top of one P_m moved."""
     data = draw(operator_eigendata())
     m = draw(st.integers(1, data.n_max))
-    shift = Poly.monomial(draw(st.integers(0, m - 1)), draw(small_scalars.filter(bool)))
     polys = list(data.polys)
-    polys[m] = polys[m] + shift
+    polys[m] = bump(polys[m], draw(st.integers(0, m - 1)), draw(small_scalars.filter(bool)))
     return EigenSystem(data.lambdas, polys)
 
 
@@ -383,7 +382,7 @@ def test_reconstruct_matches_row_criterion_on_the_corpus(corpus):
     for name, op in corpus:
         data = forward_data(op, 10)
         polys = list(data.polys)
-        polys[7] = polys[7] + Poly([0, 1])
+        polys[7] = bump(polys[7], 1)
         for case in (data, EigenSystem(data.lambdas, polys)):
             assert_outcomes_match_row_criterion(case)
 

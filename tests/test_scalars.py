@@ -64,8 +64,6 @@ def test_arithmetic_basics():
     assert z * w == GaussianRational(Fraction(7, 4), -1)
     assert (z / w) * w == z
     assert -z == GaussianRational(Fraction(-1, 2), Fraction(3, 4))
-    assert z * z.conjugate() == GaussianRational(Fraction(13, 16))
-    assert z ** 0 == ONE and z ** 1 == z and z ** 2 == z * z
 
 
 def test_mixed_arithmetic_with_int_and_fraction():
@@ -101,7 +99,9 @@ def test_parse_scalar(text, expected):
     assert parse_scalar(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "abc", "1//2", "1/0", "1.5", "+-3*i", "2+2", "i*i"])
+@pytest.mark.parametrize(
+    "text", ["", "abc", "1//2", "1/0", "1.5", "+-3*i", "2+2", "i*i", "1 2", "1\xa02", "١/٢+٣*i"]
+)
 def test_parse_scalar_rejects(text):
     with pytest.raises(ParseError):
         parse_scalar(text)
@@ -131,8 +131,12 @@ def reference_rational(text):
 
 def reference_scalar(text):
     """The scalar grammar by a plain scan: the imaginary part starts at the
-    rightmost sign that follows a digit."""
-    s = "".join(text.split())
+    rightmost sign that follows a digit, and no two digits stand either side
+    of whitespace."""
+    pieces = text.split()
+    if any(a[-1] in "0123456789" and b[0] in "0123456789" for a, b in zip(pieces, pieces[1:])):
+        raise ParseError(text)
+    s = "".join(pieces)
     if not s.endswith("i"):
         return GaussianRational(reference_rational(s))
     head = s[:-1].removesuffix("*")
@@ -145,8 +149,9 @@ def reference_scalar(text):
     return GaussianRational(reference_rational(re_text), reference_rational(im_text))
 
 
-# "²" is a digit to str.isdigit but not to the grammar
-@given(st.text(alphabet="0123456789/+-*i ²", max_size=14))
+# "²" is a digit to str.isdigit but not to the grammar, nor is the decimal
+# digit "١"; "\xa0" is whitespace to str.split()
+@given(st.text(alphabet="0123456789/+-*i ²١\xa0", max_size=14))
 def test_parse_matches_reference_grammar(text):
     try:
         expected = reference_scalar(text)
@@ -243,11 +248,6 @@ def test_arithmetic_matches_componentwise_reference(a, b, r):
         assert_parts(b / a, *quotient((br, bi), (ar, ai)))
     assert bool(a) is bool(ar or ai)
     assert_parts(-a, -ar, -ai)
-    assert_parts(a.conjugate(), ar, -ai)
-    power = (Fraction(1), Fraction(0))
-    for k in range(4):
-        assert_parts(a ** k, *power)
-        power = (power[0] * ar - power[1] * ai, power[0] * ai + power[1] * ar)
     # negative reals, as a scalar and as a Fraction, and a purely imaginary value
     for divisor in (GaussianRational(-abs(r)), -abs(r), GaussianRational(0, r)):
         assert_parts(a / divisor, *quotient((ar, ai), parts(divisor)))

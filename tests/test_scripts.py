@@ -21,6 +21,9 @@ def test_inverse_roundtrip_script():
     result = run_script("inverse_roundtrip.py")
     assert result.returncode == 0, result.stderr
     assert "exact match: True" in result.stdout
+    # the bumped family fits no order the script tries
+    for order in range(1, 6):
+        assert f"  order {order}: no operator" in result.stdout
 
 
 def test_bandwidth_scan_script():

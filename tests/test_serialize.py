@@ -4,6 +4,8 @@ from random import Random
 import pytest
 
 from bochner import (
+    DeltaTable,
+    EigenSystem,
     GaussianRational,
     ParseError,
     Poly,
@@ -14,13 +16,12 @@ from bochner import (
     hermite_operator,
     laguerre_operator,
 )
+from bochner.recurrence import RecurrenceCoeffs
+from bochner.scalars import ONE, ZERO, format_scalar, parse_scalar
 from bochner.serialize import (
-    alpha_table_from_list,
     alpha_table_to_list,
-    delta_table_from_list,
     delta_table_to_list,
     eigendata_from_dict,
-    eigensystem_to_dict,
     operator_from_dict,
     operator_to_dict,
     poly_from_list,
@@ -28,6 +29,23 @@ from bochner.serialize import (
 )
 from bochner.shapiro import shapiro_delta1_column
 from conftest import int_max_str_digits, random_bochner, shapiro_poly
+
+# scalars whose text runs past Python's default 4300-digit int/str limit
+HUGE = (
+    GaussianRational(Fraction(7**6000, 3)),
+    GaussianRational(Fraction(-2, 5**7000)),
+    GaussianRational(Fraction(1, 3), -(11**4500)),
+    GaussianRational(0, Fraction(3**9000, 2**20000)),
+)
+
+
+def parsed_rows(rows):
+    """A table's rows of scalar strings, each entry read by `parse_scalar`."""
+    return [[parse_scalar(v) for v in row] for row in rows]
+
+
+def assert_digits_past_limit(rows):
+    assert max(len(v) for row in rows for v in row) > 4300
 
 
 def test_poly_round_trip():
@@ -75,13 +93,21 @@ def test_operator_document_rejects(doc):
 
 
 def test_eigendata_round_trip():
-    system = eigensystem(deltas_from_operator(hermite_operator(), 6))
-    doc = eigensystem_to_dict(system)
-    data = eigendata_from_dict(doc)
-    assert data.lambdas == system.lambdas
-    assert data.polys == system.polys
-    assert eigensystem_to_dict(data) == doc
-    assert eigendata_from_dict(eigensystem_to_dict(system)) == system
+    # the document `direct` writes: one format_scalar string per entry
+    limit = int_max_str_digits()
+    hermite = eigensystem(deltas_from_operator(hermite_operator(), 6))
+    huge = EigenSystem([0, HUGE[0], HUGE[1]], [[1], [HUGE[2], 1], [HUGE[3], HUGE[0], 1]])
+    for system in (hermite, huge):
+        doc = {
+            "lambda": [format_scalar(v) for v in system.lambdas],
+            "P": [poly_to_list(p) for p in system.polys],
+        }
+        data = eigendata_from_dict(doc)
+        assert data.lambdas == system.lambdas
+        assert data.polys == system.polys
+        assert data == system
+    assert_digits_past_limit(doc["P"])
+    assert int_max_str_digits() == limit
 
 
 def test_eigendata_rejects_bad_documents():
@@ -93,14 +119,21 @@ def test_eigendata_rejects_bad_documents():
 
 def test_delta_table_round_trip():
     table = deltas_from_operator(hermite_operator(), 5)
+    assert DeltaTable(parsed_rows(delta_table_to_list(table))) == table
+    table = DeltaTable([[ZERO], [HUGE[0], HUGE[1]], [HUGE[2], HUGE[3], ONE]])
     rows = delta_table_to_list(table)
-    assert delta_table_from_list(rows) == table
+    assert_digits_past_limit(rows)
+    assert DeltaTable(parsed_rows(rows)) == table
 
 
 def test_alpha_table_round_trip():
     table = deltas_from_operator(hermite_operator(), 7)
     coeffs = fit_recurrence(eigensystem(table), table)
-    assert alpha_table_from_list(alpha_table_to_list(coeffs)) == coeffs
+    assert RecurrenceCoeffs(parsed_rows(alpha_table_to_list(coeffs))) == coeffs
+    coeffs = RecurrenceCoeffs([[HUGE[3]], [HUGE[2], HUGE[1]], [ZERO, HUGE[0], ONE]])
+    rows = alpha_table_to_list(coeffs)
+    assert_digits_past_limit(rows)
+    assert RecurrenceCoeffs(parsed_rows(rows)) == coeffs
 
 
 def test_scalar_entries_must_be_strings_or_ints():
