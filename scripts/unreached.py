@@ -74,7 +74,7 @@ def runs(work):
     op = str(work / "order3.json")
     data = str(work / "order3-data.json")
     yield 0, ["direct", "--operator", op, "--nmax", "8", "--check", "--out", data]
-    doc = json.loads((work / "order3-data.json").read_text())
+    doc = json.loads(Path(data).read_text())
     doc["P"][6][1] = "1/12345"
     bumped = str(work / "order3-bumped.json")
     Path(bumped).write_text(json.dumps(doc))
