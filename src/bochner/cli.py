@@ -208,9 +208,9 @@ def _preset_operator(name: str, args):
         return jacobi_operator(parse_scalar(args.alpha), parse_scalar(args.beta)), None
     if args.shapiro is None:
         raise ParseError("shapiro preset requires --shapiro c1,c2,...,cN")
-    items = [piece for piece in args.shapiro.split(",") if piece.strip()]
-    if not items:
-        raise ParseError("empty coefficient list")
+    items = args.shapiro.split(",")
+    if not all(piece.strip() for piece in items):
+        raise ParseError(f"empty item in the coefficient list {args.shapiro!r}")
     product_op = ShapiroOperator([parse_scalar(piece) for piece in items])
     return to_bochner(product_op), product_op
 

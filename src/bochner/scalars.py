@@ -47,8 +47,11 @@ from functools import lru_cache
 
 from .errors import DomainError, ParseError
 
-# ASCII digits only: \d alone would take any Unicode digit, as int() does
-_RATIONAL_RE = _re.compile(r"[+-]?\d+(?:/\d+)?\Z", _re.ASCII)
+# the grammar of `parse_scalar`, rule by rule, over text with its whitespace
+# removed.  [0-9], not \d, which would take any Unicode digit, as int() does
+_RATIONAL = r"([0-9]+)(?:/([0-9]+))?"
+_IMAGINARY = rf"(?:{_RATIONAL}\*?)?i"
+_SCALAR_RE = _re.compile(rf"([+-]?)(?:{_RATIONAL}(?:([+-]){_IMAGINARY})?|{_IMAGINARY})")
 # whitespace between two digits, which would join two numbers into one;
 # \s takes the Unicode whitespace that str.split() takes
 _SPLIT_NUMBER_RE = _re.compile(r"[0-9]\s+[0-9]")
@@ -531,56 +534,41 @@ def parse_int(text: str) -> int:
         return int(Decimal(text))
 
 
-def _parse_rational(text: str) -> tuple[int, int]:
-    """(numerator, denominator) of "p/q" or "p", unreduced; denominator > 0."""
-    if not _RATIONAL_RE.match(text):
-        raise ParseError(f"malformed rational {text!r}")
-    num, _, den = text.partition("/")
-    if not den:
-        return parse_int(num), 1
-    denominator = parse_int(den)
-    if not denominator:
-        raise ParseError(f"zero denominator in {text!r}")
-    return parse_int(num), denominator
-
-
 def parse_scalar(text: str) -> GaussianRational:
-    """Parse the textual scalar format.
+    """Parse the textual scalar format, whose grammar is
 
-    Accepted forms: "p/q" or "p" for rationals (sign on the numerator) and
-    "a+b*i" / "a-b*i" / "b*i" / "i" / "-i" for complex values, where a and b
-    are rationals, with ASCII digits.  Whitespace between tokens is
-    ignored; whitespace between two digits is refused.
+        sign      = "+" | "-"
+        rational  = digit {digit} ["/" digit {digit}]      (digits are ASCII 0-9)
+        imaginary = [rational ["*"]] "i"
+        scalar    = [sign] rational [sign imaginary] | [sign] imaginary
+
+    An imaginary part with no rational stands for 1*i ("2-i" is 2-1*i).
+    Whitespace between tokens is ignored; whitespace between two digits and
+    a zero denominator are refused.  `_SCALAR_RE` is this grammar over the text
+    with its whitespace removed.  Whitespace stays out of the pattern:
+    \\s* between its tokens backtracks quadratically on a long run of
+    whitespace, and Python 3.10's `re` has no possessive quantifiers.
     """
     s = "".join(text.split())
-    if not s:
-        raise ParseError("empty scalar string")
     if len(s) != len(text) and _SPLIT_NUMBER_RE.search(text):
         raise ParseError(f"whitespace inside a number in {text!r}")
-    if not s.endswith("i"):
-        p, d = _parse_rational(s)
+    match = _SCALAR_RE.fullmatch(s)
+    if match is None:
+        raise ParseError(f"malformed scalar {text!r}")
+    sign, p, d, im_sign, q, e, q_alone, e_alone = match.groups()
+    if p is None:  # [sign] imaginary: the sign is the imaginary part's
+        p, im_sign, q, e = "0", sign, q_alone, e_alone
+    d = parse_int(d) if d else 1
+    e = parse_int(e) if e else 1
+    if not (d and e):
+        raise ParseError(f"zero denominator in {text!r}")
+    p = parse_int(sign + p)
+    if im_sign is None:
         return _reduced(p, 0, d)
-    head = s[:-1]
-    if head.endswith("*"):
-        head = head[:-1]
-    # the rightmost sign past the first character starts the imaginary part,
-    # anything before it is the real part.  If that sign follows no digit,
-    # the real part is malformed, as is the imaginary part of any split
-    # further left, which would hold that sign
-    split = max(head.rfind("+"), head.rfind("-"))
-    if split <= 0:
-        re_text, im_text = "0", head
-    else:
-        re_text, im_text = head[:split], head[split:]
-    if im_text in ("", "+"):
-        im_text = "1"
-    elif im_text == "-":
-        im_text = "-1"
-    a, b = _parse_rational(re_text)
-    c, e = _parse_rational(im_text)
-    if b == e:
-        return _reduced(a, c, b)
-    return _reduced(a * e, c * b, b * e)
+    q = parse_int(im_sign + q) if q else (-1 if im_sign == "-" else 1)
+    if d == e:
+        return _reduced(p, q, d)
+    return _reduced(p * e, q * d, d * e)
 
 
 def format_scalar(value: GaussianRational) -> str:

@@ -1,8 +1,9 @@
 """JSON document formats.
 
-All numbers travel as exact scalar strings ("p/q" or "a+b*i"); a polynomial
-is the array of its coefficient strings indexed by power of x (the zero
-polynomial is the empty array, though a lone "0" entry parses too).
+All numbers travel as exact scalar strings of `parse_scalar`'s grammar
+("p/q" or "a+b*i"); on input a JSON integer is also read as an entry, exactly.
+A polynomial is the array of its coefficient strings indexed by power of x
+(the zero polynomial is the empty array, though a lone "0" entry parses too).
 
     operator   {"N": 2, "a": [[], ["1", "-1"], ["0", "1"]]}
     eigen-data {"lambda": ["0", "-1", ...], "P": [["1"], ...]}

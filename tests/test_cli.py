@@ -643,6 +643,40 @@ def test_shapiro_preset_takes_its_coefficient_list(capsys):
     assert expected[0] == 0
     argv = ("direct", "--preset", "shapiro", "--shapiro", "1,2", "--nmax", "3")
     assert run_cli(capsys, *argv) == expected
+    # whitespace around an item is whitespace around a scalar
+    assert run_cli(capsys, "direct", "--shapiro", " 1, 2 ", "--nmax", "3") == expected
+
+
+@pytest.mark.parametrize("items", ["1,,2", "1,", ",1", "1, ,2", ",", ""])
+@pytest.mark.parametrize(
+    "verb", [("direct",), ("recurrence",), ("verify",), ("preset", "shapiro")], ids=lambda v: v[0]
+)
+def test_shapiro_list_with_an_empty_item_exits_2(capsys, verb, items):
+    # an empty item is refused, not dropped: "1,,2" would run the order-2
+    # operator c = (1, 2)
+    code, out, err = run_cli(capsys, *verb, f"--shapiro={items}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: empty item in the coefficient list {items!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, document",
+    [
+        (("preset", "laguerre", "--alpha=-*i"), None),
+        (("direct", "--shapiro=1,2+*i"), None),
+        (("direct", "--operator"), {"N": 1, "a": [[], ["*i", "1"]]}),
+        (("inverse", "--search", "--data"), {"lambda": ["0", "2-*i"], "P": [["1"], ["0", "1"]]}),
+    ],
+    ids=["alpha", "shapiro", "operator", "eigen-data"],
+)
+def test_star_with_no_coefficient_exits_2_at_every_entry_point(tmp_path, capsys, argv, document):
+    if document is not None:
+        argv += (write_json(tmp_path / "doc.json", document),)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed scalar ") and err.count("\n") == 1
 
 
 def test_inverse_order_and_search_together_exit_2(tmp_path, capsys):

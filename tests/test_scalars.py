@@ -1,9 +1,10 @@
 import math
 import re
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bochner import (
     DomainError,
@@ -13,7 +14,7 @@ from bochner import (
     parse_scalar,
     scalar,
 )
-from bochner.scalars import ONE, ZERO, comb, dot, factorial, from_parts, lift
+from bochner.scalars import _SCALAR_RE, ONE, ZERO, comb, dot, factorial, from_parts, lift
 
 
 def test_binom_basic():
@@ -93,6 +94,10 @@ def test_zero_division():
         ("1/2-3/4*i", GaussianRational(Fraction(1, 2), Fraction(-3, 4))),
         ("-1/2+i", GaussianRational(Fraction(-1, 2), 1)),
         (" 5 / 6 ", GaussianRational(Fraction(5, 6))),
+        # the star is optional
+        ("2i", GaussianRational(0, 2)),
+        ("2+3i", GaussianRational(2, 3)),
+        ("+1/2-3/4i", GaussianRational(Fraction(1, 2), Fraction(-3, 4))),
     ],
 )
 def test_parse_scalar(text, expected):
@@ -100,7 +105,12 @@ def test_parse_scalar(text, expected):
 
 
 @pytest.mark.parametrize(
-    "text", ["", "abc", "1//2", "1/0", "1.5", "+-3*i", "2+2", "i*i", "1 2", "1\xa02", "١/٢+٣*i"]
+    "text",
+    ["", "abc", "1//2", "1/0", "1.5", "+-3*i", "2+2", "i*i", "1 2", "1\xa02", "١/٢+٣*i"]
+    # a star with no coefficient
+    + ["*i", "-*i", "+*i", "2+*i", "2-*i"]
+    # a zero denominator in the imaginary part
+    + ["1+2/0*i", "2/0*i", "-1/0i"],
 )
 def test_parse_scalar_rejects(text):
     with pytest.raises(ParseError):
@@ -131,15 +141,19 @@ def reference_rational(text):
 
 def reference_scalar(text):
     """The scalar grammar by a plain scan: the imaginary part starts at the
-    rightmost sign that follows a digit, and no two digits stand either side
-    of whitespace."""
+    rightmost sign that follows a digit, a star needs a digit before it, and
+    no two digits stand either side of whitespace."""
     pieces = text.split()
     if any(a[-1] in "0123456789" and b[0] in "0123456789" for a, b in zip(pieces, pieces[1:])):
         raise ParseError(text)
     s = "".join(pieces)
     if not s.endswith("i"):
         return GaussianRational(reference_rational(s))
-    head = s[:-1].removesuffix("*")
+    head = s[:-1]
+    if head.endswith("*"):
+        head = head[:-1]
+        if not head or head[-1] not in "0123456789":
+            raise ParseError(text)
     split = next(
         (k for k in range(len(head) - 1, 0, -1) if head[k] in "+-" and head[k - 1].isdigit()),
         0,
@@ -169,6 +183,19 @@ def test_long_zero_denominator_rejected():
         parse_scalar("1/" + "0" * 5000)
 
 
+@pytest.mark.parametrize(
+    "text", ["1" + " " * 99_998 + "x", "1" * 99_999 + "x"], ids=["whitespace", "digits"]
+)
+def test_long_malformed_string_refused_in_linear_time(text):
+    # whitespace stays out of the grammar's pattern: with \s* between its
+    # tokens, fullmatch backtracks quadratically, about 3 s on 8,000 spaces
+    # and one bad character
+    start = time.perf_counter()
+    with pytest.raises(ParseError):
+        parse_scalar(text)
+    assert time.perf_counter() - start < 1
+
+
 def test_format_is_canonical():
     assert format_scalar(GaussianRational(Fraction(2, 4))) == "1/2"
     assert format_scalar(GaussianRational(0, Fraction(-3, 4))) == "-3/4*i"
@@ -196,11 +223,6 @@ def test_division_inverts_multiplication(a, b):
         assert (a / b) * b == a
 
 
-@given(scalars)
-def test_parse_format_round_trip(z):
-    assert parse_scalar(format_scalar(z)) == z
-
-
 # Scalars of each shape the arithmetic branches on: real-only, purely
 # imaginary and complex.  `scalars` above almost never draws im == 0.
 gaussians = st.one_of(
@@ -209,6 +231,17 @@ gaussians = st.one_of(
     scalars,
 )
 operands = st.one_of(gaussians, st.integers(-(2**70), 2**70), rationals)
+
+
+# parts whose text runs past Python's default 4300-digit int/str limit
+@example(GaussianRational(Fraction(7**6000, 3), Fraction(-(2**20000), 11**4500)))
+@example(GaussianRational(0, -(10**5000)))
+@example(GaussianRational(Fraction(-1, 3**9000)))
+@given(gaussians)
+def test_parse_format_round_trip(z):
+    text = format_scalar(z)
+    assert _SCALAR_RE.fullmatch(text)
+    assert parse_scalar(text) == z
 
 
 def parts(value):
