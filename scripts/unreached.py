@@ -4,12 +4,14 @@ Runs every verb of `bochner` and its main flags in process under the
 stdlib `trace` module, the exit 1, 2 and 3 paths included, and lists each
 function or method in src/bochner/ none of whose body lines ran.  It fails
 on any such function that is not on KEEP, which names the few that stay for
-another reason.
+another reason, and on any name on KEEP that a run reaches or that
+src/bochner/ no longer defines.
 
     python3 scripts/unreached.py
 
-Exits 0 when every unreached function is on KEEP, and 1 otherwise, or when
-a verb exits with another status than the one expected of it.
+Exits 0 when the unreached functions are exactly those on KEEP, and 1
+otherwise, or when a verb exits with another status than the one expected
+of it.
 """
 import ast
 import contextlib
@@ -18,6 +20,7 @@ import json
 import sys
 import tempfile
 import trace
+from decimal import MAX_PREC
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -98,6 +101,7 @@ def runs(work):
         (1, ["inverse", "--data", bumped, "--order", "3"]),
         (1, ["inverse", "--data", bumped, "--search", "--check"]),
         (0, ["lemmas", "--id", "kym", "--id", "31tilde", "--range", "k=1:3", "--range", "n=0:3"]),
+        (0, ["lemmas", "--id", "kym", "--id", "kym", "--range", "k=1:2", "--range", "m=1:2"]),
         (0, ["lemmas", "--range", "m=0:2", "--range", "n=0:2", "--range", "k=0:2",
              "--range", "q=0:2", "--range", "r=0:2", "--range", "N=0:2"]),
         (2, ["lemmas", "--range", "z=0:1"]),
@@ -112,6 +116,8 @@ def runs(work):
         (2, ["direct", "--operator", str(work / "not-json.json")]),
         (2, ["direct", "--operator", str(work / "bad-doc.json")]),
         (2, ["direct", "--preset", "hermite", "--decimal", "0"]),
+        (2, ["direct", "--preset", "hermite", "--decimal", str(MAX_PREC + 1)]),
+        (2, ["verify", "--preset", "hermite", "--decimal", "3"]),
         (2, ["verify", "--preset", "hermite", "--nmax", "1"]),
         (2, ["inverse", "--data", data]),
         (2, ["inverse", "--data", op, "--search"]),
@@ -133,7 +139,10 @@ def run_verbs(work):
     wrong = []
     for expected, argv in runs(work):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            status = cli.main(argv)
+            try:
+                status = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses a flag by exiting
+                status = exc.code
         if status != expected:
             wrong.append((argv, status, expected))
     return wrong
@@ -157,18 +166,20 @@ def functions(path):
 
 
 def unreached(counts):
-    """Dotted names of the functions in src/bochner/ with no executed line."""
+    """(defined, found): the dotted names of the functions in src/bochner/,
+    and those of them with no executed line."""
     ran = {}
     for (filename, line), count in counts.items():
         if count:
             ran.setdefault(str(Path(filename).resolve()), set()).add(line)
-    found = []
+    defined, found = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
         lines = ran.get(str(path.resolve()), set())
         for name, first, last in functions(path):
+            defined.add(name)
             if not any(first <= line <= last for line in lines):
                 found.append(name)
-    return found
+    return defined, found
 
 
 def main():
@@ -179,12 +190,19 @@ def main():
         wrong = tracer.runfunc(run_verbs, work)
     for argv, status, expected in wrong:
         print(f"exit {status}, expected {expected}: bochner {' '.join(argv)}")
-    missing = unreached(tracer.results().counts)
+    defined, missing = unreached(tracer.results().counts)
     failing = [name for name in missing if name not in KEEP]
+    stale = [name for name in KEEP if name not in missing]
     for name in missing:
         print(f"kept       {name}  ({KEEP[name]})" if name in KEEP else f"UNREACHED  {name}")
-    print(f"{len(missing)} functions unreached, {len(failing)} not on the keep-list")
-    return 1 if wrong or failing else 0
+    for name in stale:
+        why = "reached by a run" if name in defined else "not defined in src/bochner/"
+        print(f"STALE      {name}  (on the keep-list, but {why})")
+    print(
+        f"{len(missing)} functions unreached, {len(failing)} not on the keep-list, "
+        f"{len(stale)} stale keep-list entries"
+    )
+    return 1 if wrong or failing or stale else 0
 
 
 if __name__ == "__main__":

@@ -10,8 +10,9 @@ Verbs:
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 degenerate
 spectrum.  Successful invocations print a JSON document with exact scalar
-strings; --decimal adds labeled decimal renderings next to (never instead
-of) the exact values.
+strings; on direct, preset, recurrence and inverse, --decimal K adds
+labeled K-digit decimal renderings next to (never instead of) the exact
+values.
 
 Every verb writes its document through one emitter, `_emit`, in the layout
 and bytes of json.dumps(payload, indent=2).  `direct` streams: it runs every
@@ -31,7 +32,7 @@ import os
 import re
 import sys
 from collections.abc import Iterator
-from decimal import Decimal, localcontext
+from decimal import MAX_PREC, Decimal, localcontext
 from fractions import Fraction
 
 from .errors import (
@@ -97,7 +98,7 @@ _encode = json.encoder.encode_basestring_ascii
 
 def _decimal_text(value: Fraction, digits: int) -> str:
     with localcontext() as ctx:
-        ctx.prec = max(digits, 1)
+        ctx.prec = digits
         return str(Decimal(value.numerator) / Decimal(value.denominator))
 
 
@@ -301,6 +302,10 @@ def run_preset(args) -> int:
 def run_recurrence(args) -> int:
     op, product_op = _operator_from_args(args)
     normalized, _ = normalize(op)
+    if args.nmax < 0:
+        # the fit reads one row past --nmax, so the table's own check would
+        # name N + 1
+        raise DomainError(f"n_max must be nonnegative, got {args.nmax}")
     table = deltas_from_operator(normalized, args.nmax + 1)
     system = eigensystem(table)
     coeffs = fit_recurrence(system, table)
@@ -367,7 +372,7 @@ def run_verify(args) -> int:
         # stays an independent check of the table
         delta1 = shapiro_delta1_column(product_op, nmax + 1)
         alpha = shapiro_alpha(product_op, delta1)
-        checks["product_form_recurrence"] = bool(verify_shapiro_recurrence(alpha, delta1))
+        checks["product_form_recurrence"] = verify_shapiro_recurrence(alpha, delta1) is None
         checks["product_form_alpha_match"] = coeffs.rows == alpha.rows[: coeffs.n_max + 1]
     payload = {
         "nmax": nmax,
@@ -384,7 +389,6 @@ def run_inverse(args) -> int:
     data = eigendata_from_dict(doc)
     if args.search and data.n_max < 2:
         raise InsufficientData(f"--search needs data at least to degree 2, got {data.n_max}")
-    table = None
     if args.check:
         table = deltas_from_eigendata_rec(data)
         by_det = deltas_from_eigendata_det(data)
@@ -399,7 +403,7 @@ def run_inverse(args) -> int:
     # the criterion holds from the true order upward: one call finds the smallest
     order = data.n_max - 1 if args.search else args.order
     try:
-        op = reconstruct(data, order, table)
+        op = reconstruct(data, order)
     except NoFiniteOrderOperator as exc:
         payload = {
             "found": False,
@@ -474,8 +478,11 @@ def _add_operator_source(parser):
     )
 
 
-def _add_common(parser):
+def _add_out(parser):
     parser.add_argument("--out", metavar="FILE", help="also write the JSON output here")
+
+
+def _add_decimal(parser):
     parser.add_argument(
         "--decimal",
         type=int,
@@ -504,7 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="include the triangular delta table in the output",
     )
-    _add_common(p_direct)
+    _add_out(p_direct)
+    _add_decimal(p_direct)
     p_direct.set_defaults(func=run_direct)
 
     p_preset = sub.add_parser("preset", help="emit a classical operator document")
@@ -512,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--alpha")
     p_preset.add_argument("--beta")
     p_preset.add_argument("--shapiro", metavar="C1,C2,...")
-    _add_common(p_preset)
+    _add_out(p_preset)
+    _add_decimal(p_preset)
     p_preset.set_defaults(func=run_preset)
 
     p_rec = sub.add_parser("recurrence", help="fit the recurrence table, detect the band")
@@ -528,13 +537,14 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="re-expand every fitted row and fail on any nonzero residual",
     )
-    _add_common(p_rec)
+    _add_out(p_rec)
+    _add_decimal(p_rec)
     p_rec.set_defaults(func=run_recurrence)
 
     p_verify = sub.add_parser("verify", help="run the cross-check suite on an operator")
     _add_operator_source(p_verify)
     p_verify.add_argument("--nmax", type=int, default=10, help="verification depth (default 10)")
-    _add_common(p_verify)
+    _add_out(p_verify)
     p_verify.set_defaults(func=run_verify)
 
     p_inv = sub.add_parser("inverse", help="reconstruct an operator from eigen-data")
@@ -551,7 +561,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also verify the determinant and recursion delta paths against each other",
     )
-    _add_common(p_inv)
+    _add_out(p_inv)
+    _add_decimal(p_inv)
     p_inv.set_defaults(func=run_inverse)
 
     p_lem = sub.add_parser("lemmas", help="sweep identity residuals over integer grids")
@@ -567,7 +578,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="VAR=LO:HI",
         help="override a sweep interval, e.g. --range m=0:20 (repeatable)",
     )
-    _add_common(p_lem)
+    _add_out(p_lem)
     p_lem.set_defaults(func=run_lemmas)
 
     return parser
@@ -593,8 +604,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_negative_scalars(sys.argv[1:] if argv is None else argv))
     try:
-        if args.decimal is not None and args.decimal < 1:
-            raise ParseError(f"--decimal K needs K >= 1, got {args.decimal}")
+        digits = getattr(args, "decimal", None)
+        if digits is not None and digits < 1:
+            raise ParseError(f"--decimal K needs K >= 1, got {digits}")
+        if digits is not None and digits > MAX_PREC:
+            raise ParseError(f"--decimal K needs K <= {MAX_PREC}, got {digits}")
         status = args.func(args)
         sys.stdout.flush()
         return status

@@ -34,16 +34,14 @@ class DegenerateSpectrum(BochnerError):
     a singleton (n,) for a vanishing eigenvalue.
     """
 
-    def __init__(self, indices, message=None):
+    def __init__(self, indices):
         self.indices = tuple(indices)
-        if message is None:
-            if len(self.indices) == 1:
-                message = f"eigenvalue at index {self.indices[0]} vanishes"
-            else:
-                message = "eigenvalues at indices {} coincide".format(
-                    ", ".join(str(i) for i in self.indices)
-                )
-        super().__init__(message)
+        if len(self.indices) == 1:
+            super().__init__(f"eigenvalue at index {self.indices[0]} vanishes")
+        else:
+            super().__init__(
+                "eigenvalues at indices {} coincide".format(", ".join(map(str, self.indices)))
+            )
 
 
 class NoFiniteOrderOperator(BochnerError):
@@ -54,15 +52,12 @@ class NoFiniteOrderOperator(BochnerError):
     position (n, k) at which the finite-order criterion breaks.
     """
 
-    def __init__(self, order, failure, message=None):
+    def __init__(self, order, failure):
         self.order = order
         self.failure = tuple(failure)
-        if message is None:
-            message = (
-                f"no operator of order {order}: criterion fails first at "
-                f"(n, k) = {self.failure}"
-            )
-        super().__init__(message)
+        super().__init__(
+            f"no operator of order {order}: criterion fails first at (n, k) = {self.failure}"
+        )
 
 
 class VerificationError(BochnerError):

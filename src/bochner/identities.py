@@ -41,24 +41,6 @@ from .errors import DomainError, ParseError
 from .scalars import GaussianRational, ZERO, comb, factorial, scalar
 
 
-def _int_param(params, name):
-    if name not in params:
-        raise DomainError(f"missing parameter {name!r}")
-    value = params[name]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"parameter {name!r} must be an integer, got {value!r}")
-    return value
-
-
-def _scalar_param(params, name):
-    if name not in params:
-        raise DomainError(f"missing parameter {name!r}")
-    try:
-        return scalar(params[name])
-    except (DomainError, ParseError) as exc:
-        raise DomainError(f"parameter {name!r}: {exc}") from None
-
-
 def _alternating_column_sum(m, k):
     # 1_lema1
     lhs = Fraction(0)
@@ -153,37 +135,38 @@ def _domain_31tilde(n, big_n, s):
 
 class _Identity(NamedTuple):
     names: tuple  # ordered parameter names
-    scalar_names: tuple  # names of the non-integer parameters
     residual: Callable
     domain: Callable
-    grid: dict  # default sweep range per integer parameter, (low, high) inclusive
+    # default sweep range per integer parameter, (low, high) inclusive; a
+    # parameter with no range is the rational probe, swept over PROBE_VALUES
+    grid: dict
 
 
 # Rectangular default sweep grids: combinations falling outside an identity's
 # domain are skipped (and counted as skipped by `sweep`).
 IDENTITIES = {
     "1_lema1": _Identity(
-        ("m", "k"), (), _alternating_column_sum, _domain_1_lema1,
+        ("m", "k"), _alternating_column_sum, _domain_1_lema1,
         {"m": (0, 14), "k": (0, 14)},
     ),
     "2_lema1": _Identity(
-        ("m", "k"), (), _truncated_row_sum, _domain_2_lema1,
+        ("m", "k"), _truncated_row_sum, _domain_2_lema1,
         {"m": (0, 14), "k": (0, 10)},
     ),
     "kym": _Identity(
-        ("k", "m"), (), _harmonic_binomial, _domain_kym,
+        ("k", "m"), _harmonic_binomial, _domain_kym,
         {"k": (1, 12), "m": (1, 12)},
     ),
     "8_tilde": _Identity(
-        ("n", "q", "r"), (), _shifted_vandermonde, _domain_8_tilde,
+        ("n", "q", "r"), _shifted_vandermonde, _domain_8_tilde,
         {"n": (0, 12), "q": (0, 12), "r": (0, 14)},
     ),
     "10_tilde": _Identity(
-        ("n", "m", "r", "k"), (), _weighted_vandermonde, _domain_10_tilde,
+        ("n", "m", "r", "k"), _weighted_vandermonde, _domain_10_tilde,
         {"n": (0, 12), "m": (0, 12), "r": (0, 12), "k": (0, 12)},
     ),
     "31tilde": _Identity(
-        ("n", "N", "s"), ("s",), _falling_product_fractions, _domain_31tilde,
+        ("n", "N", "s"), _falling_product_fractions, _domain_31tilde,
         {"n": (0, 12), "N": (0, 12)},
     ),
 }
@@ -197,7 +180,14 @@ def _lookup(identity: str) -> _Identity:
     return IDENTITIES[identity]
 
 
-def _collect_args(identity: str, params: Mapping):
+def lemma_residual(identity: str, params: Mapping) -> GaussianRational:
+    """LHS - RHS of the named identity, evaluated exactly.
+
+    Zero everywhere on the identity's domain; parameters outside the domain
+    raise DomainError, as do unknown ids, unknown or missing parameters, a
+    non-integer for a parameter with a sweep range, and a probe that is no
+    exact scalar.
+    """
     entry = _lookup(identity)
     unknown = set(params) - set(entry.names)
     if unknown:
@@ -206,20 +196,17 @@ def _collect_args(identity: str, params: Mapping):
         )
     args = []
     for name in entry.names:
-        if name in entry.scalar_names:
-            args.append(_scalar_param(params, name))
-        else:
-            args.append(_int_param(params, name))
-    return entry, args
-
-
-def lemma_residual(identity: str, params: Mapping) -> GaussianRational:
-    """LHS - RHS of the named identity, evaluated exactly.
-
-    Zero everywhere on the identity's domain; parameters outside the domain
-    raise DomainError, as do unknown ids.
-    """
-    entry, args = _collect_args(identity, params)
+        if name not in params:
+            raise DomainError(f"missing parameter {name!r}")
+        value = params[name]
+        if name not in entry.grid:
+            try:
+                value = scalar(value)
+            except (DomainError, ParseError) as exc:
+                raise DomainError(f"parameter {name!r}: {exc}") from None
+        elif isinstance(value, bool) or not isinstance(value, int):
+            raise DomainError(f"parameter {name!r} must be an integer, got {value!r}")
+        args.append(value)
     if not entry.domain(*args):
         raise DomainError(f"parameters {dict(params)!r} outside the domain of {identity!r}")
     return entry.residual(*args)
@@ -228,7 +215,7 @@ def lemma_residual(identity: str, params: Mapping) -> GaussianRational:
 # Rational probe values for the 31tilde sweep: none is an integer in a
 # positive range, so every (n, N) pair stays inside the identity's domain.
 PROBE_VALUES = tuple(
-    Fraction(text)
+    scalar(text)
     for text in (
         "-5", "-4", "-3", "-2", "-1", "0",
         "1/2", "-1/2", "3/2", "5/2", "-3/2",
@@ -251,7 +238,7 @@ def iter_grid(identity: str, overrides: Mapping | None = None) -> Iterator[dict]
         if name in grid:
             grid[name] = bounds
     axes = [
-        PROBE_VALUES if name in entry.scalar_names else range(grid[name][0], grid[name][1] + 1)
+        range(grid[name][0], grid[name][1] + 1) if name in grid else PROBE_VALUES
         for name in entry.names
     ]
     if all(axes):
@@ -272,7 +259,8 @@ def _points(axes):
 
 
 def sweep(identities=None, overrides: Mapping | None = None):
-    """Evaluate residuals over sweep grids.
+    """Evaluate residuals over sweep grids, each distinct identity once, in
+    the order first given.
 
     Returns (checked, skipped, failures, per_id) where `failures` is a list
     of (identity, params, residual) triples for nonzero residuals and
@@ -280,7 +268,7 @@ def sweep(identities=None, overrides: Mapping | None = None):
     override of a name that is no integer parameter of any chosen identity
     raises DomainError.
     """
-    chosen = IDENTITY_IDS if identities is None else tuple(identities)
+    chosen = IDENTITY_IDS if identities is None else tuple(dict.fromkeys(identities))
     swept = {name for identity in chosen for name in _lookup(identity).grid}
     for name in overrides or {}:
         if name not in swept:
@@ -288,15 +276,14 @@ def sweep(identities=None, overrides: Mapping | None = None):
                 f"range variable {name!r} is not an integer parameter of any identity "
                 f"swept ({', '.join(chosen)})"
             )
-    checked = 0
-    skipped = 0
     failures = []
     per_id = {}
     for identity in chosen:
+        entry = IDENTITIES[identity]
         id_checked = 0
         id_skipped = 0
         for params in iter_grid(identity, overrides):
-            entry, args = _collect_args(identity, params)
+            args = params.values()
             if not entry.domain(*args):
                 id_skipped += 1
                 continue
@@ -304,7 +291,7 @@ def sweep(identities=None, overrides: Mapping | None = None):
             id_checked += 1
             if residual != ZERO:
                 failures.append((identity, params, residual))
-        checked += id_checked
-        skipped += id_skipped
         per_id[identity] = (id_checked, id_skipped)
+    checked = sum(c for c, _ in per_id.values())
+    skipped = sum(s for _, s in per_id.values())
     return checked, skipped, failures, per_id

@@ -150,18 +150,13 @@ def _first_violation(rows, order: int):
     return seed, None
 
 
-def reconstruct(data: EigenSystem, order: int, table: DeltaTable | None = None) -> BochnerOperator:
+def reconstruct(data: EigenSystem, order: int) -> BochnerOperator:
     """The operator of the given order with the prescribed eigen-data.
 
-    `table` is the data's delta table, when the caller has already built it
-    by `deltas_from_eigendata_rec`.  By default the rows are drawn from
-    `delta_rows` here, only as far as the search needs them.  A table of
-    another depth than the data's is refused: a shallower one would test
-    the criterion on a shorter window.
-
-    The search climbs candidate orders K = 1, 2, 4, ..., each the larger of
-    twice the last and the proven lower bound, capped at `order`.  At each
-    K the criterion is checked on row K + 1 only; when it holds there, op_K,
+    The rows of the data's table are drawn from `delta_rows`, only as far as
+    the search needs them.  The search climbs candidate orders
+    K = 1, 2, 4, ..., each the larger of twice the last and the proven lower
+    bound, capped at `order`.  At each K the criterion is checked on row K + 1 only; when it holds there, op_K,
     inverted from rows 0..K, must pass the eigen-equation at every degree
     from K + 2 up.  For a non-degenerate spectrum this is the criterion at K
     (the data's table is the unique triangular solution of the
@@ -187,14 +182,7 @@ def reconstruct(data: EigenSystem, order: int, table: DeltaTable | None = None) 
         raise InsufficientData(
             f"need data at least to degree {order + 1}, got {data.n_max}"
         )
-    if table is None:
-        source = delta_rows(data)
-    elif table.n_max < data.n_max:
-        raise InsufficientData(f"table holds rows up to {table.n_max}, need {data.n_max}")
-    elif table.n_max > data.n_max:
-        raise DomainError(f"table holds rows up to {table.n_max}, data only to {data.n_max}")
-    else:
-        source = iter(table.rows)
+    source = delta_rows(data)
     rows = []
     pairs = list(zip(data.polys, data.lambdas))
     k = 1

@@ -24,7 +24,6 @@ independent check of that table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InvalidOperator
@@ -129,28 +128,15 @@ def shapiro_alpha(op: ShapiroOperator, delta1) -> RecurrenceCoeffs:
     return RecurrenceCoeffs(rows)
 
 
-@dataclass(frozen=True)
-class RecurrenceCheck:
-    """Outcome of an exact recurrence verification.
-
-    Falsy when the relation breaks; `failed_n` and `failed_power` then locate
-    the first offending row and coefficient.
-    """
-
-    failed_n: int | None = None
-    failed_power: int | None = None
-
-    def __bool__(self) -> bool:
-        return self.failed_n is None
-
-
-def verify_shapiro_recurrence(alpha: RecurrenceCoeffs, delta1) -> RecurrenceCheck:
+def verify_shapiro_recurrence(alpha: RecurrenceCoeffs, delta1):
     """Check the (N+1)-term relation of the closed-form table, exactly.
 
     For every row n of `alpha` the combination
         sum_{s=1}^{N-1} alpha(n, n-s) P_{n-s} + (alpha(n, n) - x) P_n + P_{n+1}
     must vanish identically, with P of negative degree treated as zero.
     `delta1` is the column delta1(0..n_max+1) the table was built from.
+    Returns None when every row holds, and otherwise the first failing row
+    n and the lowest power of x left in its residual, as a pair (n, power).
     """
     n_max = alpha.n_max
     if n_max < 1:
@@ -161,5 +147,5 @@ def verify_shapiro_recurrence(alpha: RecurrenceCoeffs, delta1) -> RecurrenceChec
         if residual:
             for power, value in enumerate(residual.coeffs):
                 if value:
-                    return RecurrenceCheck(n, power)
-    return RecurrenceCheck()
+                    return n, power
+    return None

@@ -169,7 +169,7 @@ def search_order_by_order(data):
     return None, None, failure
 
 
-def reconstruct_by_row_criterion(data, order, table=None):
+def reconstruct_by_row_criterion(data, order):
     """Reference inverse: the finite-order criterion checked on every delta
     row past `order`, then the operator inverted from rows 0..order and
     re-verified at every prescribed degree."""
@@ -179,15 +179,7 @@ def reconstruct_by_row_criterion(data, order, table=None):
         raise InsufficientData(
             f"need data at least to degree {order + 1}, got {data.n_max}"
         )
-    if table is None:
-        rows = delta_rows(data)
-    elif table.n_max < data.n_max:
-        raise InsufficientData(f"table holds rows up to {table.n_max}, need {data.n_max}")
-    elif table.n_max > data.n_max:
-        raise DomainError(f"table holds rows up to {table.n_max}, data only to {data.n_max}")
-    else:
-        rows = table.rows
-    seed, violation = _first_violation(rows, order)
+    seed, violation = _first_violation(delta_rows(data), order)
     if violation is not None:
         raise NoFiniteOrderOperator(order, violation)
     op = operator_from_deltas(seed, order)

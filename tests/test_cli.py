@@ -2,7 +2,7 @@ import json
 import os
 import subprocess
 import sys
-from decimal import Decimal
+from decimal import MAX_PREC, Decimal
 from pathlib import Path
 
 import pytest
@@ -223,6 +223,14 @@ def test_recurrence_nmax_0_default_window(capsys):
     assert payload["p"] is None
 
 
+@pytest.mark.parametrize("nmax", ["-1", "-3"])
+def test_recurrence_negative_nmax_names_the_given_n(capsys, nmax):
+    # the fit reads one row past --nmax; the message still names --nmax
+    code, out, err = run_cli(capsys, "recurrence", "--preset", "hermite", "--nmax", nmax)
+    assert code == 2 and out == ""
+    assert err == f"error: n_max must be nonnegative, got {nmax}\n"
+
+
 def test_recurrence_explicit_window_outside_table_exits_2(capsys):
     code, out, err = run_cli(
         capsys, "recurrence", "--preset", "hermite", "--nmax", "0", "--nstart", "1"
@@ -380,15 +388,15 @@ def test_inverse_search_finds_smallest_order(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "extra,expected", [((), 4), (("--check",), 9)], ids=["plain", "check"]
+    "extra,expected", [((), [4]), (("--check",), [9, 4])], ids=["plain", "check"]
 )
 def test_inverse_search_builds_the_delta_table_once(
     tmp_path, capsys, monkeypatch, extra, expected
 ):
-    # every route to the recursion's table draws the row iterator: the plain
+    # every route to the recursion's table draws the row iterator: the
     # search in `reconstruct`, --check in `deltas_from_eigendata_rec`.  The
-    # plain search stops at the order-2 seed and its check row, rows 0..3;
-    # --check builds both whole tables, rows 0..8
+    # search stops at the order-2 seed and its check row, rows 0..3; --check
+    # first builds both whole tables, rows 0..8, the recursion's once
     drawn = []
     rows = bochner.inverse.delta_rows
 
@@ -403,7 +411,7 @@ def test_inverse_search_builds_the_delta_table_once(
     code, payload, _ = run_json(capsys, "inverse", "--data", path, "--search", *extra)
     assert code == 0
     assert payload["requested_order"] == 2
-    assert drawn == [expected]
+    assert drawn == expected
 
 
 def test_inverse_search_failure_reports_last_order(tmp_path, capsys):
@@ -477,6 +485,15 @@ def test_lemmas_reports_skipped(capsys):
     assert payload["skipped"] == 4
 
 
+def test_lemmas_sweeps_a_repeated_identity_once(capsys):
+    argv = ["lemmas", "--id", "kym", "--range", "k=1:2", "--range", "m=1:2"]
+    code, once, _ = run_json(capsys, *argv)
+    code_twice, twice, _ = run_json(capsys, *argv, "--id", "kym")
+    assert code == code_twice == 0
+    assert twice == once
+    assert once["checked"] == once["per_id"]["kym"]["checked"] == 4
+
+
 def test_lemmas_unknown_identity_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["lemmas", "--id", "bogus"])
@@ -546,6 +563,30 @@ def test_decimal_below_one_digit_exits_2(capsys, digits):
     )
     assert code == 2 and out == ""
     assert err == f"error: --decimal K needs K >= 1, got {int(digits)}\n"
+
+
+# Decimal accepts a precision up to MAX_PREC, but a K of 10**9 and up cannot
+# be allocated, so only K past MAX_PREC is run here
+@pytest.mark.parametrize("digits", [MAX_PREC + 1, 10**30], ids=["max_prec+1", "1e30"])
+@pytest.mark.parametrize(
+    "argv",
+    [("direct", "--preset", "hermite", "--nmax", "2"), ("preset", "laguerre", "--alpha", "1/3")],
+    ids=["direct", "preset"],
+)
+def test_decimal_past_max_prec_exits_2_before_any_output(capsys, argv, digits):
+    code, out, err = run_cli(capsys, *argv, "--decimal", str(digits))
+    assert code == 2 and out == ""
+    assert err == f"error: --decimal K needs K <= {MAX_PREC}, got {digits}\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [("verify", "--preset", "hermite"), ("lemmas", "--id", "kym")], ids=["verify", "lemmas"]
+)
+def test_verbs_without_decimal_fields_refuse_decimal(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--decimal", "3"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_out_flag_mirrors_stdout(tmp_path, capsys):

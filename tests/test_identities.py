@@ -121,6 +121,12 @@ def test_sweep_counts_and_skips():
     assert checked == 12  # k in 1..3 with m in 1..4
     assert skipped == 4  # the k = 0 row is outside the domain
     assert per_id["kym"] == (12, 4)
+    # an identity given twice is swept once, in the order first given
+    ranges = {"k": (0, 3), "m": (1, 4)}
+    twice = sweep(["kym", "1_lema1", "kym"], ranges)
+    assert twice == sweep(["kym", "1_lema1"], ranges)
+    assert list(twice[3]) == ["kym", "1_lema1"]
+    assert twice[:2] == tuple(map(sum, zip(*twice[3].values())))
 
 
 def test_default_grid_sizes():

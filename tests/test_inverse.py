@@ -58,6 +58,15 @@ def forward_data(op, n_max):
     return eigensystem(deltas_from_operator(op, n_max))
 
 
+def bumped_at_top(n_max):
+    """Hermite data with P_{n_max} moved by 1: only the top row breaks the
+    criterion."""
+    data = hermite_data(n_max)
+    polys = list(data.polys)
+    polys[-1] = bump(polys[-1])
+    return EigenSystem(data.lambdas, polys)
+
+
 def test_delta_paths_agree_on_classical_data():
     for data in (hermite_data(15), laguerre_data(15)):
         table = deltas_from_eigendata_rec(data)
@@ -192,7 +201,12 @@ def test_perturbed_family_fails_every_order():
 
 
 def test_reconstruct_hermite_from_independent_data():
+    assert first_order_violation(deltas_from_eigendata_rec(hermite_data(8)), 2) is None
     assert reconstruct(hermite_data(8), 2) == hermite_operator()
+    # moving P_8 alone breaks the criterion in row 8 only, the last of the window
+    with pytest.raises(NoFiniteOrderOperator) as info:
+        reconstruct(bumped_at_top(8), 2)
+    assert info.value.failure[0] == 8
 
 
 def test_reconstruct_laguerre():
@@ -225,32 +239,8 @@ def test_reconstruct_needs_data_past_order():
         reconstruct(hermite_data(2), 2)
 
 
-def bumped_at_top(n_max):
-    """Hermite data with P_{n_max} moved by 1: only the top row breaks the
-    criterion."""
-    data = hermite_data(n_max)
-    polys = list(data.polys)
-    polys[-1] = bump(polys[-1])
-    return EigenSystem(data.lambdas, polys)
-
-
-@pytest.mark.parametrize(
-    "depth,error", [(7, InsufficientData), (9, DomainError)], ids=["shallower", "deeper"]
-)
-def test_reconstruct_refuses_a_table_of_another_depth(depth, error):
-    # the shallower table passes the criterion at order 2; checked on it, the
-    # bumped data would pass on a window one row short
-    data = bumped_at_top(8)
-    table = deltas_from_eigendata_rec(hermite_data(depth))
-    assert first_order_violation(table, 2) is None
-    with pytest.raises(error):
-        reconstruct(data, 2, table)
-    with pytest.raises(NoFiniteOrderOperator):
-        reconstruct(data, 2, deltas_from_eigendata_rec(data))
-
-
 def test_reconstruct_stops_at_the_first_violation(corpus):
-    """Without a table, `reconstruct` raises the failure the whole table
+    """`reconstruct` raises the failure the whole table
     gives and draws no delta row past it."""
     failures = 0
     for name, op in corpus:
@@ -323,20 +313,18 @@ def test_one_reconstruction_matches_order_by_order_search(corpus):
     assert bumped_failures
 
 
-def outcome(solve, data, order, table=None):
+def outcome(solve, data, order):
     """The operator `solve` returns, or the order and failure it raises."""
     try:
-        return solve(data, order, table)
+        return solve(data, order)
     except NoFiniteOrderOperator as exc:
         return exc.order, exc.failure
 
 
 def assert_outcomes_match_row_criterion(data):
-    table = deltas_from_eigendata_rec(data)
     for order in range(1, data.n_max):
-        for given in (None, table):
-            expected = outcome(reconstruct_by_row_criterion, data, order, given)
-            assert outcome(reconstruct, data, order, given) == expected, (order, given is None)
+        expected = outcome(reconstruct_by_row_criterion, data, order)
+        assert outcome(reconstruct, data, order) == expected, order
 
 
 @st.composite

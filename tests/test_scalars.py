@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bochner import (
     DomainError,
@@ -173,6 +173,89 @@ def test_parse_matches_reference_grammar(text):
         with pytest.raises(ParseError):
             parse_scalar(text)
     else:
+        assert parse_scalar(text) == expected
+
+
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=4)
+_DENOMINATORS = _DIGITS.filter(lambda digits: int(digits))
+_SIGNS = st.sampled_from(["", "+", "-"])
+
+
+@st.composite
+def _grammar_tokens(draw):
+    """The tokens of a valid scalar, drawn rule by rule from the grammar."""
+
+    def rational():
+        return [draw(_DIGITS)] + (["/", draw(_DENOMINATORS)] if draw(st.booleans()) else [])
+
+    def imaginary():
+        if not draw(st.booleans()):
+            return ["i"]
+        return rational() + (["*"] if draw(st.booleans()) else []) + ["i"]
+
+    if draw(st.booleans()):
+        tokens = [draw(_SIGNS)] + rational()
+        if draw(st.booleans()):
+            tokens += [draw(st.sampled_from("+-"))] + imaginary()
+    else:
+        tokens = [draw(_SIGNS)] + imaginary()
+    return [token for token in tokens if token]
+
+
+@st.composite
+def near_valid_scalars(draw):
+    """(text, perturbed): a valid scalar with whitespace between some of its
+    tokens, and with at most one token perturbed so that the grammar refuses
+    it: a zero denominator, the coefficient before "*i" dropped, whitespace
+    between two digits, or one digit that is not ASCII."""
+    tokens = draw(_grammar_tokens())
+    numbers = [k for k, token in enumerate(tokens) if token[0].isdigit()]
+    ways = []
+    denominators = [k for k in numbers if tokens[k - 1] == "/"]
+    if denominators:
+        ways.append("zero denominator")
+    if "*" in tokens:
+        ways.append("no coefficient")
+    if any(len(tokens[k]) > 1 for k in numbers):
+        ways.append("split digits")
+    if numbers:
+        ways.append("non-ASCII digit")
+    way = draw(st.sampled_from([None] + ways))
+    if way == "zero denominator":
+        tokens[draw(st.sampled_from(denominators))] = draw(st.sampled_from(["0", "00"]))
+    elif way == "no coefficient":
+        star = tokens.index("*")
+        start = star - 3 if star > 2 and tokens[star - 2] == "/" else star - 1
+        del tokens[start:star]
+    elif way == "split digits":
+        k = draw(st.sampled_from([k for k in numbers if len(tokens[k]) > 1]))
+        cut = draw(st.integers(1, len(tokens[k]) - 1))
+        space = draw(st.sampled_from([" ", "\t", "\xa0"]))
+        tokens[k] = tokens[k][:cut] + space + tokens[k][cut:]
+    elif way == "non-ASCII digit":
+        k = draw(st.sampled_from(numbers))
+        at = draw(st.integers(0, len(tokens[k]) - 1))
+        tokens[k] = tokens[k][:at] + draw(st.sampled_from("²١５")) + tokens[k][at + 1 :]
+    gaps = draw(st.lists(st.sampled_from(["", " "]), min_size=len(tokens), max_size=len(tokens)))
+    return "".join(gap + token for gap, token in zip(gaps, tokens)), way is not None
+
+
+@given(near_valid_scalars())
+@example(("1+2/0*i", True))
+@example(("-3/00i", True))
+@example(("2+*i", True))
+@example(("-*i", True))
+@settings(max_examples=300)
+def test_parse_refuses_near_valid_strings_like_the_reference(case):
+    text, perturbed = case
+    try:
+        expected = reference_scalar(text)
+    except (ParseError, ZeroDivisionError):
+        assert perturbed, text
+        with pytest.raises(ParseError):
+            parse_scalar(text)
+    else:
+        assert not perturbed, text
         assert parse_scalar(text) == expected
 
 

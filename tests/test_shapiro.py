@@ -24,7 +24,7 @@ from bochner import (
 )
 from bochner.recurrence import relation_residual
 from bochner.scalars import ONE, ZERO
-from bochner.shapiro import RecurrenceCheck, shapiro_family
+from bochner.shapiro import shapiro_family
 from conftest import (
     random_rational,
     shapiro_alpha_by_binomial_sum,
@@ -186,13 +186,11 @@ def test_alpha_table_matches_binomial_sums(c, n_max):
 def test_verify_recurrence_small_orders():
     unit = ShapiroOperator([1])
     unit_delta1 = shapiro_delta1_column(unit, 11)
-    assert verify_shapiro_recurrence(shapiro_alpha(unit, unit_delta1), unit_delta1)
+    assert verify_shapiro_recurrence(shapiro_alpha(unit, unit_delta1), unit_delta1) is None
     rng = Random(31)
     op = ShapiroOperator(random_c_vector(rng, 3))
     delta1 = shapiro_delta1_column(op, 21)
-    result = verify_shapiro_recurrence(shapiro_alpha(op, delta1), delta1)
-    assert result
-    assert result.failed_n is None
+    assert verify_shapiro_recurrence(shapiro_alpha(op, delta1), delta1) is None
 
 
 def test_perturbed_alpha_detected():
@@ -211,10 +209,11 @@ def test_perturbed_alpha_detected():
     # the table check locates the same row, at its lowest nonzero power
     rows = list(alpha.rows)
     rows[n] = row
-    result = verify_shapiro_recurrence(RecurrenceCoeffs(rows), delta1)
-    assert not result
-    assert result.failed_n == n
-    assert result.failed_power == min(p for p, v in enumerate(residual.coeffs) if v)
+    lowest = min(p for p, v in enumerate(residual.coeffs) if v)
+    assert verify_shapiro_recurrence(RecurrenceCoeffs(rows), delta1) == (n, lowest)
+    # a failure in row 0 is reported as one too, at the power it leaves
+    rows[0] = [rows[0][0] + ONE]
+    assert verify_shapiro_recurrence(RecurrenceCoeffs(rows), delta1) == (0, 0)
 
 
 def test_complex_coefficients_keep_the_band():
@@ -227,22 +226,13 @@ def test_complex_coefficients_keep_the_band():
     )
     delta1 = shapiro_delta1_column(op, 16)
     alpha = shapiro_alpha(op, delta1)
-    assert verify_shapiro_recurrence(alpha, delta1)
+    assert verify_shapiro_recurrence(alpha, delta1) is None
     for n in range(10):
         for s in range(min(op.order - 1, n) + 1):
             assert alpha.rows[n][n - s] is not None  # closed form stays defined
     table = deltas_from_operator(to_bochner(op), 12)
     for n in range(13):
         assert shapiro_delta1(op, n) == table.value(n, 1)
-
-
-def test_check_result_is_falsy_with_location():
-    failed = RecurrenceCheck(3, 1)
-    assert not failed
-    assert failed.failed_n == 3 and failed.failed_power == 1
-    assert not RecurrenceCheck(0, 0)  # a failure in row 0 is still a failure
-    assert RecurrenceCheck()
-    assert RecurrenceCheck().failed_power is None
 
 
 @given(st.lists(small_scalars, min_size=1, max_size=5).filter(lambda c: c[-1]), st.integers(0, 20))
