@@ -36,10 +36,11 @@ KEEP = {
         ("identities.lemma_residual", "polynomials.apply_operator"),
         "public oracle",
     ),
-    **dict.fromkeys(
-        ("inverse.first_order_violation", "spectral.eigenpoly_recursive"),
-        "bound by the bench: bench/tracing.py BINDINGS names it",
+    "inverse.first_order_violation": (
+        "bound by the bench: bench/tracing.py BINDINGS names it; and the tests'"
+        " whole-table reference for reconstruct"
     ),
+    "spectral.eigenpoly_recursive": "bound by the bench: bench/tracing.py BINDINGS names it",
     **dict.fromkeys(
         (
             "operators.BochnerOperator.__eq__",

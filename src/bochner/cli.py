@@ -145,9 +145,12 @@ def _emit(items, args) -> None:
         sys.stdout.write(text)
         to_file(handle.write, text)
 
-    with handle:
+    # closing flushes what the file still buffers, so a device that refuses
+    # the bytes fails there, also after a write already failed
+    try:
         _write_document(items, write)
-        to_file(handle.flush)
+    finally:
+        to_file(handle.close)
 
 
 def _write_document(items, write) -> None:

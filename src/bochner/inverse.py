@@ -31,23 +31,21 @@ rows 0..n_max are equal.  So a reconstruction at the largest testable order,
 n_max - 1, trims to the smallest order that fits; when it fails, no smaller
 order fits either.
 
-`reconstruct` decides the criterion on the seed operator instead of on the
-whole table.  For a non-degenerate spectrum the data's table is the unique
-triangular solution of the eigen-equations with delta(n, 0) = lambda_n, so
-the criterion holds at K exactly when every (lambda_n, P_n) is an eigenpair
-of op_K, the operator inverted from rows 0..K.  Two lower bounds on every
-fitting order follow:
+`reconstruct` decides the criterion on the candidate operator's own table.
+Row m of the data's table is the recursion over rows 0..m - 1 and
+(lambda_m, P_m), which is the eigen-equation of P_m read coefficient by
+coefficient.  So for an operator whose table shares rows 0..m - 1 with the
+data's, (lambda_m, P_m) is an eigenpair exactly when row m is shared too.
+op_K, the operator inverted from rows 0..K, shares rows 0..K, and one bound
+rule follows: if m is the first degree past K where op_K fails the
+eigen-equation, rows 0..m - 1 are op_K's own rows and row m is not, so
+every order that fits is at least m (for K < K' < m, inverting rows 0..K'
+gives op_K again); if no degree fails, the criterion holds at K.
 
-- a violation in row K + 1 puts every fitting order at K + 1 or above;
-- an eigen-equation failure of op_K at degree m puts it at m or above:
-  degrees 0..m - 1 are eigenpairs of op_K, so rows 0..m - 1 are op_K's own
-  rows, and for K < K' < m inverting rows 0..K' gives op_K again.
-
-`reconstruct` climbs candidate orders on these bounds.  On data of an
-operator of order N it draws the rows of `delta_rows` only up to K + 1 for
-the first candidate K >= N, not the whole triangle; on data of none it
-draws them only up to the row where the criterion at the requested order
-first breaks.
+`reconstruct` climbs candidate orders on this bound and draws the rows of
+`delta_rows` only up to K.  On data of no operator the criterion at the
+requested order breaks first in row m, where the data's row leaves op_K's:
+one row step, over op_K's banded rows 0..m - 1, builds that row alone.
 """
 from __future__ import annotations
 
@@ -61,7 +59,7 @@ from .errors import (
     VerificationError,
 )
 from .hessenberg import hessenberg_determinant
-from .operators import BochnerOperator, DeltaTable, operator_from_deltas
+from .operators import BochnerOperator, DeltaTable, deltas_from_operator, operator_from_deltas
 from .polynomials import is_eigenpair
 from .scalars import ZERO, dot
 from .spectral import EigenSystem, delta_extend
@@ -93,23 +91,34 @@ def deltas_from_eigendata_det(data: EigenSystem) -> DeltaTable:
     return DeltaTable(rows)
 
 
+def _delta_row(data: EigenSystem, n: int, below) -> list:
+    """The row delta(n, 0..n) of the data's table, by the recursion from
+    `below`, rows 0..n - 1 of a table that agrees there with the data's: its
+    own, or an operator's band.  An entry past a row's band reads as zero, so
+    a band of width w costs O(n w) terms."""
+    lams = data.lambdas
+    lam = lams[n]
+    b = data.polys[n].coeffs
+    minus_b = [-c for c in b]
+    # every term reads column j <= n - 1, so row n - 1's length caps j at
+    # the band
+    reach = len(below[n - 1]) if n else 0
+    row = [lam]
+    for k in range(1, n + 1):
+        # the gap term (lambda_n - lambda_{n-k}) b(n, n-k) enters as two pairs
+        gap = ((lam, b[n - k]), (lams[n - k], minus_b[n - k]))
+        rest = ((below[n - k + j][j], minus_b[n - k + j]) for j in range(1, min(k, reach)))
+        row.append(dot(chain(gap, rest)))
+    return row
+
+
 def delta_rows(data: EigenSystem) -> Iterator[list]:
     """The rows delta(n, 0..n) of the data's table, n = 0 up to its top
     degree, by the recursion, each computed when it is drawn."""
-    lams = data.lambdas
     rows = []
-    for n, p in enumerate(data.polys):
-        b = p.coeffs
-        minus_b = [-c for c in b]
-        lam = lams[n]
-        row = [lam]
-        for k in range(1, n + 1):
-            # the gap term (lambda_n - lambda_{n-k}) b(n, n-k) enters as two pairs
-            gap = ((lam, b[n - k]), (lams[n - k], minus_b[n - k]))
-            rest = ((rows[n - k + j][j], minus_b[n - k + j]) for j in range(1, k))
-            row.append(dot(chain(gap, rest)))
-        rows.append(row)
-        yield row
+    for n in range(data.n_max + 1):
+        rows.append(_delta_row(data, n, rows))
+        yield rows[-1]
 
 
 def deltas_from_eigendata_rec(data: EigenSystem) -> DeltaTable:
@@ -121,7 +130,8 @@ def first_order_violation(table: DeltaTable, order: int):
     """First (n, k) at which the finite-order criterion breaks, or None.
 
     Rows order+1 .. table.n_max must match the extension from rows 0..order
-    for k <= order and vanish for k > order.
+    for k <= order and vanish for k > order.  Past a row's band both sides
+    are zero, so only the stored entries are compared.
     """
     if order < 1:
         raise DomainError(f"order must be positive, got {order}")
@@ -129,52 +139,34 @@ def first_order_violation(table: DeltaTable, order: int):
         raise InsufficientData(
             f"need rows beyond the order to test it: n_max={table.n_max}, order={order}"
         )
-    return _first_violation(table.rows, order)[1]
-
-
-def _first_violation(rows, order: int):
-    """(seed, failure) for `rows`, an iterable of delta rows 0, 1, ...
-    holding more than `order` + 1 of them: the table of rows 0..order, and
-    the first (n, k) past it at which the criterion breaks, or None.  Each
-    row is checked as it is drawn, so no row past a failure is drawn."""
-    rows = iter(rows)
-    seed = DeltaTable(islice(rows, order + 1))
-    for n, row in enumerate(rows, order + 1):
-        for k in range(n + 1):
-            actual = row[k] if k < len(row) else ZERO
-            if k <= order:
-                if actual != delta_extend(seed, n, k, order=order):
-                    return seed, (n, k)
-            elif actual:
-                return seed, (n, k)
-    return seed, None
+    for n, row in enumerate(table.rows[order + 1 :], order + 1):
+        for k, actual in enumerate(row):
+            if actual != delta_extend(table, n, k, order=order):
+                return n, k
+    return None
 
 
 def reconstruct(data: EigenSystem, order: int) -> BochnerOperator:
     """The operator of the given order with the prescribed eigen-data.
 
-    The rows of the data's table are drawn from `delta_rows`, only as far as
-    the search needs them.  The search climbs candidate orders
-    K = 1, 2, 4, ..., each the larger of twice the last and the proven lower
-    bound, capped at `order`.  At each K the criterion is checked on row K + 1 only; when it holds there, op_K,
-    inverted from rows 0..K, must pass the eigen-equation at every degree
-    from K + 2 up.  For a non-degenerate spectrum this is the criterion at K
-    (the data's table is the unique triangular solution of the
-    eigen-equations with delta(n, 0) = lambda_n).  A violation in row K + 1
-    proves every fitting order is at least K + 1; an eigen-equation failure
-    at degree m proves it is at least m, because for K < K' < m rows 0..K'
-    are op_K's own rows and give op_K again.  So the first K whose operator
+    The search climbs candidate orders K = 1, 2, 4, ..., each the larger of
+    twice the last and the proven lower bound, capped at `order`.  At each K
+    it draws rows 0..K of `delta_rows`, inverts them to op_K and runs the
+    eigen-equation of op_K at every degree from K + 1 up: the criterion at
+    K, by the one bound rule of the module docstring, and a first failure at
+    degree m makes m the next lower bound.  So the first K whose operator
     passes gives the operator the criterion at `order` gives.
 
     Raises NoFiniteOrderOperator at the first (n, k) where the finite-order
     criterion fails on the data's window at `order`, the one
-    `first_order_violation` of the whole table gives; no row past it is
-    drawn.  On success the operator (with trailing zero coefficients
-    trimmed, so its order may come out lower) has passed the symbolic
-    eigen-equation for every prescribed degree.  The criterion holds at
-    every order from the true one upward, so the trimmed order is the
-    smallest order <= `order` that fits: `order = data.n_max - 1` searches
-    all testable orders at once.
+    `first_order_violation` of the whole table gives.  It lies in the row of
+    the failing degree m, where the data's row, built by one `_delta_row`
+    step over op_K's banded rows, first leaves op_K's row m.  On success the
+    operator (with trailing zero coefficients trimmed, so its order may come
+    out lower) has passed the symbolic eigen-equation for every prescribed
+    degree.  The criterion holds at every order from the true one upward, so
+    the trimmed order is the smallest order <= `order` that fits:
+    `order = data.n_max - 1` searches all testable orders at once.
     """
     if order < 1:
         raise DomainError(f"order must be positive, got {order}")
@@ -187,35 +179,30 @@ def reconstruct(data: EigenSystem, order: int) -> BochnerOperator:
     pairs = list(zip(data.polys, data.lambdas))
     k = 1
     while True:
-        rows.extend(islice(source, k + 2 - len(rows)))
-        seed, violation = _first_violation(rows, k)
-        if violation is not None:
-            if k == order:
-                raise NoFiniteOrderOperator(order, violation)
-            # every order that fits is at least k + 1
-            bound = k + 1
-        else:
-            # op_k fits unless it fails at some degree m, and then every
-            # order that fits is at least m
-            op = operator_from_deltas(seed, k)
-            bound = next(
-                (m for m in range(k + 2, len(pairs)) if not is_eigenpair(op, *pairs[m])), None
-            )
-            if bound is None:
-                for n in range(k + 2):
-                    if not is_eigenpair(op, *pairs[n]):
-                        raise VerificationError(
-                            f"reconstructed operator fails the eigen-equation at degree {n}"
-                        )
-                return op
-            if k == order or bound > order:
-                break
+        rows.extend(islice(source, k + 1 - len(rows)))
+        op = operator_from_deltas(DeltaTable(rows), k)
+        # op_k fits unless it fails at some degree m > k, and then every
+        # order that fits is at least m
+        bound = next(
+            (m for m in range(k + 1, len(pairs)) if not is_eigenpair(op, *pairs[m])), None
+        )
+        if bound is None:
+            for n in range(k + 1):
+                if not is_eigenpair(op, *pairs[n]):
+                    raise VerificationError(
+                        f"reconstructed operator fails the eigen-equation at degree {n}"
+                    )
+            return op
+        if k == order or bound > order:
+            break
         k = min(max(2 * k, bound), order)
-    # no order up to `order` fits: the criterion at `order` breaks first in
-    # the row of the failing degree
-    _, violation = _first_violation(chain(rows, source), order)
-    if violation is None:
+    # no order up to `order` fits: rows 0..bound - 1 are op's own rows, and
+    # op is the operator the criterion at `order` extends
+    theirs = deltas_from_operator(op, bound)
+    ours = _delta_row(data, bound, theirs.rows)
+    failure = next((j for j, v in enumerate(ours) if v != theirs.value(bound, j)), None)
+    if failure is None:
         raise VerificationError(
             f"reconstructed operator fails the eigen-equation at degree {bound}"
         )
-    raise NoFiniteOrderOperator(order, violation)
+    raise NoFiniteOrderOperator(order, (bound, failure))

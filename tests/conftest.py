@@ -31,7 +31,7 @@ from bochner import (
 from bochner import cli
 from bochner.errors import DomainError, InsufficientData, VerificationError
 from bochner.hessenberg import hessenberg_determinant
-from bochner.inverse import _first_violation, delta_rows
+from bochner.inverse import deltas_from_eigendata_rec, first_order_violation
 from bochner.operators import deltas_from_operator, normalize, operator_from_deltas
 from bochner.polynomials import is_eigenpair
 from bochner.scalars import ONE, ZERO, comb, dot, factorial, format_scalar
@@ -179,10 +179,11 @@ def reconstruct_by_row_criterion(data, order):
         raise InsufficientData(
             f"need data at least to degree {order + 1}, got {data.n_max}"
         )
-    seed, violation = _first_violation(delta_rows(data), order)
+    table = deltas_from_eigendata_rec(data)
+    violation = first_order_violation(table, order)
     if violation is not None:
         raise NoFiniteOrderOperator(order, violation)
-    op = operator_from_deltas(seed, order)
+    op = operator_from_deltas(table, order)
     for n in range(data.n_max + 1):
         if not is_eigenpair(op, data.polys[n], data.lambdas[n]):
             raise VerificationError(

@@ -213,6 +213,26 @@ def test_recurrence_check_flag(capsys):
     assert payload["check"] == "ok"
 
 
+@pytest.mark.parametrize("n,k", [(0, 0), (4, 1), (7, 7)])
+def test_recurrence_check_names_the_broken_row(capsys, monkeypatch, n, k):
+    """One wrong entry of the fitted table breaks its row's relation and no
+    other: --check fails, exits 1 and names that row alone."""
+    real = bochner.cli.fit_recurrence
+
+    def bumped(system, table):
+        rows = [list(row) for row in real(system, table).rows]
+        rows[n][k] += 1
+        return RecurrenceCoeffs(rows)
+
+    monkeypatch.setattr(bochner.cli, "fit_recurrence", bumped)
+    code, payload, _ = run_json(
+        capsys, "recurrence", "--preset", "hermite", "--nmax", "8", "--check"
+    )
+    assert code == 1
+    assert payload["check"] == "failed"
+    assert payload["broken_rows"] == [n]
+
+
 def test_recurrence_nmax_0_default_window(capsys):
     # one fitted row: the default window starts at row 0, and one row shows
     # no band
@@ -388,15 +408,15 @@ def test_inverse_search_finds_smallest_order(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "extra,expected", [((), [4]), (("--check",), [9, 4])], ids=["plain", "check"]
+    "extra,expected", [((), [3]), (("--check",), [9, 3])], ids=["plain", "check"]
 )
 def test_inverse_search_builds_the_delta_table_once(
     tmp_path, capsys, monkeypatch, extra, expected
 ):
     # every route to the recursion's table draws the row iterator: the
     # search in `reconstruct`, --check in `deltas_from_eigendata_rec`.  The
-    # search stops at the order-2 seed and its check row, rows 0..3; --check
-    # first builds both whole tables, rows 0..8, the recursion's once
+    # search stops at the order-2 seed, rows 0..2; --check first builds both
+    # whole tables, rows 0..8, the recursion's once
     drawn = []
     rows = bochner.inverse.delta_rows
 

@@ -298,3 +298,24 @@ def test_every_verb_writes_json_dumps_of_its_payload(tmp_path, monkeypatch, verb
     assert len(payloads) == 1
     assert text == json.dumps(payloads[0], indent=2) + "\n"
     assert target.read_bytes() == text.encode()
+
+
+FULL_DEVICE = Path("/dev/full")
+REFUSED_OUT = {
+    **OTHER_VERBS,
+    "direct": lambda tmp_path: ["direct", "--preset", "hermite", "--nmax", "3"],
+    # about 42 KB, far more than the file buffers before its first write
+    "direct-large": lambda tmp_path: ["direct", "--preset", "hermite", "--nmax", "60"],
+}
+
+
+@pytest.mark.skipif(not FULL_DEVICE.exists(), reason="no /dev/full on this system")
+@pytest.mark.parametrize("verb", sorted(REFUSED_OUT))
+def test_out_on_a_device_that_refuses_the_bytes_exits_2(tmp_path, verb):
+    """Every write to /dev/full fails: a small document fails when the file
+    is closed, a large one at a write, and both are one line of input error."""
+    status, _, err = run_main([*REFUSED_OUT[verb](tmp_path), "--out", str(FULL_DEVICE)])
+    assert status == 2
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0].startswith(f"error: cannot write {FULL_DEVICE}: ")

@@ -28,6 +28,7 @@ from bochner.inverse import delta_rows, first_order_violation
 from bochner.operators import operator_from_deltas
 from bochner.polynomials import is_eigenpair
 from bochner.scalars import ZERO
+from bochner.serialize import operator_from_dict
 from conftest import (
     bump,
     deltas_from_eigendata_by_plain_sum,
@@ -240,8 +241,9 @@ def test_reconstruct_needs_data_past_order():
 
 
 def test_reconstruct_stops_at_the_first_violation(corpus):
-    """`reconstruct` raises the failure the whole table
-    gives and draws no delta row past it."""
+    """`reconstruct` raises the failure the whole table gives, and draws
+    only a prefix of the data's rows, no deeper than the candidate orders
+    reach: at most min(order + 1, n) rows for a failure in row n."""
     failures = 0
     for name, op in corpus:
         data = forward_data(op, 10)
@@ -265,7 +267,8 @@ def test_reconstruct_stops_at_the_first_violation(corpus):
                     reconstruct(bumped, order)
             assert info.value.failure == expected, (name, order)
             n = expected[0]
-            assert drawn == [list(row) for row in table.rows[: n + 1]], (name, order)
+            assert len(drawn) <= min(order + 1, n), (name, order)
+            assert drawn == [list(row) for row in table.rows[: len(drawn)]], (name, order)
             failures += 1
     assert failures > len(corpus)
 
@@ -373,6 +376,27 @@ def test_reconstruct_matches_row_criterion_on_the_corpus(corpus):
         polys[7] = bump(polys[7], 1)
         for case in (data, EigenSystem(data.lambdas, polys)):
             assert_outcomes_match_row_criterion(case)
+
+
+# the non-real order-3 operator and the dense non-real order-4 operator of
+# scripts/smoke.sh
+ORDER3 = {"N": 3, "a": [[], ["1/2", "-3"], ["2", "1+1*i", "-1/3*i"], ["0", "1", "-2", "1+1*i"]]}
+ORDER4 = {"N": 4, "a": [*ORDER3["a"], ["1", "-1/2", "3*i", "2", "1/2+1*i"]]}
+
+
+@pytest.mark.parametrize("doc", [None, ORDER3, ORDER4], ids=["hermite", "order3", "order4"])
+def test_reconstruct_matches_row_criterion_at_every_bump_position(doc):
+    """P_m moved at its lowest or its next-to-top coefficient, for every m:
+    at every requested order the failure, or the operator, is the row
+    criterion's, whether m lies in the seed rows, just past them or far
+    past them."""
+    op = hermite_operator() if doc is None else operator_from_dict(doc)
+    data = forward_data(op, 10)
+    for m in range(1, data.n_max + 1):
+        for k in {0, m - 1}:
+            polys = list(data.polys)
+            polys[m] = bump(polys[m], k)
+            assert_outcomes_match_row_criterion(EigenSystem(data.lambdas, polys))
 
 
 def test_reconstruct_verifies_every_degree_before_returning(corpus):
