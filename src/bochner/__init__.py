@@ -65,54 +65,3 @@ from .spectral import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BochnerError",
-    "BochnerOperator",
-    "DegenerateSpectrum",
-    "DeltaTable",
-    "DomainError",
-    "EigenSystem",
-    "GaussianRational",
-    "I",
-    "InsufficientData",
-    "InvalidEigenSystem",
-    "InvalidOperator",
-    "NoFiniteOrderOperator",
-    "ONE",
-    "ParseError",
-    "Poly",
-    "RecurrenceCoeffs",
-    "ShapiroOperator",
-    "VerificationError",
-    "ZERO",
-    "apply_operator",
-    "bandwidth",
-    "delta_extend",
-    "delta_rows",
-    "deltas_from_eigendata_det",
-    "deltas_from_eigendata_rec",
-    "deltas_from_operator",
-    "eigenpoly_coeff_det",
-    "eigenpoly_recursive",
-    "eigenpolys",
-    "eigensystem",
-    "fit_recurrence",
-    "format_scalar",
-    "hermite_operator",
-    "is_eigenpair",
-    "jacobi_operator",
-    "laguerre_operator",
-    "lambda_via_N2_identity",
-    "lemma_residual",
-    "normalize",
-    "operator_from_deltas",
-    "parse_scalar",
-    "reconstruct",
-    "scalar",
-    "shapiro_alpha",
-    "shapiro_delta1",
-    "shapiro_delta1_column",
-    "to_bochner",
-    "verify_shapiro_recurrence",
-]

@@ -81,14 +81,24 @@ from .spectral import (
     lambda_via_N2_identity,
 )
 
-# the parameter flags each preset reads; giving it any other is an input error
-_PRESET_PARAMS = {
-    "hermite": (),
-    "laguerre": ("alpha",),
-    "jacobi": ("alpha", "beta"),
-    "shapiro": ("shapiro",),
+
+def _product_form(text: str) -> ShapiroOperator:
+    """The product-form operator of the coefficient list "c1,c2,...,cN"."""
+    items = text.split(",")
+    if not all(piece.strip() for piece in items):
+        raise ParseError(f"empty item in the coefficient list {text!r}")
+    return ShapiroOperator([parse_scalar(piece) for piece in items])
+
+
+# each preset's builder and the parameter flags it reads, in argument order;
+# giving a preset any other flag is an input error
+_PRESETS = {
+    "hermite": (hermite_operator, ()),
+    "laguerre": (laguerre_operator, ("alpha",)),
+    "jacobi": (jacobi_operator, ("alpha", "beta")),
+    "shapiro": (_product_form, ("shapiro",)),
 }
-PRESET_NAMES = tuple(_PRESET_PARAMS)
+PRESET_NAMES = tuple(_PRESETS)
 _SCALAR_FLAGS = ("--alpha", "--beta", "--shapiro")
 # a scalar argument that starts with a minus sign: "-2/5", "-i", "-3/4,1"
 _NEGATIVE_SCALAR = re.compile(r"-[\di]")
@@ -199,24 +209,16 @@ def _reject_unused_parameters(args, source: str, taken) -> None:
 
 
 def _preset_operator(name: str, args):
-    _reject_unused_parameters(args, f"the {name} preset", _PRESET_PARAMS[name])
-    if name == "hermite":
-        return hermite_operator(), None
-    if name == "laguerre":
-        if args.alpha is None:
-            raise ParseError("laguerre preset requires --alpha")
-        return laguerre_operator(parse_scalar(args.alpha)), None
-    if name == "jacobi":
-        if args.alpha is None or args.beta is None:
-            raise ParseError("jacobi preset requires --alpha and --beta")
-        return jacobi_operator(parse_scalar(args.alpha), parse_scalar(args.beta)), None
-    if args.shapiro is None:
-        raise ParseError("shapiro preset requires --shapiro c1,c2,...,cN")
-    items = args.shapiro.split(",")
-    if not all(piece.strip() for piece in items):
-        raise ParseError(f"empty item in the coefficient list {args.shapiro!r}")
-    product_op = ShapiroOperator([parse_scalar(piece) for piece in items])
-    return to_bochner(product_op), product_op
+    build, params = _PRESETS[name]
+    _reject_unused_parameters(args, f"the {name} preset", params)
+    texts = [getattr(args, param) for param in params]
+    if None in texts:
+        flags = " and ".join(f"--{param}" for param in params)
+        raise ParseError(f"{name} preset requires {flags}")
+    op = build(*texts)
+    if isinstance(op, ShapiroOperator):
+        return to_bochner(op), op
+    return op, None
 
 
 def _operator_from_args(args):

@@ -35,10 +35,11 @@ Identity ids (parameters, domain):
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial
 from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import DomainError, ParseError
-from .scalars import GaussianRational, ZERO, comb, factorial, scalar
+from .scalars import GaussianRational, ZERO, scalar
 
 
 def _alternating_column_sum(m, k):

@@ -32,11 +32,11 @@ data of no finite order no level vanishes and all K + 1 levels are built.
 """
 from __future__ import annotations
 
-from math import perm
+from math import factorial, perm
 
 from .errors import DomainError, InsufficientData, InvalidOperator
 from .polynomials import Poly
-from .scalars import GaussianRational, ZERO, factorial, from_parts, lift, scalar
+from .scalars import GaussianRational, ZERO, from_parts, lift, scalar
 
 
 class BochnerOperator:

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: Gaussian rationals, factorials, binomials.
+"""Exact scalar arithmetic over the Gaussian rationals.
 
 Every number in this package is a :class:`GaussianRational`, a complex number
 whose real and imaginary parts are arbitrary-precision rationals.  All
@@ -7,11 +7,11 @@ arithmetic is exact; no floating point is used anywhere.
 A scalar is stored as three integers, (p + q*i)/d with d > 0 and
 gcd(p, q, d) = 1: both parts over one common denominator.  Every value has
 exactly one stored form, so equality and hashing compare the triples, and an
-arithmetic result is reduced once, by one gcd of its three integers.  Two
-`Fraction` parts would reduce every partial product and sum on its own: a
-complex multiply would run four `Fraction` multiplies and two adds, each
-with its own gcds.  The parts are reduced on their own only where a reader
-needs them: `format_scalar` and the `re` / `im` properties.
+arithmetic result is reduced once, by one gcd of its three integers, in
+`from_parts`.  Two `Fraction` parts would reduce every partial product and
+sum on its own: a complex multiply would run four `Fraction` multiplies and
+two adds, each with its own gcds.  The parts are reduced on their own only
+where a reader needs them: `format_scalar` and the `re` / `im` properties.
 
 `dot` fuses a sum of products, the inner loop of the delta recursion, the
 delta extension and the delta1 column, into one reduction per sum: each
@@ -43,7 +43,6 @@ import math
 import re as _re
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import DomainError, ParseError
 
@@ -126,7 +125,7 @@ class GaussianRational:
         p1, q1, d1 = self._p, self._q, self._d
         p2, q2, d2 = o._p, o._q, o._d
         if q1 and q2:
-            return _reduced(p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
+            return from_parts(p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2)
         if q1:
             p1, q1, d1, p2, q2, d2 = p2, q2, d2, p1, q1, d1
         # a real factor p1/d1: cancel p1 against d2 and d1 against (p2, q2),
@@ -167,12 +166,8 @@ class GaussianRational:
             if p2 < 0:
                 p2, d2 = -p2, -d2
             return _exact(p1 * d2, q1 * d2, d1 * p2)
-        # (p1 + q1 i) (p2 - q2 i) d2 / (d1 (p2^2 + q2^2))
-        return _reduced(
-            (p1 * p2 + q1 * q2) * d2,
-            (q1 * p2 - p1 * q2) * d2,
-            d1 * (p2 * p2 + q2 * q2),
-        )
+        # (p1 + q1 i) d2 / (d1 (p2 + q2 i)), by the conjugate
+        return _exact(*_quotient(p1 * d2, q1 * d2, d1, p2, q2))
 
     def __rtruediv__(self, other):
         o = _coerce(other)
@@ -218,16 +213,6 @@ def _exact(p, q, d):
     return value
 
 
-def _reduced(p, q, d):
-    """The scalar (p + q*i)/d for d > 0, divided by gcd(p, q, d)."""
-    g = _gcd(d, p, q)
-    if g != 1:
-        p //= g
-        q //= g
-        d //= g
-    return _exact(p, q, d)
-
-
 def _sum(p1, q1, d1, p2, q2, d2):
     """(p1 + q1 i)/d1 + (p2 + q2 i)/d2 for two reduced triples.
 
@@ -237,7 +222,7 @@ def _sum(p1, q1, d1, p2, q2, d2):
     d2/g nor both of p1 and q1; likewise for d2/g.
     """
     if d1 == d2:
-        return _reduced(p1 + p2, q1 + q2, d1)
+        return from_parts(p1 + p2, q1 + q2, d1)
     g = _gcd(d1, d2)
     if g == 1:
         return _exact(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2)
@@ -319,16 +304,26 @@ def lift(values, over=None):
 
 
 def from_parts(p: int, q: int, d: int) -> GaussianRational:
-    """The scalar (p + q*i)/d for integers p, q and d > 0, reduced once."""
+    """The scalar (p + q*i)/d for integers p, q and d > 0, divided by
+    gcd(p, q, d); a zero numerator gives the shared ZERO.
+
+    The one reduction of the package: every result that is not already
+    known to be reduced is built here.
+    """
     if not (p or q):
         return ZERO
-    return _reduced(p, q, d)
+    g = _gcd(d, p, q)
+    if g != 1:
+        p //= g
+        q //= g
+        d //= g
+    return _exact(p, q, d)
 
 
 def dot(pairs) -> GaussianRational:
     """The sum of a * b over `pairs` of scalars, ints or Fractions, reduced
     once, where a chain of `+` would reduce after every term."""
-    return _reduced(*_accumulate(pairs))
+    return from_parts(*_accumulate(pairs))
 
 
 def _quotient(p, q, d, u_p, u_q):
@@ -564,11 +559,11 @@ def parse_scalar(text: str) -> GaussianRational:
         raise ParseError(f"zero denominator in {text!r}")
     p = parse_int(sign + p)
     if im_sign is None:
-        return _reduced(p, 0, d)
+        return from_parts(p, 0, d)
     q = parse_int(im_sign + q) if q else (-1 if im_sign == "-" else 1)
     if d == e:
-        return _reduced(p, q, d)
-    return _reduced(p * e, q * d, d * e)
+        return from_parts(p, q, d)
+    return from_parts(p * e, q * d, d * e)
 
 
 def format_scalar(value: GaussianRational) -> str:
@@ -607,24 +602,3 @@ def _ratio_text(numerator: int, denominator: int) -> str:
         if denominator == 1:
             return str(Decimal(numerator))
         return f"{Decimal(numerator)}/{Decimal(denominator)}"
-
-
-@lru_cache(maxsize=None)
-def factorial(n: int) -> int:
-    """Exact n!, memoized for the lifetime of the process."""
-    if n < 0:
-        raise DomainError(f"factorial of negative argument {n}")
-    return math.factorial(n)
-
-
-def comb(r: int, s: int) -> int:
-    """Integer binomial coefficient with the zero convention.
-
-    C(r, s) = 0 whenever s < 0 or s > r.  Negative r is rejected: the
-    convention covers out-of-range column indices, not negative rows.
-    """
-    if r < 0:
-        raise DomainError(f"binomial with negative upper argument {r}")
-    if s < 0 or s > r:
-        return 0
-    return math.comb(r, s)

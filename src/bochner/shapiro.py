@@ -25,12 +25,13 @@ independent check of that table.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial, perm
 
 from .errors import DomainError, InvalidOperator
 from .operators import BochnerOperator, _difference_levels
 from .polynomials import Poly
 from .recurrence import RecurrenceCoeffs, relation_residual
-from .scalars import GaussianRational, ONE, ZERO, comb, dot, factorial, scalar
+from .scalars import GaussianRational, ONE, ZERO, dot, scalar
 
 
 class ShapiroOperator:
@@ -72,12 +73,11 @@ def to_bochner(op: ShapiroOperator) -> BochnerOperator:
 
 
 def shapiro_delta1(op: ShapiroOperator, n: int) -> GaussianRational:
-    """delta1(n) = sum_{s=1}^{min(n, N)} C(n, s) s! c_s; empty at n = 0."""
+    """delta1(n) = sum_{s=1}^{min(n, N)} C(n, s) s! c_s, with
+    C(n, s) s! = perm(n, s); empty at n = 0."""
     if n < 0:
         raise DomainError(f"negative index {n}")
-    return dot(
-        (comb(n, s) * factorial(s), op.c[s - 1]) for s in range(1, min(n, op.order) + 1)
-    )
+    return dot((perm(n, s), op.c[s - 1]) for s in range(1, min(n, op.order) + 1))
 
 
 def shapiro_delta1_column(op: ShapiroOperator, last: int) -> list[GaussianRational]:

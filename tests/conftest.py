@@ -5,6 +5,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from math import comb, factorial
 from pathlib import Path
 from random import Random
 
@@ -34,7 +35,7 @@ from bochner.hessenberg import hessenberg_determinant
 from bochner.inverse import deltas_from_eigendata_rec, first_order_violation
 from bochner.operators import deltas_from_operator, normalize, operator_from_deltas
 from bochner.polynomials import is_eigenpair
-from bochner.scalars import ONE, ZERO, comb, dot, factorial, format_scalar
+from bochner.scalars import ONE, ZERO, dot, format_scalar
 from bochner.serialize import delta_table_to_list, poly_to_list
 from bochner.spectral import eigensystem
 

@@ -20,6 +20,7 @@ from bochner import (
     laguerre_operator,
 )
 from bochner.cli import main
+from bochner.identities import iter_grid
 from bochner.serialize import eigendata_from_dict, operator_from_dict, poly_to_list
 from conftest import int_max_str_digits, monic_hermite, search_order_by_order
 
@@ -171,6 +172,26 @@ def test_preset_jacobi_requires_parameters(capsys):
     code, out, err = run_cli(capsys, "preset", "jacobi", "--alpha", "1/2")
     assert code == 2
     assert "beta" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["preset", "laguerre"], "laguerre preset requires --alpha"),
+        (["preset", "jacobi", "--alpha", "1"], "jacobi preset requires --alpha and --beta"),
+        (["preset", "shapiro"], "shapiro preset requires --shapiro"),
+        (
+            ["direct", "--preset", "jacobi", "--beta", "1"],
+            "jacobi preset requires --alpha and --beta",
+        ),
+        (["direct", "--preset", "shapiro"], "shapiro preset requires --shapiro"),
+    ],
+)
+def test_preset_missing_flags_name_every_flag_it_reads(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_preset_rejects_malformed_scalar(capsys):
@@ -503,6 +524,28 @@ def test_lemmas_reports_skipped(capsys):
     assert code == 0
     assert payload["checked"] == 12
     assert payload["skipped"] == 4
+
+
+def test_lemmas_skips_every_point_below_the_domain(capsys):
+    """Every integer variable swept over -3:3: the binomials and factorials
+    of a residual never see a negative argument, since a point outside an
+    identity's domain is counted as skipped before its residual is taken."""
+    names = ("m", "k", "n", "q", "r", "N")
+
+    def lemmas(low):
+        ranges = [arg for name in names for arg in ("--range", f"{name}={low}:3")]
+        code, payload, err = run_json(capsys, "lemmas", *ranges)
+        assert code == 0 and err == ""
+        assert payload["failures"] == []
+        return payload
+
+    wide, narrow = lemmas(-3), lemmas(0)
+    assert wide["checked"] == narrow["checked"] == 310
+    overrides = {name: (-3, 3) for name in names}
+    for identity, counts in wide["per_id"].items():
+        assert counts["checked"] == narrow["per_id"][identity]["checked"]
+        points = sum(1 for _ in iter_grid(identity, overrides))
+        assert counts["checked"] + counts["skipped"] == points
 
 
 def test_lemmas_sweeps_a_repeated_identity_once(capsys):

@@ -1,0 +1,129 @@
+"""The CLI on a valid document with one perturbation: whatever the
+perturbation, `main` returns an exit code in 0-3 and lets no exception
+escape; on exit 0 standard output is one JSON document, the one written to
+--out, and on exit 2 or 3 standard output is empty and standard error is
+one line."""
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import example, given, settings, strategies as st
+
+from bochner.cli import main
+from bochner.serialize import operator_to_dict
+from conftest import usable_bochner_operators
+from test_scalars import near_valid_scalars
+
+# a JSON value of each type that no entry of either document takes
+WRONG_TYPES = (None, True, 1.5, [], {}, "x")
+# stands for a JSON integer of 5,000 digits, past Python's default int/str
+# digit limit of 4300, which json.dumps would refuse to write
+LONG_INTEGER = "<long integer>"
+
+
+def run_on(document, verb, *flags):
+    """Write `document`, run `verb` on it with `flags` and --out, and check
+    the contract above."""
+    with tempfile.TemporaryDirectory() as tmp:
+        source, target = Path(tmp) / "in.json", Path(tmp) / "out.json"
+        text = json.dumps(document).replace(json.dumps(LONG_INTEGER), "7" * 5000)
+        source.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            status = main([verb, *flags, str(source), "--out", str(target)])
+        out, err = out.getvalue(), err.getvalue()
+        assert status in (0, 1, 2, 3)
+        if status == 0:
+            assert json.loads(out) == json.loads(target.read_text())
+        if status in (2, 3):
+            assert out == ""
+            assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def entry_paths(doc, key):
+    """(key, i, j) for every entry doc[key][i][j]."""
+    return [(key, i, j) for i, row in enumerate(doc[key]) for j in range(len(row))]
+
+
+def put(doc, path, value):
+    *head, last = path
+    target = doc
+    for step in head:
+        target = target[step]
+    target[last] = value
+
+
+@st.composite
+def perturbed_operator_documents(draw):
+    """The document of a usable operator with one perturbation: a key
+    dropped, a value of the wrong JSON type, one near-valid scalar, a JSON
+    integer of 5,000 digits, or one a_i a degree too high."""
+    doc = operator_to_dict(draw(usable_bochner_operators()))
+    entries = entry_paths(doc, "a")
+    ways = ["drop key", "wrong type", "long integer", "degree too high"]
+    if entries:
+        ways.append("near-valid scalar")
+    way = draw(st.sampled_from(ways))
+    if way == "drop key":
+        del doc[draw(st.sampled_from(["N", "a"]))]
+    elif way == "wrong type":
+        # a level of the document first, so that "N" and "a" are drawn as
+        # often as any one a_i or any one entry
+        places = [[("N",)], [("a",)], [("a", i) for i in range(len(doc["a"]))]]
+        if entries:
+            places.append(entries)
+        place = draw(st.sampled_from(draw(st.sampled_from(places))))
+        put(doc, place, draw(st.sampled_from(WRONG_TYPES)))
+    elif way == "long integer":
+        put(doc, draw(st.sampled_from([("N",)] + entries)), LONG_INTEGER)
+    elif way == "degree too high":
+        i = draw(st.integers(0, doc["N"]))
+        doc["a"][i] = doc["a"][i] + ["0"] * (i + 1 - len(doc["a"][i])) + ["1"]
+    else:
+        text, _ = draw(near_valid_scalars())
+        put(doc, draw(st.sampled_from(entries)), text)
+    return doc
+
+
+@given(perturbed_operator_documents())
+@example({"N": None, "a": [[], ["0", "-2"], ["1"]]})
+@example({"N": 2, "a": [[], ["0", "-2"], ["1", "0", "0", "1"]]})
+@example({"N": 2, "a": [[], ["0", "-2"], [LONG_INTEGER]]})
+@settings(max_examples=40, deadline=None)
+def test_direct_on_a_perturbed_operator_document(doc):
+    run_on(doc, "direct", "--nmax", "4", "--operator")
+
+
+@st.composite
+def perturbed_eigendata_documents(draw):
+    """The `direct --nmax 4` document of a usable operator as eigen-data,
+    with one perturbation: some P_n not monic, some P_n of the wrong degree,
+    or lambda_0 not zero."""
+    op_doc = operator_to_dict(draw(usable_bochner_operators()))
+    with tempfile.TemporaryDirectory() as tmp:
+        source = Path(tmp) / "op.json"
+        source.write_text(json.dumps(op_doc))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["direct", "--nmax", "4", "--operator", str(source)]) == 0
+    doc = json.loads(out.getvalue())
+    polys = doc["P"]
+    n = draw(st.integers(0, len(polys) - 1))
+    way = draw(st.sampled_from(["not monic", "degree up", "degree down", "lambda_0"]))
+    if way == "not monic":
+        polys[n][-1] = draw(st.sampled_from(["2", "-1", "1/2", "1+1*i", "0"]))
+    elif way == "degree up":
+        polys[n].append("1")
+    elif way == "degree down":
+        polys[n].pop()
+    else:
+        doc["lambda"][0] = draw(st.sampled_from(["1", "-1/3", "2*i"]))
+    return doc
+
+
+@given(perturbed_eigendata_documents())
+@settings(max_examples=40, deadline=None)
+def test_inverse_search_on_perturbed_eigendata(doc):
+    run_on(doc, "inverse", "--search", "--data")

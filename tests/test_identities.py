@@ -1,6 +1,7 @@
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from math import comb
 
 import pytest
 
@@ -12,7 +13,7 @@ from bochner.identities import (
     iter_grid,
     sweep,
 )
-from bochner.scalars import ZERO, comb
+from bochner.scalars import ZERO
 
 
 def test_spec_case_truncated_row_sum():

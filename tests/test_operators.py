@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb, factorial
 from random import Random
 
 import pytest
@@ -21,7 +22,7 @@ from bochner import (
     ShapiroOperator,
     to_bochner,
 )
-from bochner.scalars import ZERO, comb, factorial
+from bochner.scalars import ZERO
 from bochner.serialize import operator_from_dict
 from conftest import (
     INTERIOR_ZERO_COLUMN,

@@ -14,32 +14,7 @@ from bochner import (
     parse_scalar,
     scalar,
 )
-from bochner.scalars import _SCALAR_RE, ONE, ZERO, comb, dot, factorial, from_parts, lift
-
-
-def test_binom_basic():
-    assert comb(5, 2) == 10
-    assert comb(7, 0) == 1
-    assert comb(6, 6) == 1
-
-
-def test_binom_zero_convention():
-    assert comb(2, 5) == 0
-    assert comb(4, -1) == 0
-
-
-def test_binom_negative_row_rejected():
-    with pytest.raises(DomainError):
-        comb(-1, 0)
-    with pytest.raises(DomainError):
-        comb(-3, 1)
-
-
-def test_factorial():
-    assert factorial(0) == 1
-    assert factorial(6) == 720
-    with pytest.raises(DomainError):
-        factorial(-2)
+from bochner.scalars import _SCALAR_RE, ONE, ZERO, dot, from_parts, lift
 
 
 def test_float_rejected():
