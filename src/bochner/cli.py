@@ -98,8 +98,8 @@ _PRESETS = {
     "jacobi": (jacobi_operator, ("alpha", "beta")),
     "shapiro": (_product_form, ("shapiro",)),
 }
-PRESET_NAMES = tuple(_PRESETS)
-_SCALAR_FLAGS = ("--alpha", "--beta", "--shapiro")
+# every parameter flag, in the order the presets first read them
+_PARAMETERS = tuple(dict.fromkeys(p for _, params in _PRESETS.values() for p in params))
 # a scalar argument that starts with a minus sign: "-2/5", "-i", "-3/4,1"
 _NEGATIVE_SCALAR = re.compile(r"-[\di]")
 # a JSON string as json.dumps writes it by default
@@ -203,7 +203,7 @@ def _load_json(path: str):
 
 
 def _reject_unused_parameters(args, source: str, taken) -> None:
-    for param in ("alpha", "beta", "shapiro"):
+    for param in _PARAMETERS:
         if getattr(args, param) is not None and param not in taken:
             raise ParseError(f"{source} takes no --{param}")
 
@@ -473,14 +473,14 @@ def run_lemmas(args) -> int:
 
 def _add_operator_source(parser):
     parser.add_argument("--operator", metavar="FILE", help="operator JSON document")
-    parser.add_argument("--preset", choices=PRESET_NAMES, help="classical operator")
-    parser.add_argument("--alpha", help="parameter for laguerre/jacobi presets")
-    parser.add_argument("--beta", help="parameter for the jacobi preset")
-    parser.add_argument(
-        "--shapiro",
-        metavar="C1,C2,...",
-        help="product-form operator from a comma list of exact scalars",
-    )
+    parser.add_argument("--preset", choices=_PRESETS, help="classical operator")
+    _add_parameters(parser)
+
+
+def _add_parameters(parser):
+    for param in _PARAMETERS:
+        readers = [name for name, (_, params) in _PRESETS.items() if param in params]
+        parser.add_argument(f"--{param}", help=f"parameter of the {'/'.join(readers)} preset")
 
 
 def _add_out(parser):
@@ -521,10 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_direct.set_defaults(func=run_direct)
 
     p_preset = sub.add_parser("preset", help="emit a classical operator document")
-    p_preset.add_argument("name", choices=PRESET_NAMES)
-    p_preset.add_argument("--alpha")
-    p_preset.add_argument("--beta")
-    p_preset.add_argument("--shapiro", metavar="C1,C2,...")
+    p_preset.add_argument("name", choices=_PRESETS)
+    _add_parameters(p_preset)
     _add_out(p_preset)
     _add_decimal(p_preset)
     p_preset.set_defaults(func=run_preset)
@@ -590,15 +588,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _attach_negative_scalars(argv):
-    """Join `--beta -2/5` into `--beta=-2/5` for the scalar flags.
+    """Join `--beta -2/5` into `--beta=-2/5`: a negative value to the long
+    flag before it, abbreviated or not, unless that flag already holds "="
+    or is a bare "--".
 
     argparse takes a separate argument that starts with "-" for an option
     unless it looks like a plain negative number, so "-2/5" or "-3/4,1"
-    would be refused as a value.
+    would be refused as a value.  Behind "=" it is the flag's value, and
+    argparse still resolves an abbreviated flag.
     """
     joined = []
     for arg in argv:
-        if joined and joined[-1] in _SCALAR_FLAGS and _NEGATIVE_SCALAR.match(arg):
+        last = joined[-1] if joined else ""
+        open_flag = last.startswith("--") and last != "--" and "=" not in last
+        if open_flag and _NEGATIVE_SCALAR.match(arg):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)

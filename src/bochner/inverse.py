@@ -36,11 +36,12 @@ Row m of the data's table is the recursion over rows 0..m - 1 and
 (lambda_m, P_m), which is the eigen-equation of P_m read coefficient by
 coefficient.  So for an operator whose table shares rows 0..m - 1 with the
 data's, (lambda_m, P_m) is an eigenpair exactly when row m is shared too.
-op_K, the operator inverted from rows 0..K, shares rows 0..K, and one bound
-rule follows: if m is the first degree past K where op_K fails the
-eigen-equation, rows 0..m - 1 are op_K's own rows and row m is not, so
-every order that fits is at least m (for K < K' < m, inverting rows 0..K'
-gives op_K again); if no degree fails, the criterion holds at K.
+op_K, the operator inverted from rows 0..K, shares rows 0..K, so it passes
+the eigen-equation at every degree up to K, and one bound rule follows: if
+m is the first degree where op_K fails the eigen-equation, then m > K, rows
+0..m - 1 are op_K's own rows and row m is not, so every order that fits is
+at least m (for K < K' < m, inverting rows 0..K' gives op_K again); if no
+degree fails, the criterion holds at K.
 
 `reconstruct` climbs candidate orders on this bound and draws the rows of
 `delta_rows` only up to K.  On data of no operator the criterion at the
@@ -152,10 +153,12 @@ def reconstruct(data: EigenSystem, order: int) -> BochnerOperator:
     The search climbs candidate orders K = 1, 2, 4, ..., each the larger of
     twice the last and the proven lower bound, capped at `order`.  At each K
     it draws rows 0..K of `delta_rows`, inverts them to op_K and runs the
-    eigen-equation of op_K at every degree from K + 1 up: the criterion at
-    K, by the one bound rule of the module docstring, and a first failure at
-    degree m makes m the next lower bound.  So the first K whose operator
-    passes gives the operator the criterion at `order` gives.
+    eigen-equation of op_K once at every degree from 0 up.  By the one bound
+    rule of the module docstring, no failure is the criterion at K, and a
+    first failure at degree m > K makes m the next lower bound; one at a
+    degree up to K breaks the rows op_K shares with the data, a
+    VerificationError.  So the first K whose operator passes gives the
+    operator the criterion at `order` gives.
 
     Raises NoFiniteOrderOperator at the first (n, k) where the finite-order
     criterion fails on the data's window at `order`, the one
@@ -181,18 +184,15 @@ def reconstruct(data: EigenSystem, order: int) -> BochnerOperator:
     while True:
         rows.extend(islice(source, k + 1 - len(rows)))
         op = operator_from_deltas(DeltaTable(rows), k)
-        # op_k fits unless it fails at some degree m > k, and then every
-        # order that fits is at least m
-        bound = next(
-            (m for m in range(k + 1, len(pairs)) if not is_eigenpair(op, *pairs[m])), None
-        )
+        # op_k fits unless it fails at some degree m, past k as op_k shares
+        # rows 0..k, and then every order that fits is at least m
+        bound = next((m for m, pair in enumerate(pairs) if not is_eigenpair(op, *pair)), None)
         if bound is None:
-            for n in range(k + 1):
-                if not is_eigenpair(op, *pairs[n]):
-                    raise VerificationError(
-                        f"reconstructed operator fails the eigen-equation at degree {n}"
-                    )
             return op
+        if bound <= k:
+            raise VerificationError(
+                f"reconstructed operator fails the eigen-equation at degree {bound}"
+            )
         if k == order or bound > order:
             break
         k = min(max(2 * k, bound), order)

@@ -235,13 +235,14 @@ def _sum(p1, q1, d1, p2, q2, d2):
     return _exact(p // g, q // g, s * (d2 // g))
 
 
-def _accumulate(pairs):
-    """(P, Q, D) with (P + Q*i)/D the sum of a * b over `pairs`, unreduced.
+def dot(pairs) -> GaussianRational:
+    """The sum of a * b over `pairs` of scalars, ints or Fractions, reduced
+    once, where a chain of `+` would reduce after every term.
 
     Each product is kept unreduced, (p + q*i)/(d1 d2), and added to running
     sums (P, Q) over a running common denominator D, with at most one gcd of
     D with the product's denominator per term.  Terms with a zero factor are
-    skipped, so a sum of zero terms is (0, 0, 1).
+    skipped, so a sum of zero terms is ZERO.
     """
     p = q = 0
     d = 1
@@ -280,7 +281,7 @@ def _accumulate(pairs):
             else:
                 p, q = p * e + tp * d, q * e + tq * d
             d *= e
-    return p, q, d
+    return from_parts(p, q, d)
 
 
 def lift(values, over=None):
@@ -318,12 +319,6 @@ def from_parts(p: int, q: int, d: int) -> GaussianRational:
         q //= g
         d //= g
     return _exact(p, q, d)
-
-
-def dot(pairs) -> GaussianRational:
-    """The sum of a * b over `pairs` of scalars, ints or Fractions, reduced
-    once, where a chain of `+` would reduce after every term."""
-    return from_parts(*_accumulate(pairs))
 
 
 def _quotient(p, q, d, u_p, u_q):

@@ -827,6 +827,36 @@ def test_negative_scalar_as_separate_argument(capsys, argv):
     assert run_cli(capsys, *argv) == expected
 
 
+@pytest.mark.parametrize(
+    "argv, canonical",
+    [
+        (
+            ("preset", "jacobi", "--alpha", "1", "--bet", "-2/5"),
+            ("preset", "jacobi", "--alpha=1", "--beta=-2/5"),
+        ),
+        (
+            ("recurrence", "--preset", "laguerre", "--alph", "-1/2", "--nmax", "4"),
+            ("recurrence", "--preset", "laguerre", "--alpha=-1/2", "--nmax=4"),
+        ),
+        (("direct", "--shap", "-1,2", "--nmax", "3"), ("direct", "--shapiro=-1,2", "--nmax=3")),
+    ],
+    ids=["bet", "alph", "shap"],
+)
+def test_negative_value_after_an_abbreviated_flag(capsys, argv, canonical):
+    expected = run_cli(capsys, *canonical)
+    assert expected[0] == 0, expected[2]
+    assert run_cli(capsys, *argv) == expected
+
+
+def test_negative_nmax_still_reaches_its_check(capsys):
+    # joined to "--nmax=-1" like any negative value, it is still refused
+    assert run_cli(capsys, "direct", "--preset", "hermite", "--nmax", "-1") == (
+        2,
+        "",
+        "error: n_max must be nonnegative, got -1\n",
+    )
+
+
 @pytest.mark.parametrize("nmax", ["3", "150"])
 def test_closed_stdout_exits_2_without_traceback(nmax):
     # no reader is left on the pipe when the child writes: small output

@@ -1,17 +1,18 @@
-"""The CLI on a valid document with one perturbation: whatever the
-perturbation, `main` returns an exit code in 0-3 and lets no exception
-escape; on exit 0 standard output is one JSON document, the one written to
---out, and on exit 2 or 3 standard output is empty and standard error is
-one line."""
+"""The CLI on a valid document or a valid argv with one perturbation:
+whatever the perturbation, `main` returns an exit code in 0-3 and lets no
+exception escape; on exit 0 standard output is one JSON document, the one
+written to --out, and on exit 2 or 3 standard output is empty and standard
+error is one line."""
 import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import MAX_PREC
 from pathlib import Path
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from bochner.cli import main
+from bochner.cli import _PRESETS, main
 from bochner.serialize import operator_to_dict
 from conftest import usable_bochner_operators
 from test_scalars import near_valid_scalars
@@ -127,3 +128,110 @@ def perturbed_eigendata_documents(draw):
 @settings(max_examples=40, deadline=None)
 def test_inverse_search_on_perturbed_eigendata(doc):
     run_on(doc, "inverse", "--search", "--data")
+
+
+# a value of each parameter flag, negative ones among them; a product-form
+# list holds one to three of the scalars
+SCALARS = ("1/2", "-2/5", "3", "-1", "-i", "1+1*i")
+PARAMETER_VALUES = {
+    "alpha": st.sampled_from(SCALARS),
+    "beta": st.sampled_from(SCALARS),
+    "shapiro": st.lists(st.sampled_from(SCALARS), min_size=1, max_size=3).map(",".join),
+}
+
+
+def render(head, options):
+    """The argv of `head` and the (flag, value, joined) options, each as
+    "--flag=value" when joined and as "--flag value" otherwise."""
+    argv = list(head)
+    for flag, value, joined in options:
+        argv += [f"--{flag}={value}"] if joined else [f"--{flag}", value]
+    return argv
+
+
+def run_argv(argv):
+    """(exit code, stdout, stderr) of `main` on `argv`, checking the
+    contract above."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert status in (0, 1, 2, 3)
+    if status == 0:
+        json.loads(out)
+    if status in (2, 3):
+        assert out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+    return status, out, err
+
+
+@st.composite
+def preset_argvs(draw):
+    """(head, options, name): a valid argv of direct, recurrence or preset on
+    the preset `name`, with --nmax at most 6, each parameter joined to its
+    flag by "=" and maybe --decimal; a product-form operator is named by
+    --shapiro alone or with --preset shapiro."""
+    verb = draw(st.sampled_from(["direct", "recurrence", "preset"]))
+    name = draw(st.sampled_from(sorted(_PRESETS)))
+    options = [(param, draw(PARAMETER_VALUES[param]), True) for param in _PRESETS[name][1]]
+    if draw(st.booleans()):
+        options.append(("decimal", str(draw(st.integers(1, 8))), False))
+    if verb == "preset":
+        return [verb, name], options, name
+    options.append(("nmax", str(draw(st.integers(0, 6))), False))
+    if name != "shapiro" or draw(st.booleans()):
+        options.insert(0, ("preset", name, False))
+    return [verb], options, name
+
+
+@given(preset_argvs(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_respelled_argv_gives_the_same_bytes(argv, data):
+    # "--flag=value" and "--flag value" swapped on one flag, or a parameter
+    # flag abbreviated, negative values included
+    head, options, _ = argv
+    assume(options)
+    expected = run_argv(render(head, options))
+    j = data.draw(st.integers(0, len(options) - 1))
+    flag, value, joined = options[j]
+    if flag in PARAMETER_VALUES and data.draw(st.booleans()):
+        flag = flag[: data.draw(st.integers(1, len(flag) - 1))]
+        joined = data.draw(st.booleans())
+    else:
+        joined = not joined
+    options[j] = (flag, value, joined)
+    assert run_argv(render(head, options)) == expected
+
+
+@given(preset_argvs(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_parameter_added_or_dropped_exits_2_naming_it(argv, data):
+    head, options, name = argv
+    taken = _PRESETS[name][1]
+    unused = [param for param in PARAMETER_VALUES if param not in taken]
+    way = data.draw(st.sampled_from(["add", "drop"] if taken else ["add"]))
+    if way == "add":
+        param = data.draw(st.sampled_from(unused))
+        joined = data.draw(st.booleans())
+        options.append((param, data.draw(PARAMETER_VALUES[param]), joined))
+    else:
+        param = data.draw(st.sampled_from(taken))
+        options = [option for option in options if option[0] != param]
+    status, out, err = run_argv(render(head, options))
+    assert status == 2
+    assert f"--{param}" in err
+
+
+@given(preset_argvs(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_value_out_of_range_exits_2(argv, data):
+    head, options, _ = argv
+    ways = [("decimal", "0"), ("decimal", str(MAX_PREC + 1))]
+    if head[0] != "preset":
+        ways.append(("nmax", "-1"))
+    flag, value = data.draw(st.sampled_from(ways))
+    options = [option for option in options if option[0] != flag]
+    options.append((flag, value, data.draw(st.booleans())))
+    status, out, _ = run_argv(render(head, options))
+    assert status == 2
+    assert out == ""

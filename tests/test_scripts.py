@@ -29,6 +29,13 @@ def test_inverse_roundtrip_script():
 def test_bandwidth_scan_script():
     result = run_script("bandwidth_scan.py")
     assert result.returncode == 0, result.stderr
+    rows = [line.split() for line in result.stdout.splitlines()[2:7]]
+    # product form: an (N+1)-term recurrence for every order; a generic
+    # operator: the same band up to order 2, no band from order 3 on
+    assert rows == [
+        [str(order), str(order - 1), str(order - 1) if order <= 2 else "None"]
+        for order in range(1, 6)
+    ]
 
 
 def workflow_step(name):
