@@ -36,14 +36,18 @@ python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["check"
 python3 -m bochner direct --operator "$RUNNER_TEMP/order3.json" --nmax 12 --out "$RUNNER_TEMP/order3-data.json" > /dev/null
 python3 -m bochner inverse --search --data "$RUNNER_TEMP/order3-data.json" > "$RUNNER_TEMP/order3-inverse.json"
 python3 -c 'import json, sys; result, doc = (json.load(open(p)) for p in sys.argv[1:]); sys.exit(0 if result["found"] is True and result["operator"] == doc else 1)' "$RUNNER_TEMP/order3-inverse.json" "$RUNNER_TEMP/order3.json"
-# bumped order-3 data: inverse --order 3 and --search, with and without
-# --check, must name the entry where the finite-order criterion first
-# breaks on the whole table, the reference computed here
-python3 -c 'import json, sys; doc = json.load(open(sys.argv[1])); doc["P"][6][1] = "1/12345"; json.dump(doc, open(sys.argv[2], "w"))' "$RUNNER_TEMP/order3-data.json" "$RUNNER_TEMP/order3-bumped.json"
-python3 -c 'import json, sys; from bochner.inverse import deltas_from_eigendata_rec, first_order_violation; from bochner.serialize import eigendata_from_dict; data = eigendata_from_dict(json.load(open(sys.argv[1]))); table = deltas_from_eigendata_rec(data); print(json.dumps({"--order": list(first_order_violation(table, 3)), "--search": list(first_order_violation(table, data.n_max - 1))}))' "$RUNNER_TEMP/order3-bumped.json" > "$RUNNER_TEMP/order3-bumped-reference.json"
-for flags in "--order 3" "--order 3 --check" "--search" "--search --check"; do
-  status=0; python3 -m bochner inverse $flags --data "$RUNNER_TEMP/order3-bumped.json" > "$RUNNER_TEMP/order3-bumped-inverse.json" || status=$?; test "$status" -eq 1
-  python3 -c 'import json, sys; result, reference = (json.load(open(p)) for p in sys.argv[1:3]); sys.exit(0 if result["found"] is False and result["first_failure"] == reference[sys.argv[3]] else 1)' "$RUNNER_TEMP/order3-bumped-inverse.json" "$RUNNER_TEMP/order3-bumped-reference.json" "${flags%% *}"
+# bumped order-3 data, P_6 past the seed rows and P_2 inside them:
+# inverse --order 3 and --search, with and without --check, must name the
+# entry where the finite-order criterion first breaks on the whole table,
+# the reference computed here
+for place in "6 1" "2 0"; do
+  bumped="$RUNNER_TEMP/order3-bumped-${place// /-}"
+  python3 -c 'import json, sys; doc = json.load(open(sys.argv[1])); n, j = map(int, sys.argv[3:]); doc["P"][n][j] = "1/12345"; json.dump(doc, open(sys.argv[2], "w"))' "$RUNNER_TEMP/order3-data.json" "$bumped.json" $place
+  python3 -c 'import json, sys; from bochner.inverse import deltas_from_eigendata_rec, first_order_violation; from bochner.serialize import eigendata_from_dict; data = eigendata_from_dict(json.load(open(sys.argv[1]))); table = deltas_from_eigendata_rec(data); print(json.dumps({"--order": list(first_order_violation(table, 3)), "--search": list(first_order_violation(table, data.n_max - 1))}))' "$bumped.json" > "$bumped-reference.json"
+  for flags in "--order 3" "--order 3 --check" "--search" "--search --check"; do
+    status=0; python3 -m bochner inverse $flags --data "$bumped.json" > "$bumped-inverse.json" || status=$?; test "$status" -eq 1
+    python3 -c 'import json, sys; result, reference = (json.load(open(p)) for p in sys.argv[1:3]); sys.exit(0 if result["found"] is False and result["first_failure"] == reference[sys.argv[3]] else 1)' "$bumped-inverse.json" "$bumped-reference.json" "${flags%% *}"
+  done
 done
 # a requested order above the operator's trims back to its document
 python3 -m bochner inverse --order 5 --data "$RUNNER_TEMP/order3-data.json" > "$RUNNER_TEMP/order3-inverse-5.json"

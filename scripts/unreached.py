@@ -32,10 +32,7 @@ PACKAGE = SRC / "bochner"
 
 # function -> why it stays although no verb runs it
 KEEP = {
-    **dict.fromkeys(
-        ("identities.lemma_residual", "polynomials.apply_operator"),
-        "public oracle",
-    ),
+    "identities.lemma_residual": "public oracle",
     "inverse.first_order_violation": (
         "bound by the bench: bench/tracing.py BINDINGS names it; and the tests'"
         " whole-table reference for reconstruct"

@@ -342,6 +342,9 @@ def run_verify(args) -> int:
     op, product_op = _operator_from_args(args)
     normalized, shift = normalize(op)
     nmax = args.nmax
+    if nmax < 1:
+        # the recurrence fit reads rows 0..1, and its own check names no flag
+        raise DomainError(f"verify needs --nmax at least 1, got {nmax}")
     order = normalized.order
     table = deltas_from_operator(normalized, nmax)
     system = eigensystem(table)

@@ -31,22 +31,19 @@ rows 0..n_max are equal.  So a reconstruction at the largest testable order,
 n_max - 1, trims to the smallest order that fits; when it fails, no smaller
 order fits either.
 
-`reconstruct` decides the criterion on the candidate operator's own table.
-Row m of the data's table is the recursion over rows 0..m - 1 and
-(lambda_m, P_m), which is the eigen-equation of P_m read coefficient by
-coefficient.  So for an operator whose table shares rows 0..m - 1 with the
-data's, (lambda_m, P_m) is an eigenpair exactly when row m is shared too.
-op_K, the operator inverted from rows 0..K, shares rows 0..K, so it passes
-the eigen-equation at every degree up to K, and one bound rule follows: if
-m is the first degree where op_K fails the eigen-equation, then m > K, rows
-0..m - 1 are op_K's own rows and row m is not, so every order that fits is
-at least m (for K < K' < m, inverting rows 0..K' gives op_K again); if no
-degree fails, the criterion holds at K.
-
-`reconstruct` climbs candidate orders on this bound and draws the rows of
-`delta_rows` only up to K.  On data of no operator the criterion at the
-requested order breaks first in row m, where the data's row leaves op_K's:
-one row step, over op_K's banded rows 0..m - 1, builds that row alone.
+`reconstruct` decides the criterion on the candidate operator's own table,
+through one residual identity.  Expand L x^u = sum_t delta_L(u, t) x^(u - t)
+for an operator L: if L's table shares rows 0..m - 1 with the data's, the
+x^(m - j) coefficient of L P_m - lambda_m P_m is delta_L(m, j) - delta(m, j),
+the data's row m read off the eigen-equation of P_m coefficient by
+coefficient.  So (lambda_m, P_m) is an eigenpair of L exactly when row m is
+shared too, and where it is not, the first entry of row m that differs is
+k = m - deg(L P_m - lambda_m P_m).  op_K, the operator inverted from rows
+0..K, shares rows 0..K, so it passes the eigen-equation at every degree up
+to K, and one bound rule follows: if m is the first degree where op_K fails
+the eigen-equation, then m > K, rows 0..m - 1 are op_K's own rows and row m
+is not, so every order that fits is at least m (for K < K' < m, inverting
+rows 0..K' gives op_K again); if no degree fails, the criterion holds at K.
 """
 from __future__ import annotations
 
@@ -60,8 +57,8 @@ from .errors import (
     VerificationError,
 )
 from .hessenberg import hessenberg_determinant
-from .operators import BochnerOperator, DeltaTable, deltas_from_operator, operator_from_deltas
-from .polynomials import is_eigenpair
+from .operators import BochnerOperator, DeltaTable, operator_from_deltas
+from .polynomials import apply_operator, is_eigenpair
 from .scalars import ZERO, dot
 from .spectral import EigenSystem, delta_extend
 
@@ -92,34 +89,23 @@ def deltas_from_eigendata_det(data: EigenSystem) -> DeltaTable:
     return DeltaTable(rows)
 
 
-def _delta_row(data: EigenSystem, n: int, below) -> list:
-    """The row delta(n, 0..n) of the data's table, by the recursion from
-    `below`, rows 0..n - 1 of a table that agrees there with the data's: its
-    own, or an operator's band.  An entry past a row's band reads as zero, so
-    a band of width w costs O(n w) terms."""
-    lams = data.lambdas
-    lam = lams[n]
-    b = data.polys[n].coeffs
-    minus_b = [-c for c in b]
-    # every term reads column j <= n - 1, so row n - 1's length caps j at
-    # the band
-    reach = len(below[n - 1]) if n else 0
-    row = [lam]
-    for k in range(1, n + 1):
-        # the gap term (lambda_n - lambda_{n-k}) b(n, n-k) enters as two pairs
-        gap = ((lam, b[n - k]), (lams[n - k], minus_b[n - k]))
-        rest = ((below[n - k + j][j], minus_b[n - k + j]) for j in range(1, min(k, reach)))
-        row.append(dot(chain(gap, rest)))
-    return row
-
-
 def delta_rows(data: EigenSystem) -> Iterator[list]:
     """The rows delta(n, 0..n) of the data's table, n = 0 up to its top
     degree, by the recursion, each computed when it is drawn."""
+    lams = data.lambdas
     rows = []
-    for n in range(data.n_max + 1):
-        rows.append(_delta_row(data, n, rows))
-        yield rows[-1]
+    for n, p in enumerate(data.polys):
+        b = p.coeffs
+        minus_b = [-c for c in b]
+        lam = lams[n]
+        row = [lam]
+        for k in range(1, n + 1):
+            # the gap term (lambda_n - lambda_{n-k}) b(n, n-k) enters as two pairs
+            gap = ((lam, b[n - k]), (lams[n - k], minus_b[n - k]))
+            rest = ((rows[n - k + j][j], minus_b[n - k + j]) for j in range(1, k))
+            row.append(dot(chain(gap, rest)))
+        rows.append(row)
+        yield row
 
 
 def deltas_from_eigendata_rec(data: EigenSystem) -> DeltaTable:
@@ -153,20 +139,20 @@ def reconstruct(data: EigenSystem, order: int) -> BochnerOperator:
     The search climbs candidate orders K = 1, 2, 4, ..., each the larger of
     twice the last and the proven lower bound, capped at `order`.  At each K
     it draws rows 0..K of `delta_rows`, inverts them to op_K and runs the
-    eigen-equation of op_K once at every degree from 0 up.  By the one bound
-    rule of the module docstring, no failure is the criterion at K, and a
-    first failure at degree m > K makes m the next lower bound; one at a
-    degree up to K breaks the rows op_K shares with the data, a
+    eigen-equation of op_K once at every degree, those past K first.  By the
+    bound rule of the module docstring, no failure is the criterion at K,
+    and a first failure at degree m > K makes m the next lower bound; one at
+    a degree up to K breaks the rows op_K shares with the data, a
     VerificationError.  So the first K whose operator passes gives the
     operator the criterion at `order` gives.
 
     Raises NoFiniteOrderOperator at the first (n, k) where the finite-order
     criterion fails on the data's window at `order`, the one
-    `first_order_violation` of the whole table gives.  It lies in the row of
-    the failing degree m, where the data's row, built by one `_delta_row`
-    step over op_K's banded rows, first leaves op_K's row m.  On success the
-    operator (with trailing zero coefficients trimmed, so its order may come
-    out lower) has passed the symbolic eigen-equation for every prescribed
+    `first_order_violation` of the whole table gives: (m, m - deg R) for the
+    residual R = op_K P_m - lambda_m P_m at the failing degree m, by the
+    residual identity of the module docstring.  On success the operator
+    (with trailing zero coefficients trimmed, so its order may come out
+    lower) has passed the symbolic eigen-equation for every prescribed
     degree.  The criterion holds at every order from the true one upward, so
     the trimmed order is the smallest order <= `order` that fits:
     `order = data.n_max - 1` searches all testable orders at once.
@@ -184,9 +170,11 @@ def reconstruct(data: EigenSystem, order: int) -> BochnerOperator:
     while True:
         rows.extend(islice(source, k + 1 - len(rows)))
         op = operator_from_deltas(DeltaTable(rows), k)
-        # op_k fits unless it fails at some degree m, past k as op_k shares
-        # rows 0..k, and then every order that fits is at least m
-        bound = next((m for m, pair in enumerate(pairs) if not is_eigenpair(op, *pair)), None)
+        # op_k passes degrees 0..k by construction, so they are checked
+        # last: a first failure m past k makes every order that fits at
+        # least m
+        degrees = chain(range(k + 1, len(pairs)), range(k + 1))
+        bound = next((m for m in degrees if not is_eigenpair(op, *pairs[m])), None)
         if bound is None:
             return op
         if bound <= k:
@@ -196,13 +184,9 @@ def reconstruct(data: EigenSystem, order: int) -> BochnerOperator:
         if k == order or bound > order:
             break
         k = min(max(2 * k, bound), order)
-    # no order up to `order` fits: rows 0..bound - 1 are op's own rows, and
-    # op is the operator the criterion at `order` extends
-    theirs = deltas_from_operator(op, bound)
-    ours = _delta_row(data, bound, theirs.rows)
-    failure = next((j for j, v in enumerate(ours) if v != theirs.value(bound, j)), None)
-    if failure is None:
-        raise VerificationError(
-            f"reconstructed operator fails the eigen-equation at degree {bound}"
-        )
-    raise NoFiniteOrderOperator(order, (bound, failure))
+    # no order up to `order` fits: rows 0..bound - 1 are op's own rows, so
+    # the criterion breaks first at the residual's top coefficient
+    p, lam = pairs[bound]
+    image = apply_operator(op, p)
+    top = next(j for j in range(bound, -1, -1) if image.coeff(j) != lam * p.coeff(j))
+    raise NoFiniteOrderOperator(order, (bound, bound - top))

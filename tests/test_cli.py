@@ -324,6 +324,13 @@ def test_verify_order_2_below_nmax_2_exits_2(capsys, source):
     assert err == "error: the order-2 eigenvalue identity needs --nmax at least 2, got 1\n"
 
 
+@pytest.mark.parametrize("nmax", ["0", "-1"])
+def test_verify_nmax_below_1_names_the_given_n(capsys, nmax):
+    code, out, err = run_cli(capsys, "verify", "--shapiro=1", "--nmax", nmax)
+    assert (code, out) == (2, "")
+    assert err == f"error: verify needs --nmax at least 1, got {nmax}\n"
+
+
 @pytest.mark.parametrize("s", [1, 2], ids=["in-band", "off-band"])
 def test_verify_alpha_match_covers_the_whole_row(capsys, monkeypatch, s):
     """An order-2 product form has alpha(n, n-s) = 0 for s >= 2; the match
@@ -816,9 +823,10 @@ def test_negative_scalar_flags_attach_with_equals(capsys):
     ids=["jacobi-beta", "laguerre-alpha", "verify-shapiro", "complex-shapiro", "preset"],
 )
 def test_negative_scalar_as_separate_argument(capsys, argv):
+    flags = {f"--{param}" for param in bochner.cli._PARAMETERS}
     attached = []
     for arg in argv:
-        if attached and attached[-1] in ("--alpha", "--beta", "--shapiro"):
+        if attached and attached[-1] in flags:
             attached[-1] += "=" + arg
         else:
             attached.append(arg)

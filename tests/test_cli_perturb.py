@@ -13,7 +13,9 @@ from pathlib import Path
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bochner.cli import _PRESETS, main
-from bochner.serialize import operator_to_dict
+from bochner import normalize
+from bochner.inverse import deltas_from_eigendata_rec, first_order_violation
+from bochner.serialize import eigendata_from_dict, operator_to_dict
 from conftest import usable_bochner_operators
 from test_scalars import near_valid_scalars
 
@@ -22,11 +24,13 @@ WRONG_TYPES = (None, True, 1.5, [], {}, "x")
 # stands for a JSON integer of 5,000 digits, past Python's default int/str
 # digit limit of 4300, which json.dumps would refuse to write
 LONG_INTEGER = "<long integer>"
+# the perturbations of eigen-data that make it invalid
+REFUSED_EIGENDATA = ("not monic", "degree up", "degree down", "lambda_0")
 
 
 def run_on(document, verb, *flags):
-    """Write `document`, run `verb` on it with `flags` and --out, and check
-    the contract above."""
+    """Write `document`, run `verb` on it with `flags` and --out, check the
+    contract above, and return the exit code and standard output."""
     with tempfile.TemporaryDirectory() as tmp:
         source, target = Path(tmp) / "in.json", Path(tmp) / "out.json"
         text = json.dumps(document).replace(json.dumps(LONG_INTEGER), "7" * 5000)
@@ -41,6 +45,7 @@ def run_on(document, verb, *flags):
         if status in (2, 3):
             assert out == ""
             assert err.count("\n") == 1 and err.endswith("\n")
+        return status, out
 
 
 def entry_paths(doc, key):
@@ -99,10 +104,12 @@ def test_direct_on_a_perturbed_operator_document(doc):
 
 @st.composite
 def perturbed_eigendata_documents(draw):
-    """The `direct --nmax 4` document of a usable operator as eigen-data,
-    with one perturbation: some P_n not monic, some P_n of the wrong degree,
-    or lambda_0 not zero."""
-    op_doc = operator_to_dict(draw(usable_bochner_operators()))
+    """(way, document): the `direct --nmax 4` document of a usable operator,
+    normalized so that it is valid eigen-data, with one perturbation.  Some
+    P_n not monic, some P_n of the wrong degree, or lambda_0 not zero make it
+    invalid; one coefficient of some P_n below its top moved keeps it
+    valid."""
+    op_doc = operator_to_dict(normalize(draw(usable_bochner_operators()))[0])
     with tempfile.TemporaryDirectory() as tmp:
         source = Path(tmp) / "op.json"
         source.write_text(json.dumps(op_doc))
@@ -111,23 +118,45 @@ def perturbed_eigendata_documents(draw):
             assert main(["direct", "--nmax", "4", "--operator", str(source)]) == 0
     doc = json.loads(out.getvalue())
     polys = doc["P"]
-    n = draw(st.integers(0, len(polys) - 1))
-    way = draw(st.sampled_from(["not monic", "degree up", "degree down", "lambda_0"]))
+    way = draw(st.sampled_from(REFUSED_EIGENDATA + ("bump lower",)))
+    # P_0 has no coefficient below its top to move
+    n = draw(st.integers(way == "bump lower", len(polys) - 1))
     if way == "not monic":
         polys[n][-1] = draw(st.sampled_from(["2", "-1", "1/2", "1+1*i", "0"]))
     elif way == "degree up":
         polys[n].append("1")
     elif way == "degree down":
         polys[n].pop()
-    else:
+    elif way == "lambda_0":
         doc["lambda"][0] = draw(st.sampled_from(["1", "-1/3", "2*i"]))
-    return doc
+    else:
+        j = draw(st.integers(0, n - 1))
+        moved = [v for v in ("1/12345", "-7/3", "2*i") if v != polys[n][j]]
+        polys[n][j] = draw(st.sampled_from(moved))
+    return way, doc
+
+
+def hermite_data_with(n, coeffs):
+    """The `direct --preset hermite --nmax 4` document with P_n replaced."""
+    polys = [["1"], ["0", "1"], ["-1/2", "0", "1"], ["0", "-3/2", "0", "1"]]
+    polys.append(["3/4", "0", "-3", "0", "1"])
+    polys[n] = coeffs
+    return {"lambda": ["0", "-2", "-4", "-6", "-8"], "P": polys}
 
 
 @given(perturbed_eigendata_documents())
+@example(("not monic", hermite_data_with(2, ["-1/2", "0", "2"])))
+@example(("bump lower", hermite_data_with(2, ["1/12345", "0", "1"])))
 @settings(max_examples=40, deadline=None)
-def test_inverse_search_on_perturbed_eigendata(doc):
-    run_on(doc, "inverse", "--search", "--data")
+def test_inverse_search_on_perturbed_eigendata(perturbed):
+    way, doc = perturbed
+    status, out = run_on(doc, "inverse", "--search", "--data")
+    if way in REFUSED_EIGENDATA:
+        assert status == 2
+    elif status == 1:
+        data = eigendata_from_dict(doc)
+        expected = first_order_violation(deltas_from_eigendata_rec(data), data.n_max - 1)
+        assert json.loads(out)["first_failure"] == list(expected)
 
 
 # a value of each parameter flag, negative ones among them; a product-form

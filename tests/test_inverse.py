@@ -26,7 +26,7 @@ from bochner import (
 from bochner import inverse
 from bochner.inverse import delta_rows, first_order_violation
 from bochner.operators import operator_from_deltas
-from bochner.polynomials import is_eigenpair
+from bochner.polynomials import apply_operator, is_eigenpair
 from bochner.scalars import ZERO
 from bochner.serialize import operator_from_dict
 from conftest import (
@@ -397,6 +397,52 @@ def test_reconstruct_matches_row_criterion_at_every_bump_position(doc):
             polys = list(data.polys)
             polys[m] = bump(polys[m], k)
             assert_outcomes_match_row_criterion(EigenSystem(data.lambdas, polys))
+
+
+def residual_rows_checked(data):
+    """At every requested order where the criterion fails, first at (m, k):
+    for op inverted from the data's rows 0..order, the x^(m - j)
+    coefficient of op P_m - lambda_m P_m is op's delta(m, j) minus the
+    data's, for every j, and the first nonzero one is at j = k.  Returns
+    the number of orders checked."""
+    table = deltas_from_eigendata_rec(data)
+    checked = 0
+    for order in range(1, data.n_max):
+        failure = first_order_violation(table, order)
+        if failure is None:
+            continue
+        m, k = failure
+        op = operator_from_deltas(table, order)
+        p, lam = data.polys[m], data.lambdas[m]
+        image = apply_operator(op, p)
+        assert image.degree <= m, order
+        residual = [image.coeff(m - j) - lam * p.coeff(m - j) for j in range(m + 1)]
+        ops_row = deltas_from_operator(op, m)
+        assert residual == [ops_row.value(m, j) - table.value(m, j) for j in range(m + 1)], order
+        assert next(j for j, v in enumerate(residual) if v) == k, order
+        checked += 1
+    return checked
+
+
+def test_residual_is_the_row_difference_on_the_bumped_corpus(corpus):
+    checked = 0
+    for name, op in corpus:
+        data = forward_data(op, 10)
+        for m, k in [(5, 0), (7, 1)]:
+            polys = list(data.polys)
+            polys[m] = bump(polys[m], k)
+            checked += residual_rows_checked(EigenSystem(data.lambdas, polys))
+    assert checked > 2 * len(corpus)
+
+
+@pytest.mark.parametrize("doc", [ORDER3, ORDER4], ids=["order3", "order4"])
+def test_residual_is_the_row_difference_at_every_bump_position(doc):
+    data = forward_data(operator_from_dict(doc), 10)
+    for m in range(1, data.n_max + 1):
+        for k in {0, m - 1}:
+            polys = list(data.polys)
+            polys[m] = bump(polys[m], k)
+            assert residual_rows_checked(EigenSystem(data.lambdas, polys)), (m, k)
 
 
 def test_reconstruct_verifies_every_degree_before_returning(corpus):
