@@ -12,8 +12,8 @@ from pathlib import Path
 
 from hypothesis import assume, example, given, settings, strategies as st
 
-from bochner.cli import _PRESETS, main
 from bochner import normalize
+from bochner.cli import _PRESETS, main
 from bochner.inverse import deltas_from_eigendata_rec, first_order_violation
 from bochner.serialize import eigendata_from_dict, operator_to_dict
 from conftest import usable_bochner_operators
