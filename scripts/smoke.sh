@@ -15,6 +15,15 @@ if [ -z "${RUNNER_TEMP:-}" ]; then
   trap 'rm -rf "$RUNNER_TEMP"' EXIT
 fi
 export PYTHONPATH=src
+# the real entry point, main() on sys.argv: the help of the whole parser and
+# of one verb's, and a one-verb parser's error, whose usage line names
+# every verb
+for argv in "-h" "verify -h"; do
+  python3 -m bochner $argv > "$RUNNER_TEMP/help.txt"
+  head -n 1 "$RUNNER_TEMP/help.txt" | grep -q '^usage: bochner'
+done
+status=0; COLUMNS=80 python3 -m bochner direct --bogus 2> "$RUNNER_TEMP/bogus.txt" || status=$?; test "$status" -eq 2
+python3 -c 'import sys; from bochner.cli import _VERBS; usage = open(sys.argv[1]).readline(); sys.exit(0 if usage == "usage: bochner [-h] {%s} ...\n" % ",".join(_VERBS) else 1)' "$RUNNER_TEMP/bogus.txt"
 python3 -m bochner direct --shapiro=1,-2,3,1 --nmax 30 --check > "$RUNNER_TEMP/shapiro-direct.json"
 python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["check"] == "ok" else 1)' "$RUNNER_TEMP/shapiro-direct.json"
 python3 -m bochner direct --preset hermite --nmax 60 --check > /dev/null

@@ -23,6 +23,10 @@ The other verbs build their whole payload, and hold whole families, first.
 `recurrence` hands its alpha tables to the emitter as iterators of rows,
 which it writes one row of encoded strings at a time: json.dumps with an
 indent runs the pure-Python encoder, entry by entry.
+
+`main` reads argv[0] before it parses, because a call that names its verb
+there needs only that verb's argument parser, and building all six took
+about a millisecond, most of a small call's own work.
 """
 from __future__ import annotations
 
@@ -499,94 +503,125 @@ def _add_decimal(parser):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="bochner",
-        description="Exact spectral computations for Bochner differential operators.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p_direct = sub.add_parser("direct", help="eigenvalues and eigenpolynomials")
-    _add_operator_source(p_direct)
-    p_direct.add_argument("--nmax", type=int, default=10, help="highest degree (default 10)")
-    p_direct.add_argument(
+def _direct_arguments(parser):
+    _add_operator_source(parser)
+    parser.add_argument("--nmax", type=int, default=10, help="highest degree (default 10)")
+    parser.add_argument(
         "--check",
         action="store_true",
         help="run the eigen-equation oracle and the determinant cross-check",
     )
-    p_direct.add_argument(
+    parser.add_argument(
         "--deltas",
         action="store_true",
         help="include the triangular delta table in the output",
     )
-    _add_out(p_direct)
-    _add_decimal(p_direct)
-    p_direct.set_defaults(func=run_direct)
+    _add_out(parser)
+    _add_decimal(parser)
 
-    p_preset = sub.add_parser("preset", help="emit a classical operator document")
-    p_preset.add_argument("name", choices=_PRESETS)
-    _add_parameters(p_preset)
-    _add_out(p_preset)
-    _add_decimal(p_preset)
-    p_preset.set_defaults(func=run_preset)
 
-    p_rec = sub.add_parser("recurrence", help="fit the recurrence table, detect the band")
-    _add_operator_source(p_rec)
-    p_rec.add_argument("--nmax", type=int, default=20, help="last fitted row (default 20)")
-    p_rec.add_argument(
+def _preset_arguments(parser):
+    parser.add_argument("name", choices=_PRESETS)
+    _add_parameters(parser)
+    _add_out(parser)
+    _add_decimal(parser)
+
+
+def _recurrence_arguments(parser):
+    _add_operator_source(parser)
+    parser.add_argument("--nmax", type=int, default=20, help="last fitted row (default 20)")
+    parser.add_argument(
         "--nstart",
         type=int,
         help="first row of the band-detection window (default nmax//2 + 1, at most nmax)",
     )
-    p_rec.add_argument(
+    parser.add_argument(
         "--check",
         action="store_true",
         help="re-expand every fitted row and fail on any nonzero residual",
     )
-    _add_out(p_rec)
-    _add_decimal(p_rec)
-    p_rec.set_defaults(func=run_recurrence)
+    _add_out(parser)
+    _add_decimal(parser)
 
-    p_verify = sub.add_parser("verify", help="run the cross-check suite on an operator")
-    _add_operator_source(p_verify)
-    p_verify.add_argument("--nmax", type=int, default=10, help="verification depth (default 10)")
-    _add_out(p_verify)
-    p_verify.set_defaults(func=run_verify)
 
-    p_inv = sub.add_parser("inverse", help="reconstruct an operator from eigen-data")
-    p_inv.add_argument("--data", required=True, metavar="FILE", help="eigen-data JSON document")
-    target = p_inv.add_mutually_exclusive_group()
+def _verify_arguments(parser):
+    _add_operator_source(parser)
+    parser.add_argument("--nmax", type=int, default=10, help="verification depth (default 10)")
+    _add_out(parser)
+
+
+def _inverse_arguments(parser):
+    parser.add_argument("--data", required=True, metavar="FILE", help="eigen-data JSON document")
+    target = parser.add_mutually_exclusive_group()
     target.add_argument("--order", type=int, help="order to test")
     target.add_argument(
         "--search",
         action="store_true",
         help="report the smallest order that fits the data",
     )
-    p_inv.add_argument(
+    parser.add_argument(
         "--check",
         action="store_true",
         help="also verify the determinant and recursion delta paths against each other",
     )
-    _add_out(p_inv)
-    _add_decimal(p_inv)
-    p_inv.set_defaults(func=run_inverse)
+    _add_out(parser)
+    _add_decimal(parser)
 
-    p_lem = sub.add_parser("lemmas", help="sweep identity residuals over integer grids")
-    p_lem.add_argument(
+
+def _lemmas_arguments(parser):
+    parser.add_argument(
         "--id",
         action="append",
         choices=IDENTITY_IDS,
         help="restrict to this identity (repeatable)",
     )
-    p_lem.add_argument(
+    parser.add_argument(
         "--range",
         action="append",
         metavar="VAR=LO:HI",
         help="override a sweep interval, e.g. --range m=0:20 (repeatable)",
     )
-    _add_out(p_lem)
-    p_lem.set_defaults(func=run_lemmas)
+    _add_out(parser)
 
+
+# each verb, in the order the help lists them: its help line, the function
+# that declares its arguments, and the function that runs it
+_VERBS = {
+    "direct": ("eigenvalues and eigenpolynomials", _direct_arguments, run_direct),
+    "preset": ("emit a classical operator document", _preset_arguments, run_preset),
+    "recurrence": (
+        "fit the recurrence table, detect the band",
+        _recurrence_arguments,
+        run_recurrence,
+    ),
+    "verify": ("run the cross-check suite on an operator", _verify_arguments, run_verify),
+    "inverse": ("reconstruct an operator from eigen-data", _inverse_arguments, run_inverse),
+    "lemmas": ("sweep identity residuals over integer grids", _lemmas_arguments, run_lemmas),
+}
+
+
+def build_parser(verbs) -> argparse.ArgumentParser:
+    """The parser of `verbs`, _VERBS keys in _VERBS order.  On an argv that
+    names one of them its help, usage and error text is the whole parser's,
+    byte for byte."""
+    parser = argparse.ArgumentParser(
+        prog="bochner",
+        description="Exact spectral computations for Bochner differential operators.",
+    )
+    # the usage line lists the verbs a parser was given, so a parser of fewer
+    # verbs lists them all through the metavar; only the whole parser can
+    # refuse a verb, and it keeps no metavar, which would replace the name
+    # "verb" in those refusals
+    sub = parser.add_subparsers(
+        dest="verb",
+        required=True,
+        metavar=None if len(verbs) == len(_VERBS) else "{" + ",".join(_VERBS) + "}",
+    )
+    for verb in verbs:
+        help_text, declare, run = _VERBS[verb]
+        verb_parser = sub.add_parser(verb, help=help_text)
+        declare(verb_parser)
+        verb_parser.set_defaults(func=run)
     return parser
 
 
@@ -612,8 +647,11 @@ def _attach_negative_scalars(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_scalars(sys.argv[1:] if argv is None else argv))
+    argv = _attach_negative_scalars(sys.argv[1:] if argv is None else argv)
+    # a verb's own parser suffices once argv[0] names it; -h, no verb or an
+    # unknown verb takes the whole parser
+    verbs = argv[:1] if argv and argv[0] in _VERBS else _VERBS
+    args = build_parser(verbs).parse_args(argv)
     try:
         digits = getattr(args, "decimal", None)
         if digits is not None and digits < 1:

@@ -423,7 +423,7 @@ def direct_text_by_json_dumps(argv):
     exit status and that text.  `argv` follows the verb; the determinant
     route and the eigen-equation oracle are read off `bochner.cli`, so a
     test that replaces them there replaces them here too."""
-    args = cli.build_parser().parse_args(cli._attach_negative_scalars(["direct", *argv]))
+    args = cli.build_parser(["direct"]).parse_args(cli._attach_negative_scalars(["direct", *argv]))
     op, _ = cli._operator_from_args(args)
     normalized, shift = normalize(op)
     table = deltas_from_operator(normalized, args.nmax)

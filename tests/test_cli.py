@@ -865,6 +865,68 @@ def test_negative_nmax_still_reaches_its_check(capsys):
     )
 
 
+# argvs whose help, usage or error text comes from argparse, and two that
+# parse; the text is compared with the same interpreter's whole parser,
+# because argparse words it differently from one Python version to another
+PARSER_CORPUS = [
+    ("-h",),
+    *((verb, "-h") for verb in bochner.cli._VERBS),
+    (),
+    ("bogus",),
+    ("x", "direct"),
+    ("direct", "--bogus"),
+    ("direct", "--preset", "hermite", "extra"),
+    ("direct", "--nmax"),
+    ("recurrence", "--n", "3"),
+    ("inverse", "--search"),
+    ("inverse", "--data", "data.json", "--order", "1", "--search"),
+    ("direct", "--preset", "hermite", "--nm", "3"),
+    ("preset", "jacobi", "--alpha", "1", "--bet", "-2/5"),
+    ("preset", "nope"),
+    ("lemmas", "--id", "nope"),
+]
+
+
+def run_parsing(capsys, argv):
+    """(exit code, stdout, stderr) of `main` on `argv`, where argparse may
+    exit by SystemExit."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "no-argv")
+def test_verb_parser_gives_the_whole_parsers_bytes(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    build_parser = bochner.cli.build_parser
+    built = []
+
+    def recording(verbs):
+        built.append(tuple(verbs))
+        return build_parser(verbs)
+
+    monkeypatch.setattr(bochner.cli, "build_parser", recording)
+    shipped = run_parsing(capsys, argv)
+    monkeypatch.setattr(bochner.cli, "build_parser", lambda verbs: build_parser(bochner.cli._VERBS))
+    assert run_parsing(capsys, argv) == shipped
+    # a verb's argv builds that verb's parser alone, anything else all six
+    names_a_verb = bool(argv) and argv[0] in bochner.cli._VERBS
+    assert built == [argv[:1] if names_a_verb else tuple(bochner.cli._VERBS)]
+
+
+@pytest.mark.parametrize("argv", [(), ("bogus",)], ids=["no-verb", "unknown-verb"])
+def test_whole_parser_names_the_verb_operand_by_its_dest(capsys, argv):
+    # the brace list of every verb is the operand's metavar only in a parser
+    # of fewer verbs; in the whole parser's refusals it would replace "verb"
+    code, _, err = run_parsing(capsys, argv)
+    last = err.splitlines()[-1]
+    assert code == 2
+    assert " verb" in last and "{" not in last, last
+
+
 @pytest.mark.parametrize("nmax", ["3", "150"])
 def test_closed_stdout_exits_2_without_traceback(nmax):
     # no reader is left on the pipe when the child writes: small output

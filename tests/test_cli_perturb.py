@@ -2,7 +2,8 @@
 whatever the perturbation, `main` returns an exit code in 0-3 and lets no
 exception escape; on exit 0 standard output is one JSON document, the one
 written to --out, and on exit 2 or 3 standard output is empty and standard
-error is one line."""
+error is one line.  A census holds the same contract on one fixed argv for
+each exit code that each verb returns."""
 import io
 import json
 import tempfile
@@ -10,6 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from decimal import MAX_PREC
 from pathlib import Path
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bochner import normalize
@@ -35,17 +37,7 @@ def run_on(document, verb, *flags):
         source, target = Path(tmp) / "in.json", Path(tmp) / "out.json"
         text = json.dumps(document).replace(json.dumps(LONG_INTEGER), "7" * 5000)
         source.write_text(text)
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            status = main([verb, *flags, str(source), "--out", str(target)])
-        out, err = out.getvalue(), err.getvalue()
-        assert status in (0, 1, 2, 3)
-        if status == 0:
-            assert json.loads(out) == json.loads(target.read_text())
-        if status in (2, 3):
-            assert out == ""
-            assert err.count("\n") == 1 and err.endswith("\n")
-        return status, out
+        return run_argv([verb, *flags, str(source)], target)[:2]
 
 
 def entry_paths(doc, key):
@@ -178,16 +170,17 @@ def render(head, options):
     return argv
 
 
-def run_argv(argv):
-    """(exit code, stdout, stderr) of `main` on `argv`, checking the
-    contract above."""
+def run_argv(argv, target=None):
+    """(exit code, stdout, stderr) of `main` on `argv`, and --out `target`
+    when given, checking the contract above."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        status = main(argv)
+        status = main(argv if target is None else [*argv, "--out", str(target)])
     out, err = out.getvalue(), err.getvalue()
     assert status in (0, 1, 2, 3)
     if status == 0:
-        json.loads(out)
+        document = json.loads(out)
+        assert target is None or document == json.loads(target.read_text())
     if status in (2, 3):
         assert out == ""
         assert err.count("\n") == 1 and err.endswith("\n")
@@ -264,3 +257,41 @@ def test_value_out_of_range_exits_2(argv, data):
     status, out, _ = run_argv(render(head, options))
     assert status == 2
     assert out == ""
+
+
+# an operator whose lambda_1 vanishes, and eigen-data whose lambda_1 and
+# lambda_2 coincide
+DEGENERATE_OPERATOR = {"N": 2, "a": [[], [], ["1"]]}
+DEGENERATE_DATA = {"lambda": ["0", "-2", "-2"], "P": [["1"], ["0", "1"], ["-1/2", "0", "1"]]}
+# (verb, exit code) -> (flags, document): the flags after the verb of one
+# argv for each exit code that the verb returns unpatched; the path of the
+# document, if any, ends them
+EXIT_CENSUS = {
+    ("direct", 0): (["--preset", "hermite", "--nmax", "4"], None),
+    ("direct", 2): (["--preset", "hermite", "--nmax", "-1"], None),
+    ("direct", 3): (["--operator"], DEGENERATE_OPERATOR),
+    ("recurrence", 0): (["--preset", "hermite", "--nmax", "4"], None),
+    ("recurrence", 2): (["--preset", "hermite", "--nmax", "-1"], None),
+    ("recurrence", 3): (["--operator"], DEGENERATE_OPERATOR),
+    ("verify", 0): (["--preset", "hermite", "--nmax", "4"], None),
+    ("verify", 2): (["--preset", "hermite", "--nmax", "1"], None),
+    ("verify", 3): (["--operator"], DEGENERATE_OPERATOR),
+    ("inverse", 0): (["--search", "--data"], hermite_data_with(0, ["1"])),
+    ("inverse", 1): (["--search", "--data"], hermite_data_with(2, ["1/12345", "0", "1"])),
+    ("inverse", 2): (["--search", "--data"], hermite_data_with(2, ["-1/2", "0", "2"])),
+    ("inverse", 3): (["--search", "--data"], DEGENERATE_DATA),
+    ("preset", 0): (["jacobi", "--alpha", "1/2", "--beta", "-2/5"], None),
+    ("preset", 2): (["jacobi", "--alpha", "1/2"], None),
+    ("lemmas", 0): (["--id", "8_tilde", "--range", "r=0:3"], None),
+    ("lemmas", 2): (["--range", "r=3:0"], None),
+}
+
+
+@pytest.mark.parametrize("verb, code", list(EXIT_CENSUS))
+def test_exit_code_census(tmp_path, verb, code):
+    flags, document = EXIT_CENSUS[verb, code]
+    if document is None:
+        status = run_argv([verb, *flags], tmp_path / "out.json")[0]
+    else:
+        status = run_on(document, verb, *flags)[0]
+    assert status == code
