@@ -24,6 +24,14 @@ for argv in "-h" "verify -h"; do
 done
 status=0; COLUMNS=80 python3 -m bochner direct --bogus 2> "$RUNNER_TEMP/bogus.txt" || status=$?; test "$status" -eq 2
 python3 -c 'import sys; from bochner.cli import _VERBS; usage = open(sys.argv[1]).readline(); sys.exit(0 if usage == "usage: bochner [-h] {%s} ...\n" % ",".join(_VERBS) else 1)' "$RUNNER_TEMP/bogus.txt"
+# an unknown verb, and a document that repeats a key: exit 2, and for the
+# document one error line and nothing on standard output
+status=0; python3 -m bochner bogus 2> /dev/null || status=$?; test "$status" -eq 2
+printf '%s\n' '{"N": 1, "a": [[], ["0", "1"]], "a": [[], ["0", "2"]]}' > "$RUNNER_TEMP/repeated-key.json"
+status=0; python3 -m bochner direct --operator "$RUNNER_TEMP/repeated-key.json" > "$RUNNER_TEMP/repeated-key.out" 2> "$RUNNER_TEMP/repeated-key.err" || status=$?; test "$status" -eq 2
+test ! -s "$RUNNER_TEMP/repeated-key.out"
+test "$(wc -l < "$RUNNER_TEMP/repeated-key.err")" -eq 1
+grep -q '^error: .* repeats the key "a" in one object$' "$RUNNER_TEMP/repeated-key.err"
 python3 -m bochner direct --shapiro=1,-2,3,1 --nmax 30 --check > "$RUNNER_TEMP/shapiro-direct.json"
 python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["check"] == "ok" else 1)' "$RUNNER_TEMP/shapiro-direct.json"
 python3 -m bochner direct --preset hermite --nmax 60 --check > /dev/null

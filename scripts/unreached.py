@@ -113,6 +113,7 @@ def runs(work):
         (2, ["direct", "--operator", str(work / "not-utf8.json")]),
         (2, ["direct", "--operator", str(work / "not-json.json")]),
         (2, ["direct", "--operator", str(work / "bad-doc.json")]),
+        (2, ["direct", "--operator", str(work / "repeated-key.json")]),
         (2, ["direct", "--preset", "hermite", "--decimal", "0"]),
         (2, ["direct", "--preset", "hermite", "--decimal", str(MAX_PREC + 1)]),
         (2, ["verify", "--preset", "hermite", "--decimal", "3"]),
@@ -129,6 +130,7 @@ def write_inputs(work):
     (work / "not-utf8.json").write_bytes(b"\xff\n")
     (work / "not-json.json").write_text("{")
     (work / "bad-doc.json").write_text(json.dumps({"N": 1, "a": [[], []]}))
+    (work / "repeated-key.json").write_text('{"N": 1, "a": [[], ["0", "1"]], "a": []}')
 
 
 def run_verbs(work):
@@ -137,10 +139,7 @@ def run_verbs(work):
     wrong = []
     for expected, argv in runs(work):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            try:
-                status = cli.main(argv)
-            except SystemExit as exc:  # argparse refuses a flag by exiting
-                status = exc.code
+            status = cli.main(argv)
         if status != expected:
             wrong.append((argv, status, expected))
     return wrong

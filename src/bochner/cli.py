@@ -9,10 +9,12 @@ Verbs:
     lemmas      sweep the combinatorial identity residuals over integer grids
 
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 degenerate
-spectrum.  Successful invocations print a JSON document with exact scalar
-strings; on direct, preset, recurrence and inverse, --decimal K adds
-labeled K-digit decimal renderings next to (never instead of) the exact
-values.
+spectrum.  In process, `main(argv)` returns the exit status for every argv,
+-h and argparse's refusals included; a package error's status is the
+`exit_code` its type states in `errors.py`.  Successful invocations print a
+JSON document with exact scalar strings; on direct, preset, recurrence and
+inverse, --decimal K adds labeled K-digit decimal renderings next to (never
+instead of) the exact values.
 
 Every verb writes its document through one emitter, `_emit`, in the layout
 and bytes of json.dumps(payload, indent=2).  `direct` streams: it runs every
@@ -41,11 +43,8 @@ from fractions import Fraction
 
 from .errors import (
     BochnerError,
-    DegenerateSpectrum,
     DomainError,
     InsufficientData,
-    InvalidEigenSystem,
-    InvalidOperator,
     NoFiniteOrderOperator,
     ParseError,
     VerificationError,
@@ -193,9 +192,20 @@ def _write_rows(head, rows, write) -> None:
 
 
 def _load_json(path: str):
+    """The JSON document at `path`; an object that repeats a key, at any
+    depth, is refused, since JSON would keep only its last value."""
+
+    def unique_keys(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParseError(f"{path} repeats the key {_encode(key)} in one object")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle, parse_int=parse_int)
+            return json.load(handle, parse_int=parse_int, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -651,7 +661,11 @@ def main(argv=None) -> int:
     # a verb's own parser suffices once argv[0] names it; -h, no verb or an
     # unknown verb takes the whole parser
     verbs = argv[:1] if argv and argv[0] in _VERBS else _VERBS
-    args = build_parser(verbs).parse_args(argv)
+    try:
+        args = build_parser(verbs).parse_args(argv)
+    except SystemExit as exc:
+        # argparse has written the help, or its usage and error line
+        return exc.code
     try:
         digits = getattr(args, "decimal", None)
         if digits is not None and digits < 1:
@@ -669,21 +683,9 @@ def main(argv=None) -> int:
         os.close(devnull)
         print(f"error: cannot write to standard output: {exc}", file=sys.stderr)
         return 2
-    except DegenerateSpectrum as exc:
-        print(f"degenerate spectrum: {exc}", file=sys.stderr)
-        return 3
-    except (
-        ParseError,
-        DomainError,
-        InvalidOperator,
-        InvalidEigenSystem,
-        InsufficientData,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BochnerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,30 +1,49 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type states in its own body the exit status that the CLI returns for
+it, `exit_code`: 1 a verification failure, 2 an input error, 3 a degenerate
+spectrum.  `label` starts the one line the CLI writes for it to standard
+error.
+"""
 
 
 class BochnerError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+    label = "error"
+
 
 class DomainError(BochnerError):
     """An argument lies outside the mathematical domain of an operation."""
 
+    exit_code = 2
+
 
 class ParseError(BochnerError):
     """Malformed textual input (scalar strings, JSON documents, CLI flags)."""
+
+    exit_code = 2
 
 
 class InvalidOperator(BochnerError):
     """A differential operator violating the degree condition deg(a_i) <= i,
     with vanishing leading coefficient, or otherwise unusable."""
 
+    exit_code = 2
+
 
 class InvalidEigenSystem(BochnerError):
     """An eigenvalue/eigenpolynomial family violating the monic, degree or
     normalization requirements."""
 
+    exit_code = 2
+
 
 class InsufficientData(BochnerError):
     """A table or data set is too small for the requested computation."""
+
+    exit_code = 2
 
 
 class DegenerateSpectrum(BochnerError):
@@ -33,6 +52,9 @@ class DegenerateSpectrum(BochnerError):
     `indices` carries the offending positions: a pair (n, m) for a collision,
     a singleton (n,) for a vanishing eigenvalue.
     """
+
+    exit_code = 3
+    label = "degenerate spectrum"
 
     def __init__(self, indices):
         self.indices = tuple(indices)
@@ -52,6 +74,8 @@ class NoFiniteOrderOperator(BochnerError):
     position (n, k) at which the finite-order criterion breaks.
     """
 
+    exit_code = 1
+
     def __init__(self, order, failure):
         self.order = order
         self.failure = tuple(failure)
@@ -62,3 +86,5 @@ class NoFiniteOrderOperator(BochnerError):
 
 class VerificationError(BochnerError):
     """An internal cross-check that is guaranteed to hold has failed."""
+
+    exit_code = 1

@@ -13,6 +13,11 @@ The CLI reads the operator and eigen-data documents and writes all four;
 nothing reads a table back.  Every entry is one `format_scalar` string,
 which `parse_scalar` reads back to the same value, whatever its size.
 
+A document may hold keys that no reader here takes: they are ignored, so
+`inverse --data` reads a `direct` document with its "delta", "*_decimal",
+"check" and "mismatches" fields.  A key repeated in one object is refused
+when the CLI loads the file (`cli._load_json`), before these readers run.
+
 Error messages name a bad value's type, never the value itself: str() of an
 integer past Python's int/str digit limit raises.
 """

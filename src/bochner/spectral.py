@@ -41,7 +41,6 @@ each P_n as it comes (`bochner direct`) never holds the family;
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb
 from typing import Iterator, Sequence
 
@@ -211,7 +210,7 @@ def lambda_via_N2_identity(lambda1, lambda2, n: int) -> GaussianRational:
         raise DomainError(f"negative index {n}")
     l1 = scalar(lambda1)
     l2 = scalar(lambda2)
-    return (-n * (n - 2)) * l1 + Fraction(n * (n - 1), 2) * l2
+    return (-n * (n - 2)) * l1 + (n * (n - 1) // 2) * l2
 
 
 def eigenpolys(table: DeltaTable) -> Iterator[Poly]:

@@ -111,11 +111,7 @@ def test_direct_det_runs_no_recursion(capsys, monkeypatch, flags, status, descen
         return real(band, n)
 
     monkeypatch.setattr(bochner.spectral, "descend", counted)
-    try:
-        code = main(["direct", "--preset", "hermite", "--nmax", "8", *flags])
-    except SystemExit as exc:
-        code = exc.code
-    out, err = capsys.readouterr()
+    code, out, err = run_cli(capsys, "direct", "--preset", "hermite", "--nmax", "8", *flags)
     assert code == status
     # one descent per degree, in order
     assert calls == list(range(descents))
@@ -511,6 +507,43 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, argv, content):
     assert err.startswith(f"error: {path} ") and err.count("\n") == 1
 
 
+OPERATOR_TEXT = '"N": 1, "a": [[], ["0", "1"]]'
+DATA_TEXT = '"lambda": ["0", "1"], "P": [["1"], ["0", "1"]]'
+
+
+@pytest.mark.parametrize(
+    "argv, text, key",
+    [
+        (("direct", "--operator"), '{%s, "a": [[], ["0", "2"]]}' % OPERATOR_TEXT, "a"),
+        (("direct", "--operator"), '{"N": 1, %s}' % OPERATOR_TEXT, "N"),
+        (("direct", "--operator"), '{%s, "note": [{"x": 1, "x": 1}]}' % OPERATOR_TEXT, "x"),
+        (("inverse", "--search", "--data"), '{%s, "lambda": ["0", "2"]}' % DATA_TEXT, "lambda"),
+        (("inverse", "--search", "--data"), '{%s, "check": {"P": 1, "P": 2}}' % DATA_TEXT, "P"),
+    ],
+    ids=["operator-a", "operator-N", "operator-nested", "data-lambda", "data-nested"],
+)
+def test_repeated_key_exits_2_before_any_output(tmp_path, capsys, argv, text, key):
+    # JSON keeps the last value of a repeated key, which would run silently
+    path, target = tmp_path / "doc.json", tmp_path / "out.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, *argv, str(path), "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f'error: {path} repeats the key "{key}" in one object\n'
+    assert not target.exists()
+
+
+def test_inverse_reads_a_direct_document_with_every_field(tmp_path, capsys):
+    # keys that no verb reads are accepted
+    path = tmp_path / "direct.json"
+    argv = ("--preset", "hermite", "--nmax", "4", "--deltas", "--decimal", "3", "--check")
+    code, payload, _ = run_json(capsys, "direct", *argv, "--out", str(path))
+    assert code == 0
+    assert {"delta", "lambda_decimal", "P_decimal", "check"} <= payload.keys()
+    code, payload, _ = run_json(capsys, "inverse", "--search", "--data", str(path))
+    assert code == 0
+    assert payload["N"] == 2
+
+
 def test_inverse_requires_order_or_search(tmp_path, capsys):
     path = write_json(tmp_path / "hermite.json", hermite_data_doc(5))
     code, _, err = run_cli(capsys, "inverse", "--data", path)
@@ -565,9 +598,8 @@ def test_lemmas_sweeps_a_repeated_identity_once(capsys):
 
 
 def test_lemmas_unknown_identity_exits_2(capsys):
-    with pytest.raises(SystemExit) as info:
-        main(["lemmas", "--id", "bogus"])
-    assert info.value.code == 2
+    code, _, _ = run_cli(capsys, "lemmas", "--id", "bogus")
+    assert code == 2
 
 
 def test_lemmas_malformed_range_exits_2(capsys):
@@ -653,10 +685,9 @@ def test_decimal_past_max_prec_exits_2_before_any_output(capsys, argv, digits):
     "argv", [("verify", "--preset", "hermite"), ("lemmas", "--id", "kym")], ids=["verify", "lemmas"]
 )
 def test_verbs_without_decimal_fields_refuse_decimal(capsys, argv):
-    with pytest.raises(SystemExit) as info:
-        main([*argv, "--decimal", "3"])
-    assert info.value.code == 2
-    assert capsys.readouterr().out == ""
+    code, out, _ = run_cli(capsys, *argv, "--decimal", "3")
+    assert code == 2
+    assert out == ""
 
 
 def test_out_flag_mirrors_stdout(tmp_path, capsys):
@@ -792,10 +823,8 @@ def test_star_with_no_coefficient_exits_2_at_every_entry_point(tmp_path, capsys,
 
 def test_inverse_order_and_search_together_exit_2(tmp_path, capsys):
     path = write_json(tmp_path / "hermite.json", hermite_data_doc(4))
-    with pytest.raises(SystemExit) as info:
-        main(["inverse", "--data", path, "--search", "--order", "1"])
-    out, err = capsys.readouterr()
-    assert info.value.code == 2
+    code, out, err = run_cli(capsys, "inverse", "--data", path, "--search", "--order", "1")
+    assert code == 2
     assert out == ""
     assert err.rstrip().endswith("error: argument --order: not allowed with argument --search")
 
@@ -887,17 +916,6 @@ PARSER_CORPUS = [
 ]
 
 
-def run_parsing(capsys, argv):
-    """(exit code, stdout, stderr) of `main` on `argv`, where argparse may
-    exit by SystemExit."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 @pytest.mark.parametrize("argv", PARSER_CORPUS, ids=lambda argv: " ".join(argv) or "no-argv")
 def test_verb_parser_gives_the_whole_parsers_bytes(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
@@ -909,9 +927,9 @@ def test_verb_parser_gives_the_whole_parsers_bytes(capsys, monkeypatch, argv):
         return build_parser(verbs)
 
     monkeypatch.setattr(bochner.cli, "build_parser", recording)
-    shipped = run_parsing(capsys, argv)
+    shipped = run_cli(capsys, *argv)
     monkeypatch.setattr(bochner.cli, "build_parser", lambda verbs: build_parser(bochner.cli._VERBS))
-    assert run_parsing(capsys, argv) == shipped
+    assert run_cli(capsys, *argv) == shipped
     # a verb's argv builds that verb's parser alone, anything else all six
     names_a_verb = bool(argv) and argv[0] in bochner.cli._VERBS
     assert built == [argv[:1] if names_a_verb else tuple(bochner.cli._VERBS)]
@@ -921,7 +939,7 @@ def test_verb_parser_gives_the_whole_parsers_bytes(capsys, monkeypatch, argv):
 def test_whole_parser_names_the_verb_operand_by_its_dest(capsys, argv):
     # the brace list of every verb is the operand's metavar only in a parser
     # of fewer verbs; in the whole parser's refusals it would replace "verb"
-    code, _, err = run_parsing(capsys, argv)
+    code, _, err = run_cli(capsys, *argv)
     last = err.splitlines()[-1]
     assert code == 2
     assert " verb" in last and "{" not in last, last

@@ -2,10 +2,12 @@
 whatever the perturbation, `main` returns an exit code in 0-3 and lets no
 exception escape; on exit 0 standard output is one JSON document, the one
 written to --out, and on exit 2 or 3 standard output is empty and standard
-error is one line.  A census holds the same contract on one fixed argv for
-each exit code that each verb returns."""
+error is one line, or, when argparse refuses the argv, its usage block and
+one error line.  A census holds the same contract on one fixed argv for
+each exit code that each verb returns, and `-h` returns 0."""
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import MAX_PREC
@@ -14,8 +16,8 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from bochner import normalize
-from bochner.cli import _PRESETS, main
+from bochner import errors, normalize
+from bochner.cli import _PRESETS, _VERBS, main
 from bochner.inverse import deltas_from_eigendata_rec, first_order_violation
 from bochner.serialize import eigendata_from_dict, operator_to_dict
 from conftest import usable_bochner_operators
@@ -183,7 +185,16 @@ def run_argv(argv, target=None):
         assert target is None or document == json.loads(target.read_text())
     if status in (2, 3):
         assert out == ""
-        assert err.count("\n") == 1 and err.endswith("\n")
+        assert err.endswith("\n")
+        *usage, last = err.splitlines()
+        if usage:
+            # argparse's refusal: its usage block, wrapped lines indented
+            assert status == 2
+            assert usage[0].startswith("usage: bochner")
+            assert all(line.startswith(" ") for line in usage[1:])
+            assert re.match(r"bochner( [a-z]+)?: error: ", last), last
+        else:
+            assert last.startswith("error: " if status == 2 else "degenerate spectrum: ")
     return status, out, err
 
 
@@ -295,3 +306,90 @@ def test_exit_code_census(tmp_path, verb, code):
     else:
         status = run_on(document, verb, *flags)[0]
     assert status == code
+
+
+@st.composite
+def refused_argvs(draw):
+    """(argv, named): a valid argv of `preset_argvs` with one perturbation
+    that argparse refuses, and a text that its error line names: an unknown
+    flag, a flag with no value, a non-integer --nmax, an unknown preset or
+    an unknown verb."""
+    head, options, _ = draw(preset_argvs())
+    argv = render(head, options)
+    way = draw(st.sampled_from(["flag", "no value", "nmax", "preset", "verb"]))
+    if way == "flag":
+        return [*argv, "--bogus"], "--bogus"
+    if way == "no value":
+        flag = "--" + draw(st.sampled_from(["alpha", "beta", "shapiro", "decimal", "out"]))
+        return [*argv, flag], flag
+    if way == "nmax":
+        # `preset` takes no --nmax, and refuses the flag with its value
+        return [*argv, "--nmax", draw(st.sampled_from(["x", "1.5", "", "-1.5"]))], "--nmax"
+    if way == "preset":
+        if argv[0] == "preset":
+            argv[1] = "nope"
+        else:
+            argv += ["--preset", "nope"]
+        return argv, "nope"
+    argv[0] = draw(st.sampled_from(["bogus", argv[0][:-1], argv[0].upper()]))
+    return argv, argv[0]
+
+
+@given(refused_argvs())
+@example(([], "verb"))
+@settings(max_examples=40, deadline=None)
+def test_argparse_refusal_returns_2(refused):
+    argv, named = refused
+    status, _, err = run_argv(argv)
+    assert status == 2
+    lines = err.splitlines()
+    assert lines[0].startswith("usage: bochner") and named in lines[-1], err
+
+
+@pytest.mark.parametrize("argv", [["-h"], *([verb, "-h"] for verb in _VERBS)], ids=" ".join)
+def test_help_returns_0(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        status = main(argv)
+    assert status == 0
+    assert out.getvalue().startswith("usage: bochner") and err.getvalue() == ""
+
+
+# each error type of the package and the exit code it states
+EXIT_CODES = {
+    "BochnerError": 1,
+    "DomainError": 2,
+    "ParseError": 2,
+    "InvalidOperator": 2,
+    "InvalidEigenSystem": 2,
+    "InsufficientData": 2,
+    "DegenerateSpectrum": 3,
+    "NoFiniteOrderOperator": 1,
+    "VerificationError": 1,
+}
+
+
+def test_every_error_type_is_in_the_exit_code_table():
+    declared = {
+        name
+        for name, cls in vars(errors).items()
+        if isinstance(cls, type) and issubclass(cls, errors.BochnerError)
+    }
+    assert declared == EXIT_CODES.keys()
+
+
+@pytest.mark.parametrize("name", list(EXIT_CODES))
+def test_main_returns_the_exit_code_the_error_type_states(monkeypatch, name):
+    # stated in the type's own body, so a new type cannot inherit a code
+    cls = getattr(errors, name)
+    assert "exit_code" in vars(cls) and cls.exit_code == EXIT_CODES[name]
+    args = {"DegenerateSpectrum": [(1, 2)], "NoFiniteOrderOperator": [2, (3, 1)]}
+    error = cls(*args.get(name, ["broken"]))
+
+    def fail(*_):
+        raise error
+
+    monkeypatch.setattr("bochner.cli.sweep", fail)
+    status, out, err = run_argv(["lemmas"])
+    assert status == cls.exit_code and out == ""
+    assert err == f"{'degenerate spectrum' if status == 3 else 'error'}: {error}\n"
