@@ -85,6 +85,7 @@ def runs(work):
         (0, ["direct", "--preset", "jacobi", "--alpha", "1/2", "--beta", "-1/3", "--nmax", "5"]),
         (0, ["direct", "--shapiro=1,-2,1/2+i", "--nmax", "6", "--check"]),
         (0, ["preset", "hermite"]),
+        (0, ["-h"]),
         (0, ["preset", "laguerre", "--alpha", "2"]),
         (0, ["preset", "jacobi", "--alpha", "1", "--beta", "-1/2", "--decimal", "4"]),
         (0, ["preset", "shapiro", "--shapiro", "1,2"]),
@@ -115,6 +116,8 @@ def runs(work):
         (2, ["direct", "--operator", str(work / "bad-doc.json")]),
         (2, ["direct", "--operator", str(work / "repeated-key.json")]),
         (2, ["direct", "--preset", "hermite", "--decimal", "0"]),
+        (2, ["direct", "--preset", "hermite", "--decimal",
+             str(cli._DECIMAL_MAX + 1)]),
         (2, ["direct", "--preset", "hermite", "--decimal", str(MAX_PREC + 1)]),
         (2, ["verify", "--preset", "hermite", "--decimal", "3"]),
         (2, ["verify", "--preset", "hermite", "--nmax", "1"]),

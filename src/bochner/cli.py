@@ -11,10 +11,12 @@ Verbs:
 Exit codes: 0 success, 1 verification failure, 2 input error, 3 degenerate
 spectrum.  In process, `main(argv)` returns the exit status for every argv,
 -h and argparse's refusals included; a package error's status is the
-`exit_code` its type states in `errors.py`.  Successful invocations print a
-JSON document with exact scalar strings; on direct, preset, recurrence and
-inverse, --decimal K adds labeled K-digit decimal renderings next to (never
-instead of) the exact values.
+`exit_code` its type states in `errors.py`.  A standard output that refuses
+the bytes, closed or on a full device, exits 2 with one error line, for -h
+as for a verb's document.  Successful invocations print a JSON document
+with exact scalar strings; on direct, preset, recurrence and inverse,
+--decimal K adds labeled K-digit decimal renderings next to (never instead
+of) the exact values, for K up to 10^6.
 
 Every verb writes its document through one emitter, `_emit`, in the layout
 and bytes of json.dumps(payload, indent=2).  `direct` streams: it runs every
@@ -39,7 +41,6 @@ import re
 import sys
 from collections.abc import Iterator
 from decimal import MAX_PREC, Decimal, localcontext
-from fractions import Fraction
 
 from .errors import (
     BochnerError,
@@ -107,6 +108,11 @@ _PARAMETERS = tuple(dict.fromkeys(p for _, params in _PRESETS.values() for p in 
 _NEGATIVE_SCALAR = re.compile(r"-[\di]")
 # a JSON string as json.dumps writes it by default
 _encode = json.encoder.encode_basestring_ascii
+# the largest --decimal K: each value's rendering costs time and memory
+# linear in K; `direct --preset jacobi --nmax 10` renders 77 values, and took
+# 0.8 s and 98 MiB at K = 10^6 and 7.4 s and 843 MiB at 10^7 (CPython 3.11,
+# x86-64), and at 10^9 its `--nmax 2` call outgrew 7.6 GB
+_DECIMAL_MAX = 10**6
 
 
 def _decimal_text(value: Fraction, digits: int) -> str:
@@ -509,7 +515,7 @@ def _add_decimal(parser):
         "--decimal",
         type=int,
         metavar="K",
-        help="add K-digit decimal renderings beside the exact values",
+        help=f"add K-digit decimal renderings beside the exact values, K <= {_DECIMAL_MAX}",
     )
 
 
@@ -610,11 +616,18 @@ _VERBS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse drops a failed write from Python 3.11 on; the help written
+        # here fails on a closed standard output as a verb's document does
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser(verbs) -> argparse.ArgumentParser:
     """The parser of `verbs`, _VERBS keys in _VERBS order.  On an argv that
     names one of them its help, usage and error text is the whole parser's,
     byte for byte."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bochner",
         description="Exact spectral computations for Bochner differential operators.",
     )
@@ -662,22 +675,29 @@ def main(argv=None) -> int:
     # unknown verb takes the whole parser
     verbs = argv[:1] if argv and argv[0] in _VERBS else _VERBS
     try:
-        args = build_parser(verbs).parse_args(argv)
-    except SystemExit as exc:
-        # argparse has written the help, or its usage and error line
-        return exc.code
-    try:
-        digits = getattr(args, "decimal", None)
-        if digits is not None and digits < 1:
-            raise ParseError(f"--decimal K needs K >= 1, got {digits}")
-        if digits is not None and digits > MAX_PREC:
-            raise ParseError(f"--decimal K needs K <= {MAX_PREC}, got {digits}")
-        status = args.func(args)
+        try:
+            args = build_parser(verbs).parse_args(argv)
+        except SystemExit as exc:
+            # argparse has written the help, or its usage and error line
+            status = exc.code
+        else:
+            digits = getattr(args, "decimal", None)
+            if digits is not None and digits < 1:
+                raise ParseError(f"--decimal K needs K >= 1, got {digits}")
+            if digits is not None and digits > MAX_PREC:
+                raise ParseError(f"--decimal K needs K <= {MAX_PREC}, got {digits}")
+            if digits is not None and digits > _DECIMAL_MAX:
+                raise ParseError(
+                    f"--decimal K renders at most {_DECIMAL_MAX} digits, got {digits}"
+                )
+            status = args.func(args)
         sys.stdout.flush()
         return status
-    except BrokenPipeError as exc:
-        # the reader closed stdout; send what is still buffered to devnull,
-        # or the interpreter's final flush raises the same error again
+    except OSError as exc:
+        # stdout refused the bytes (its reader closed it, or its device is
+        # full; every file the verbs open turns its own OSError into a
+        # ParseError); send what is still buffered to devnull, or the
+        # interpreter's final flush raises the same error again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

@@ -31,9 +31,9 @@ summation kernel with the recursion it checks.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import reduce
 from operator import add
-from typing import Sequence
 
 from .errors import DomainError
 from .scalars import GaussianRational, ONE, ZERO

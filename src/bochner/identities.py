@@ -34,9 +34,9 @@ Identity ids (parameters, domain):
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from fractions import Fraction
 from math import comb, factorial
-from typing import Callable, Iterator, Mapping, NamedTuple
 
 from .errors import DomainError, ParseError
 from .scalars import GaussianRational, ZERO, scalar
@@ -134,39 +134,33 @@ def _domain_31tilde(n, big_n, s):
     return not (1 <= s.re <= n - big_n + 1)
 
 
-class _Identity(NamedTuple):
-    names: tuple  # ordered parameter names
-    residual: Callable
-    domain: Callable
-    # default sweep range per integer parameter, (low, high) inclusive; a
-    # parameter with no range is the rational probe, swept over PROBE_VALUES
-    grid: dict
-
-
-# Rectangular default sweep grids: combinations falling outside an identity's
-# domain are skipped (and counted as skipped by `sweep`).
+# each identity's ordered parameter names, residual, domain test and default
+# sweep range per integer parameter, (low, high) inclusive; a parameter with
+# no range is the rational probe, swept over PROBE_VALUES.  The grids are
+# rectangular: combinations falling outside an identity's domain are skipped
+# (and counted as skipped by `sweep`).
 IDENTITIES = {
-    "1_lema1": _Identity(
+    "1_lema1": (
         ("m", "k"), _alternating_column_sum, _domain_1_lema1,
         {"m": (0, 14), "k": (0, 14)},
     ),
-    "2_lema1": _Identity(
+    "2_lema1": (
         ("m", "k"), _truncated_row_sum, _domain_2_lema1,
         {"m": (0, 14), "k": (0, 10)},
     ),
-    "kym": _Identity(
+    "kym": (
         ("k", "m"), _harmonic_binomial, _domain_kym,
         {"k": (1, 12), "m": (1, 12)},
     ),
-    "8_tilde": _Identity(
+    "8_tilde": (
         ("n", "q", "r"), _shifted_vandermonde, _domain_8_tilde,
         {"n": (0, 12), "q": (0, 12), "r": (0, 14)},
     ),
-    "10_tilde": _Identity(
+    "10_tilde": (
         ("n", "m", "r", "k"), _weighted_vandermonde, _domain_10_tilde,
         {"n": (0, 12), "m": (0, 12), "r": (0, 12), "k": (0, 12)},
     ),
-    "31tilde": _Identity(
+    "31tilde": (
         ("n", "N", "s"), _falling_product_fractions, _domain_31tilde,
         {"n": (0, 12), "N": (0, 12)},
     ),
@@ -175,7 +169,7 @@ IDENTITIES = {
 IDENTITY_IDS = tuple(IDENTITIES)
 
 
-def _lookup(identity: str) -> _Identity:
+def _lookup(identity: str) -> tuple:
     if identity not in IDENTITIES:
         raise DomainError(f"unknown identity id {identity!r}")
     return IDENTITIES[identity]
@@ -189,18 +183,18 @@ def lemma_residual(identity: str, params: Mapping) -> GaussianRational:
     non-integer for a parameter with a sweep range, and a probe that is no
     exact scalar.
     """
-    entry = _lookup(identity)
-    unknown = set(params) - set(entry.names)
+    names, residual, domain, grid = _lookup(identity)
+    unknown = set(params) - set(names)
     if unknown:
         raise DomainError(
             f"identity {identity!r} does not take parameters {sorted(unknown)}"
         )
     args = []
-    for name in entry.names:
+    for name in names:
         if name not in params:
             raise DomainError(f"missing parameter {name!r}")
         value = params[name]
-        if name not in entry.grid:
+        if name not in grid:
             try:
                 value = scalar(value)
             except (DomainError, ParseError) as exc:
@@ -208,9 +202,9 @@ def lemma_residual(identity: str, params: Mapping) -> GaussianRational:
         elif isinstance(value, bool) or not isinstance(value, int):
             raise DomainError(f"parameter {name!r} must be an integer, got {value!r}")
         args.append(value)
-    if not entry.domain(*args):
+    if not domain(*args):
         raise DomainError(f"parameters {dict(params)!r} outside the domain of {identity!r}")
-    return entry.residual(*args)
+    return residual(*args)
 
 
 # Rational probe values for the 31tilde sweep: none is an integer in a
@@ -233,18 +227,18 @@ def iter_grid(identity: str, overrides: Mapping | None = None) -> Iterator[dict]
     variables.  The rational probe parameter of 31tilde is swept over
     PROBE_VALUES and cannot be overridden by an integer interval.
     """
-    entry = _lookup(identity)
-    grid = dict(entry.grid)
+    names, _, _, defaults = _lookup(identity)
+    grid = dict(defaults)
     for name, bounds in (overrides or {}).items():
         if name in grid:
             grid[name] = bounds
     axes = [
         range(grid[name][0], grid[name][1] + 1) if name in grid else PROBE_VALUES
-        for name in entry.names
+        for name in names
     ]
     if all(axes):
         for values in _points(axes):
-            yield dict(zip(entry.names, values))
+            yield dict(zip(names, values))
 
 
 def _points(axes):
@@ -270,7 +264,7 @@ def sweep(identities=None, overrides: Mapping | None = None):
     raises DomainError.
     """
     chosen = IDENTITY_IDS if identities is None else tuple(dict.fromkeys(identities))
-    swept = {name for identity in chosen for name in _lookup(identity).grid}
+    swept = {name for _, _, _, grid in map(_lookup, chosen) for name in grid}
     for name in overrides or {}:
         if name not in swept:
             raise DomainError(
@@ -280,18 +274,18 @@ def sweep(identities=None, overrides: Mapping | None = None):
     failures = []
     per_id = {}
     for identity in chosen:
-        entry = IDENTITIES[identity]
+        _, residual, domain, _ = IDENTITIES[identity]
         id_checked = 0
         id_skipped = 0
         for params in iter_grid(identity, overrides):
             args = params.values()
-            if not entry.domain(*args):
+            if not domain(*args):
                 id_skipped += 1
                 continue
-            residual = entry.residual(*args)
+            value = residual(*args)
             id_checked += 1
-            if residual != ZERO:
-                failures.append((identity, params, residual))
+            if value != ZERO:
+                failures.append((identity, params, value))
         per_id[identity] = (id_checked, id_skipped)
     checked = sum(c for c, _ in per_id.values())
     skipped = sum(s for _, s in per_id.values())

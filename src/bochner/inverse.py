@@ -47,8 +47,8 @@ rows 0..K' gives op_K again); if no degree fails, the criterion holds at K.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import chain, islice
-from typing import Iterator
 
 from .errors import (
     DomainError,

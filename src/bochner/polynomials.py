@@ -33,13 +33,9 @@ from __future__ import annotations
 
 import math
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .errors import DomainError
 from .scalars import GaussianRational, ONE, ZERO, from_parts, lift, scalar
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .operators import BochnerOperator
 
 
 class Poly:

@@ -55,8 +55,8 @@ numerators, and reads neither route.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from operator import add, mul
-from typing import Sequence
 
 from .errors import DomainError, InsufficientData
 from .operators import DeltaTable

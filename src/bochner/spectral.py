@@ -41,8 +41,8 @@ each P_n as it comes (`bochner direct`) never holds the family;
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from math import comb
-from typing import Iterator, Sequence
 
 from .errors import (
     DegenerateSpectrum,

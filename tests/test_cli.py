@@ -945,16 +945,22 @@ def test_whole_parser_names_the_verb_operand_by_its_dest(capsys, argv):
     assert " verb" in last and "{" not in last, last
 
 
-@pytest.mark.parametrize("nmax", ["3", "150"])
-def test_closed_stdout_exits_2_without_traceback(nmax):
+@pytest.mark.parametrize(
+    "argv",
+    [("direct", "--preset", "hermite", "--nmax", nmax) for nmax in ("3", "150")]
+    + [("-h",), ("verify", "-h")],
+    ids=["3", "150", "-h", "verify -h"],
+)
+def test_closed_stdout_exits_2_without_traceback(argv):
     # no reader is left on the pipe when the child writes: small output
-    # fails at the final flush, large output at a write mid-document
+    # fails at the final flush, large output at a write mid-document; the
+    # help is small output
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     try:
         result = subprocess.run(
-            [sys.executable, "-m", "bochner", "direct", "--preset", "hermite", "--nmax", nmax],
+            [sys.executable, "-m", "bochner", *argv],
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,
@@ -966,6 +972,33 @@ def test_closed_stdout_exits_2_without_traceback(nmax):
     assert result.returncode == 2
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), result.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no full device")
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [("-h",), ("direct", "--preset", "hermite", "--nmax", "150")], ids=["-h", "150"]
+)
+def test_full_stdout_exits_2_without_traceback(argv, unbuffered):
+    # every write to /dev/full fails with ENOSPC, an OSError but no pipe
+    # error: buffered at the flush, unbuffered at the first write, which
+    # argparse would drop from Python 3.11 on
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "bochner", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write to standard output:")
 
 
 # A constant past Python's 4300-digit int/str conversion limit.

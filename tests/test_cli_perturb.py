@@ -17,7 +17,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from bochner import errors, normalize
-from bochner.cli import _PRESETS, _VERBS, main
+from bochner.cli import _DECIMAL_MAX, _PRESETS, _VERBS, main
 from bochner.inverse import deltas_from_eigendata_rec, first_order_violation
 from bochner.serialize import eigendata_from_dict, operator_to_dict
 from conftest import usable_bochner_operators
@@ -153,6 +153,26 @@ def test_inverse_search_on_perturbed_eigendata(perturbed):
         assert json.loads(out)["first_failure"] == list(expected)
 
 
+def test_long_integer_lambda_is_data_of_no_operator():
+    doc = hermite_data_with(0, ["1"])
+    doc["lambda"][2] = LONG_INTEGER
+    status, out = run_on(doc, "inverse", "--search", "--data")
+    assert status == 1
+    doc["lambda"][2] = "7" * 5000
+    data = eigendata_from_dict(doc)
+    expected = first_order_violation(deltas_from_eigendata_rec(data), data.n_max - 1)
+    assert json.loads(out)["first_failure"] == list(expected)
+
+
+def test_long_integer_top_coefficient_is_not_monic(tmp_path):
+    doc = hermite_data_with(2, ["-1/2", "0", LONG_INTEGER])
+    source = tmp_path / "data.json"
+    source.write_text(json.dumps(doc).replace(json.dumps(LONG_INTEGER), "7" * 5000))
+    status, _, err = run_argv(["inverse", "--search", "--data", str(source)])
+    assert status == 2
+    assert err == "error: not valid eigen-data: polynomial 2 is not monic\n"
+
+
 # a value of each parameter flag, negative ones among them; a product-form
 # list holds one to three of the scalars
 SCALARS = ("1/2", "-2/5", "3", "-1", "-i", "1+1*i")
@@ -259,7 +279,7 @@ def test_parameter_added_or_dropped_exits_2_naming_it(argv, data):
 @settings(max_examples=30, deadline=None)
 def test_value_out_of_range_exits_2(argv, data):
     head, options, _ = argv
-    ways = [("decimal", "0"), ("decimal", str(MAX_PREC + 1))]
+    ways = [("decimal", str(k)) for k in (0, _DECIMAL_MAX + 1, MAX_PREC + 1)]
     if head[0] != "preset":
         ways.append(("nmax", "-1"))
     flag, value = data.draw(st.sampled_from(ways))
@@ -268,6 +288,61 @@ def test_value_out_of_range_exits_2(argv, data):
     status, out, _ = run_argv(render(head, options))
     assert status == 2
     assert out == ""
+
+
+# a value of every flag that preset_argvs gives
+FLAG_VALUES = {
+    "preset": st.sampled_from(sorted(_PRESETS)),
+    "nmax": st.integers(0, 6).map(str),
+    "decimal": st.integers(1, 8).map(str),
+    **PARAMETER_VALUES,
+}
+
+
+def test_repeated_nmax_reads_as_its_last_value():
+    hermite = ["direct", "--preset", "hermite"]
+    expected = run_argv([*hermite, "--nmax", "5"])
+    assert run_argv([*hermite, "--nmax", "3", "--nmax", "5"]) == expected
+
+
+@given(preset_argvs(), st.data())
+@settings(max_examples=20, deadline=None)
+def test_repeated_flag_gives_the_bytes_of_its_last_value(argv, data):
+    head, options, _ = argv
+    assume(options)
+    expected = run_argv(render(head, options))
+    j = data.draw(st.integers(0, len(options) - 1))
+    flag = options[j][0]
+    # an earlier copy of option j, maybe with another value and spelling
+    options.insert(j, (flag, data.draw(FLAG_VALUES[flag]), data.draw(st.booleans())))
+    assert run_argv(render(head, options)) == expected
+
+
+# (verb, flag, value) at a bound of --nstart or --order or just past it, and
+# the exit code: the band window starts in table rows 0..nmax, here 0..5, and
+# a candidate order K is at least 1 and needs eigen-data to degree K + 1, here
+# Hermite's to degree 4
+AT_BOUNDS = {
+    ("recurrence", "--nstart", "5"): 0,
+    ("recurrence", "--nstart", "6"): 2,
+    ("recurrence", "--nstart", "-1"): 2,
+    ("inverse", "--order", "3"): 0,
+    ("inverse", "--order", "4"): 2,
+    ("inverse", "--order", "0"): 2,
+}
+# the field of the exit-0 document that echoes the flag
+ECHOED = {"--nstart": "n_start", "--order": "requested_order"}
+
+
+@pytest.mark.parametrize("verb, flag, value", list(AT_BOUNDS), ids=map(" ".join, AT_BOUNDS))
+def test_nstart_and_order_at_and_past_their_bounds(verb, flag, value):
+    if verb == "inverse":
+        status, out = run_on(hermite_data_with(0, ["1"]), verb, flag, value, "--data")
+    else:
+        status, out, _ = run_argv([verb, "--preset", "hermite", "--nmax", "5", flag, value])
+    assert status == AT_BOUNDS[verb, flag, value]
+    if status == 0:
+        assert json.loads(out)[ECHOED[flag]] == int(value)
 
 
 # an operator whose lambda_1 vanishes, and eigen-data whose lambda_1 and

@@ -132,7 +132,7 @@ def test_sweep_counts_and_skips():
 
 def test_default_grid_sizes():
     assert sum(1 for _ in iter_grid("kym")) == 144
-    domain = _lookup("8_tilde").domain
+    _, _, domain, _ = _lookup("8_tilde")
     count_8 = sum(1 for p in iter_grid("8_tilde") if domain(*p.values()))
     assert count_8 == 91 * 15
 
@@ -140,14 +140,14 @@ def test_default_grid_sizes():
 def test_grid_points_in_product_order():
     # the lazy walk gives the points itertools.product gives, in its order
     for identity in IDENTITY_IDS:
-        entry = _lookup(identity)
-        lows = {name: low for name, (low, _) in entry.grid.items()}
+        names, _, _, grid = _lookup(identity)
+        lows = {name: low for name, (low, _) in grid.items()}
         overrides = {name: (low, low + 2) for name, low in lows.items()}
         axes = [
             range(lows[name], lows[name] + 3) if name in lows else PROBE_VALUES
-            for name in entry.names
+            for name in names
         ]
-        expected = [dict(zip(entry.names, values)) for values in product(*axes)]
+        expected = [dict(zip(names, values)) for values in product(*axes)]
         assert list(iter_grid(identity, overrides)) == expected, identity
     assert list(iter_grid("kym", {"m": (3, 2)})) == []
 
