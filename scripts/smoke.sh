@@ -15,6 +15,18 @@ if [ -z "${RUNNER_TEMP:-}" ]; then
   trap 'rm -rf "$RUNNER_TEMP"' EXIT
 fi
 export PYTHONPATH=src
+# the JSON document $1 reads "check": "ok"
+check_ok() {
+  python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["check"] == "ok" else 1)' "$1"
+}
+# the "checks" map of the JSON document $1 is nonempty and every verdict is "ok"
+all_checks_ok() {
+  python3 -c 'import json, sys; checks = json.load(open(sys.argv[1]))["checks"]; sys.exit(0 if checks and all(v == "ok" for v in checks.values()) else 1)' "$1"
+}
+# the inverse result $1 found an operator, and it is the operator document $2
+found_document() {
+  python3 -c 'import json, sys; result, doc = (json.load(open(p)) for p in sys.argv[1:]); sys.exit(0 if result["found"] is True and result["operator"] == doc else 1)' "$1" "$2"
+}
 # the real entry point, main() on sys.argv: the help of the whole parser and
 # of one verb's, and a one-verb parser's error, whose usage line names
 # every verb
@@ -33,14 +45,14 @@ test ! -s "$RUNNER_TEMP/repeated-key.out"
 test "$(wc -l < "$RUNNER_TEMP/repeated-key.err")" -eq 1
 grep -q '^error: .* repeats the key "a" in one object$' "$RUNNER_TEMP/repeated-key.err"
 python3 -m bochner direct --shapiro=1,-2,3,1 --nmax 30 --check > "$RUNNER_TEMP/shapiro-direct.json"
-python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["check"] == "ok" else 1)' "$RUNNER_TEMP/shapiro-direct.json"
+check_ok "$RUNNER_TEMP/shapiro-direct.json"
 python3 -m bochner direct --preset hermite --nmax 60 --check > /dev/null
 # the recursion's real one-term steps (Laguerre) and two-term steps
 # (Jacobi) against the determinant route
 python3 -m bochner direct --preset laguerre --alpha=7/3 --nmax 60 --check > "$RUNNER_TEMP/laguerre-direct.json"
-python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["check"] == "ok" else 1)' "$RUNNER_TEMP/laguerre-direct.json"
+check_ok "$RUNNER_TEMP/laguerre-direct.json"
 python3 -m bochner direct --preset jacobi --alpha=5/2 --beta=-2/7 --nmax 40 --check > "$RUNNER_TEMP/jacobi-direct.json"
-python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["check"] == "ok" else 1)' "$RUNNER_TEMP/jacobi-direct.json"
+check_ok "$RUNNER_TEMP/jacobi-direct.json"
 python3 -m bochner direct --preset jacobi --alpha=1/2 --beta=-1/3 --nmax 12 --out "$RUNNER_TEMP/jacobi.json" > /dev/null
 python3 -m bochner inverse --check --search --data "$RUNNER_TEMP/jacobi.json" > "$RUNNER_TEMP/inverse.json"
 python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["found"] is True else 1)' "$RUNNER_TEMP/inverse.json"
@@ -48,11 +60,11 @@ python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["found"
 # must agree with the determinant route
 printf '%s\n' '{"N": 3, "a": [[], ["1/2", "-3"], ["2", "1+1*i", "-1/3*i"], ["0", "1", "-2", "1+1*i"]]}' > "$RUNNER_TEMP/order3.json"
 python3 -m bochner direct --check --operator "$RUNNER_TEMP/order3.json" --nmax 16 > "$RUNNER_TEMP/order3-direct.json"
-python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["check"] == "ok" else 1)' "$RUNNER_TEMP/order3-direct.json"
+check_ok "$RUNNER_TEMP/order3-direct.json"
 # and inverse --search must give back its document
 python3 -m bochner direct --operator "$RUNNER_TEMP/order3.json" --nmax 12 --out "$RUNNER_TEMP/order3-data.json" > /dev/null
 python3 -m bochner inverse --search --data "$RUNNER_TEMP/order3-data.json" > "$RUNNER_TEMP/order3-inverse.json"
-python3 -c 'import json, sys; result, doc = (json.load(open(p)) for p in sys.argv[1:]); sys.exit(0 if result["found"] is True and result["operator"] == doc else 1)' "$RUNNER_TEMP/order3-inverse.json" "$RUNNER_TEMP/order3.json"
+found_document "$RUNNER_TEMP/order3-inverse.json" "$RUNNER_TEMP/order3.json"
 # bumped order-3 data, P_6 past the seed rows and P_2 inside them:
 # inverse --order 3 and --search, with and without --check, must name the
 # entry where the finite-order criterion first breaks on the whole table,
@@ -72,7 +84,7 @@ python3 -c 'import json, sys; result, doc = (json.load(open(p)) for p in sys.arg
 # the oracles on non-real input: the recurrence residual, and the
 # eigen-equation of verify with a_0 = 5/2 - i, shifted eigenvalues
 python3 -m bochner recurrence --check --operator "$RUNNER_TEMP/order3.json" --nmax 12 > "$RUNNER_TEMP/order3-recurrence.json"
-python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["check"] == "ok" else 1)' "$RUNNER_TEMP/order3-recurrence.json"
+check_ok "$RUNNER_TEMP/order3-recurrence.json"
 # a non-real order-2 family of the benchmark's size: the lifted
 # sequential solve must give a three-term table the oracle accepts
 printf '%s\n' '{"N": 2, "a": [[], ["3/5", "-2/3+1/2*i"], ["1/7", "-5/2", "3/4+2/5*i"]]}' > "$RUNNER_TEMP/order2.json"
@@ -87,7 +99,7 @@ python3 -c 'import json, sys; doc = json.load(open(sys.argv[1])); sys.exit(0 if 
 # length, so rows 0..3 of an order-4 table are a full triangle, and
 # the fit and both direct routes run on that band, not the order
 python3 -m bochner recurrence --check --operator "$RUNNER_TEMP/order4.json" --nmax 3 > "$RUNNER_TEMP/order4-shallow-recurrence.json"
-python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["check"] == "ok" else 1)' "$RUNNER_TEMP/order4-shallow-recurrence.json"
+check_ok "$RUNNER_TEMP/order4-shallow-recurrence.json"
 python3 -m bochner direct --check --deltas --operator "$RUNNER_TEMP/order4.json" --nmax 3 > "$RUNNER_TEMP/order4-shallow-direct.json"
 python3 -c 'import json, sys; doc = json.load(open(sys.argv[1])); sys.exit(0 if doc["check"] == "ok" and [len(row) for row in doc["delta"]] == [1, 2, 3, 4] else 1)' "$RUNNER_TEMP/order4-shallow-direct.json"
 # an order-3 family whose band has an all-zero interior column
@@ -99,7 +111,7 @@ python3 -c 'import json, sys; doc = json.load(open(sys.argv[1])); sys.exit(0 if 
 # the eigen-equation oracle on the same family, dense and non-real,
 # and the inverse search back to its document
 python3 -m bochner direct --check --operator "$RUNNER_TEMP/order4.json" --nmax 20 > "$RUNNER_TEMP/order4-direct.json"
-python3 -c 'import json, sys; sys.exit(0 if json.load(open(sys.argv[1]))["check"] == "ok" else 1)' "$RUNNER_TEMP/order4-direct.json"
+check_ok "$RUNNER_TEMP/order4-direct.json"
 # direct streams its document: the text must be json.dumps(indent=2)
 # of the document it holds, byte for byte, and --out the same bytes
 python3 -m bochner direct --deltas --decimal 8 --check --operator "$RUNNER_TEMP/order4.json" --nmax 20 --out "$RUNNER_TEMP/order4-stream-out.json" > "$RUNNER_TEMP/order4-stream.json"
@@ -110,13 +122,13 @@ for doc in order4-stream jacobi-stream; do
 done
 python3 -m bochner direct --operator "$RUNNER_TEMP/order4.json" --nmax 12 --out "$RUNNER_TEMP/order4-data.json" > /dev/null
 python3 -m bochner inverse --search --data "$RUNNER_TEMP/order4-data.json" > "$RUNNER_TEMP/order4-inverse.json"
-python3 -c 'import json, sys; result, doc = (json.load(open(p)) for p in sys.argv[1:]); sys.exit(0 if result["found"] is True and result["operator"] == doc else 1)' "$RUNNER_TEMP/order4-inverse.json" "$RUNNER_TEMP/order4.json"
+found_document "$RUNNER_TEMP/order4-inverse.json" "$RUNNER_TEMP/order4.json"
 # the delta determinant route on dense non-real data, against the recursion
 python3 -m bochner inverse --check --search --data "$RUNNER_TEMP/order4-data.json" > "$RUNNER_TEMP/order4-inverse-check.json"
-python3 -c 'import json, sys; result, doc = (json.load(open(p)) for p in sys.argv[1:]); sys.exit(0 if result["found"] is True and result["operator"] == doc else 1)' "$RUNNER_TEMP/order4-inverse-check.json" "$RUNNER_TEMP/order4.json"
+found_document "$RUNNER_TEMP/order4-inverse-check.json" "$RUNNER_TEMP/order4.json"
 python3 -c 'import json, sys; doc = json.load(open(sys.argv[1])); doc["a"][0] = ["5/2-1*i"]; json.dump(doc, open(sys.argv[2], "w"))' "$RUNNER_TEMP/order3.json" "$RUNNER_TEMP/order3-shifted.json"
 python3 -m bochner verify --operator "$RUNNER_TEMP/order3-shifted.json" --nmax 12 > "$RUNNER_TEMP/order3-verify.json"
-python3 -c 'import json, sys; checks = json.load(open(sys.argv[1]))["checks"]; sys.exit(0 if checks and all(v == "ok" for v in checks.values()) else 1)' "$RUNNER_TEMP/order3-verify.json"
+all_checks_ok "$RUNNER_TEMP/order3-verify.json"
 # an order-2 operator below --nmax 2 is an input error, not a traceback
 status=0; python3 -m bochner verify --preset hermite --nmax 1 || status=$?; test "$status" -eq 2
 # and so is an operator file that is not UTF-8
@@ -125,7 +137,7 @@ status=0; python3 -m bochner direct --operator "$RUNNER_TEMP/not-utf8.json" || s
 # a product form with non-real coefficients, which no benchmark
 # workload runs: the closed-form recurrence table must pass both checks
 python3 -m bochner verify '--shapiro=1/2+1/3*i,i,2-1/4*i' --nmax 16 > "$RUNNER_TEMP/shapiro-complex.json"
-python3 -c 'import json, sys; checks = json.load(open(sys.argv[1]))["checks"]; sys.exit(0 if checks and all(v == "ok" for v in checks.values()) else 1)' "$RUNNER_TEMP/shapiro-complex.json"
+all_checks_ok "$RUNNER_TEMP/shapiro-complex.json"
 # every function of the library is run by some verb, or kept for a
 # reason the script names
 python3 scripts/unreached.py

@@ -389,6 +389,90 @@ def test_verify_reports_a_determinant_mismatch(capsys, monkeypatch):
     assert set(others.values()) == {"ok"}
 
 
+def bump_last_row(real):
+    """`deltas_from_operator` with delta(n_max, 1) off by one, a row past the
+    order, so the table is no operator's past its first rows."""
+
+    def bumped(op, n_max):
+        rows = [list(row) for row in real(op, n_max).rows]
+        rows[-1][1] += 1
+        return DeltaTable(rows)
+
+    return bumped
+
+
+# verify's verdict keys, in order: those of every operator, then those of
+# order 2, then those of a product form (which has order 2 here)
+CHECK_KEYS = (
+    "eigen_equation",
+    "determinant_vs_recursion",
+    "delta_extension",
+    "recurrence_reconstruction",
+)
+ORDER2_KEYS = (*CHECK_KEYS, "order2_eigenvalue_identity")
+PRODUCT_FORM_KEYS = (*ORDER2_KEYS, "product_form_recurrence", "product_form_alpha_match")
+
+
+@pytest.mark.parametrize(
+    "source,name,wrap,failing",
+    [
+        (
+            ("--preset", "hermite"),
+            "is_eigenpair",
+            lambda real: lambda op, p, lam: p.degree != 5 and real(op, p, lam),
+            ("eigen_equation",),
+        ),
+        # the bumped table's own P_8 is no eigenpolynomial of the operator
+        (
+            ("--preset", "hermite"),
+            "deltas_from_operator",
+            bump_last_row,
+            ("eigen_equation", "delta_extension"),
+        ),
+        (
+            ("--preset", "hermite"),
+            "relation_residual",
+            lambda real: lambda polys, row, n: Poly([1]) if n == 4 else real(polys, row, n),
+            ("recurrence_reconstruction",),
+        ),
+        (
+            ("--preset", "hermite"),
+            "lambda_via_N2_identity",
+            lambda real: lambda l1, l2, n: real(l1, l2, n) + 1 if n == 5 else real(l1, l2, n),
+            ("order2_eigenvalue_identity",),
+        ),
+        (
+            ("--shapiro=2/3,-1/5",),
+            "verify_shapiro_recurrence",
+            lambda real: lambda alpha, delta1: (3, 0),
+            ("product_form_recurrence",),
+        ),
+    ],
+    ids=["eigen_equation", "delta_extension", "recurrence", "order2_identity", "product_form"],
+)
+def test_verify_reports_each_failing_check(capsys, monkeypatch, source, name, wrap, failing):
+    monkeypatch.setattr(bochner.cli, name, wrap(getattr(bochner.cli, name)))
+    code, payload, _ = run_json(capsys, "verify", *source, "--nmax", "8")
+    keys = PRODUCT_FORM_KEYS if source[0].startswith("--shapiro") else ORDER2_KEYS
+    assert code == 1
+    assert list(payload["checks"].items()) == [
+        (key, "fail" if key in failing else "ok") for key in keys
+    ]
+
+
+# an order-3 operator with non-real coefficients
+ORDER3 = {"N": 3, "a": [[], ["1/2", "-3"], ["2", "1+1*i", "-1/3*i"], ["0", "1", "-2", "1+1*i"]]}
+
+
+@pytest.mark.parametrize("nmax", ["2", "3"])
+def test_verify_delta_extension_holds_with_no_row_past_the_order(tmp_path, capsys, nmax):
+    # no row past the order is there to break the criterion
+    path = write_json(tmp_path / "order3.json", ORDER3)
+    code, payload, err = run_json(capsys, "verify", "--operator", path, "--nmax", nmax)
+    assert (code, err) == (0, "")
+    assert list(payload["checks"].items()) == [(key, "ok") for key in CHECK_KEYS]
+
+
 def test_inverse_check_locates_a_delta_mismatch(tmp_path, capsys, monkeypatch):
     real = bochner.cli.deltas_from_eigendata_det
 
@@ -667,8 +751,8 @@ def test_decimal_below_one_digit_exits_2(capsys, digits):
     assert err == f"error: --decimal K needs K >= 1, got {int(digits)}\n"
 
 
-# Decimal accepts a precision up to MAX_PREC, but a K of 10**9 and up cannot
-# be allocated, so only K past MAX_PREC is run here
+# every K above 10**6 gets the one refusal; K past Decimal's own MAX_PREC, the
+# largest precision it accepts, is refused by the same line
 @pytest.mark.parametrize("digits", [MAX_PREC + 1, 10**30], ids=["max_prec+1", "1e30"])
 @pytest.mark.parametrize(
     "argv",
@@ -678,7 +762,7 @@ def test_decimal_below_one_digit_exits_2(capsys, digits):
 def test_decimal_past_max_prec_exits_2_before_any_output(capsys, argv, digits):
     code, out, err = run_cli(capsys, *argv, "--decimal", str(digits))
     assert code == 2 and out == ""
-    assert err == f"error: --decimal K needs K <= {MAX_PREC}, got {digits}\n"
+    assert err == f"error: --decimal K renders at most 1000000 digits, got {digits}\n"
 
 
 @pytest.mark.parametrize(
@@ -945,19 +1029,34 @@ def test_whole_parser_names_the_verb_operand_by_its_dest(capsys, argv):
     assert " verb" in last and "{" not in last, last
 
 
+CLOSED_STDOUT_ARGVS = {
+    "3": ("direct", "--preset", "hermite", "--nmax", "3"),
+    "150": ("direct", "--preset", "hermite", "--nmax", "150"),
+    "-h": ("-h",),
+    "verify -h": ("verify", "-h"),
+}
+
+
+# an id without a suffix runs Python's default, buffered standard output
 @pytest.mark.parametrize(
-    "argv",
-    [("direct", "--preset", "hermite", "--nmax", nmax) for nmax in ("3", "150")]
-    + [("-h",), ("verify", "-h")],
-    ids=["3", "150", "-h", "verify -h"],
+    "argv,unbuffered",
+    [
+        pytest.param(argv, unbuffered, id=name + ("-unbuffered" if unbuffered else ""))
+        for unbuffered in (False, True)
+        for name, argv in CLOSED_STDOUT_ARGVS.items()
+    ],
 )
-def test_closed_stdout_exits_2_without_traceback(argv):
-    # no reader is left on the pipe when the child writes: small output
-    # fails at the final flush, large output at a write mid-document; the
+def test_closed_stdout_exits_2_without_traceback(argv, unbuffered):
+    # no reader is left on the pipe when the child writes: buffered, small
+    # output fails at the final flush and large output at a write
+    # mid-document; unbuffered, every output fails at its first write; the
     # help is small output
     read_end, write_end = os.pipe()
     os.close(read_end)
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     try:
         result = subprocess.run(
             [sys.executable, "-m", "bochner", *argv],

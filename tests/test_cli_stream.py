@@ -184,8 +184,13 @@ def test_direct_holds_about_one_polynomial_at_a_time(monkeypatch):
     assert peak < 6 * sink.longest
 
 
-def test_closed_stdout_mid_stream_exits_2_without_traceback():
+def closed_mid_stream(unbuffered):
+    """Exit status and stderr of a large `direct` whose reader closes the
+    pipe after the first bytes."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     argv = [sys.executable, "-m", "bochner", "direct", "--preset", "hermite", "--nmax", "150"]
     child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
     try:
@@ -193,15 +198,22 @@ def test_closed_stdout_mid_stream_exits_2_without_traceback():
         assert child.stdout.read(100).startswith(b'{\n  "lambda": [\n')
         child.stdout.close()
         err = child.stderr.read().decode()
-        status = child.wait(timeout=120)
+        return child.wait(timeout=120), err
     finally:
         child.kill()
         child.wait()
-    assert status == 2
-    lines = err.splitlines()
-    assert len(lines) == 1, err
-    assert lines[0].startswith("error: cannot write to standard output")
-    assert "Traceback" not in err
+
+
+def test_closed_stdout_mid_stream_exits_2_without_traceback():
+    # both buffering modes, whatever PYTHONUNBUFFERED the tests run under:
+    # buffered, a full buffer's flush fails; unbuffered, the next write
+    for unbuffered in (False, True):
+        status, err = closed_mid_stream(unbuffered)
+        assert status == 2, (unbuffered, err)
+        lines = err.splitlines()
+        assert len(lines) == 1, (unbuffered, err)
+        assert lines[0].startswith("error: cannot write to standard output")
+        assert "Traceback" not in err
 
 
 # -- the emitter every verb shares -------------------------------------------------
